@@ -1,11 +1,13 @@
 """Fresh-process measurements for the benchmark; run by ``run.py``.
 
     python3 bench/child.py setup WORKLOAD SEED
-        time to import bitsim and load the workload's configs
-    python3 bench/child.py measure WORKLOAD SEED SECONDS
-        timed ``simulate`` passes for SECONDS, ``ru_maxrss`` right after
-        the first one, then timed ``analyze`` passes for SECONDS / 4,
-        with calibration runs between samples
+        time to import bitsim and load the workload's configs, and the
+        interpreter kernel's time in the same process around it
+    python3 bench/child.py measure WORKLOAD SEED SETUPS SECONDS
+        one untimed ``simulate`` pass and ``ru_maxrss`` right after it,
+        then timed ``simulate`` passes for SECONDS and timed ``analyze``
+        passes for SECONDS / 4, with calibration runs between samples and
+        SETUPS fresh ``setup`` processes spread over the timed passes
     python3 bench/child.py rss PID
         resident-set sampler for the traced run (see tracing.RssSampler)
 
@@ -16,9 +18,11 @@ raises is recorded with a null digest and its error; the loop goes on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import select
+import subprocess
 import sys
 import time
 
@@ -85,14 +89,63 @@ class Calibration:
         return time.perf_counter() - t0
 
 
-def _timed(fn, calibrate, budget: float, min_samples: int, batch: int = 1) -> dict:
+def interpreter_kernel() -> float:
+    """A fixed pure-Python kernel, timed in each set-up process before and
+    after its set-up, as that process's speed.
+
+    One set-up's user time varies by up to half from process to process
+    on a shared host, with the same work and page faults: it depends on
+    the core the process lands on. The kernel, run in the same process,
+    slows with it.
+    """
+    t0 = time.perf_counter()
+    acc = 0
+    for j in range(150_000):
+        acc += j & 7
+    names = {}
+    for j in range(20_000):
+        names[str(j)] = (j, str(j))
+    return time.perf_counter() - t0
+
+
+class SetupSampler:
+    """Fresh ``setup`` processes, spread evenly over the measuring loop.
+
+    The host's speed drifts over a run and one set-up varies by up to
+    half from process to process, so the samples are many and taken
+    throughout. A first, cold process warms the page cache and is not
+    kept.
+    """
+
+    def __init__(self, workload: str, seed: int, count: int):
+        self._argv = [sys.executable, os.path.abspath(__file__), "setup", workload, str(seed)]
+        self.count = count
+        self.samples: list[dict] = []
+        self.wall_s = 0.0  # seconds spent in the kept set-up processes
+        self._one()
+
+    def _one(self) -> dict:
+        proc = subprocess.run(self._argv, capture_output=True, text=True, timeout=60, check=True)
+        return json.loads(proc.stdout)
+
+    def keep_up(self, share: float):
+        """Take samples until ``share`` of the count is done."""
+        t0 = time.perf_counter()
+        while len(self.samples) < min(self.count, math.ceil(self.count * share)):
+            self.samples.append(self._one())
+        self.wall_s += time.perf_counter() - t0
+
+
+def _timed(fn, calibrate, budget: float, min_samples: int, batch: int = 1,
+           between=lambda: None) -> dict:
     """Time samples of ``batch`` calls of ``fn`` until ``budget`` seconds
-    have passed (at least ``min_samples`` samples), with a calibration run
-    before each sample and after the last. Seconds per call, calibration
-    seconds, digests (None on a raise) and errors."""
+    of them have passed (at least ``min_samples`` samples), with a
+    calibration run before each sample and after the last, and a call of
+    ``between`` after each, whose time the budget leaves out. Seconds per
+    call, calibration seconds, digests (None on a raise) and errors."""
     out = {"raw": [], "cal": [calibrate()], "digests": [], "errors": []}
-    start = time.perf_counter()
-    while len(out["raw"]) < min_samples or time.perf_counter() - start < budget:
+    spent = 0.0
+    while len(out["raw"]) < min_samples or spent < budget:
         t0 = time.perf_counter()
         for _ in range(batch):
             try:
@@ -103,37 +156,50 @@ def _timed(fn, calibrate, budget: float, min_samples: int, batch: int = 1) -> di
             out["digests"].append(digest)
         out["raw"].append((time.perf_counter() - t0) / batch)
         out["cal"].append(calibrate())
+        spent += time.perf_counter() - t0
+        between()
     return out
 
 
-def measure(workload: str, seed: int, seconds: float) -> dict:
+def measure(workload: str, seed: int, setups: int, seconds: float) -> dict:
     import harness
 
     harness.bootstrap()
     cfgs = harness.load_workload(workload, seed)
+    errors = []
+    try:  # before anything else allocates, so ru_maxrss is bitsim's own
+        data, docs = harness.simulate_pass(cfgs)
+        first = harness.sha256(data)
+    except Exception as e:
+        first, docs = None, []
+        errors.append(f"{type(e).__name__}: {e}")
+    maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    pairs = sum(d.term_counts[r.layer].pairs for d in docs for r in d.rows)
+
     calibrate = Calibration()
-    found = {}
+    setup = SetupSampler(workload, seed, setups)
+    start = time.perf_counter()
+    planned = 1.25 * seconds  # simulate, then analyze for a quarter as long
+
+    def between():
+        setup.keep_up((time.perf_counter() - start - setup.wall_s) / planned)
 
     def sim():
-        data, docs = harness.simulate_pass(cfgs)
-        if "maxrss_kb" not in found:
-            found["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            found["pairs"] = sum(d.term_counts[r.layer].pairs for d in docs for r in d.rows)
-        return harness.sha256(data)
+        return harness.sha256(harness.simulate_pass(cfgs)[0])
 
     def ana():
         return harness.sha256(harness.analyze_pass(cfgs))
 
-    result = {"simulate": _timed(sim, calibrate, seconds, 1)}
+    result = {"simulate": _timed(sim, calibrate, seconds, 1, between=between)}
+    result["simulate"]["digests"].insert(0, first)
+    result["simulate"]["errors"] += errors
     warm = _timed(ana, calibrate, 0, 1)  # sizes samples to about 0.2 s of calls
     batch = max(1, round(0.2 / warm["raw"][0]))
-    result["analyze"] = ana_t = _timed(ana, calibrate, seconds / 4, 5, batch)
+    result["analyze"] = ana_t = _timed(ana, calibrate, seconds / 4, 5, batch, between)
     ana_t["digests"] += warm["digests"]
     ana_t["errors"] += warm["errors"]
-    result["maxrss_kb"] = found.get(
-        "maxrss_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    )
-    result["pairs"] = found.get("pairs", 0)
+    setup.keep_up(1.0)
+    result.update(maxrss_kb=maxrss_kb, pairs=pairs, setup=setup.samples)
     return result
 
 
@@ -143,14 +209,17 @@ def main(argv) -> int:
         return sample_rss(int(argv[1]))
     workload, seed = argv[1], int(argv[2])
     if mode == "measure":
-        print(json.dumps(measure(workload, seed, float(argv[3]))))
+        print(json.dumps(measure(workload, seed, int(argv[3]), float(argv[4]))))
         return 0
     import harness  # stdlib only: numpy and bitsim load in bootstrap()
 
+    before = interpreter_kernel()
     t0 = time.perf_counter()
     harness.bootstrap()
     harness.load_workload(workload, seed)
-    print(json.dumps({"setup_s": time.perf_counter() - t0}))
+    setup_s = time.perf_counter() - t0
+    cal_s = (before + interpreter_kernel()) / 2
+    print(json.dumps({"setup_s": setup_s, "cal_s": cal_s}))
     return 0
 
 

@@ -42,27 +42,17 @@ def nproc() -> int:
         return os.cpu_count() or 1
 
 
-def blas_threads() -> int:
-    """OpenBLAS thread count for this process and its children.
-
-    Defaults to 1. OpenBLAS worker threads spin while they wait, and on
-    two shared cores that made a ``shipped_configs`` pass swing by a
-    quarter from call to call, against 4% with one thread. An inherited
-    ``OPENBLAS_NUM_THREADS`` is kept, capped at nproc.
-    """
-    try:
-        want = int(os.environ.get("OPENBLAS_NUM_THREADS", 1))
-    except ValueError:
-        want = 1
-    return max(1, min(want, nproc()))
-
-
 def bootstrap():
-    """Pin BLAS threads, put the checkout's ``src`` first, import bitsim.
+    """Pin BLAS to one thread, put the checkout's ``src`` first, import
+    bitsim.
 
-    Raises :class:`BenchError` unless bitsim comes from this checkout.
+    OpenBLAS worker threads spin while they wait. On two shared cores,
+    two of them made a ``shipped_configs`` pass swing by a quarter from
+    call to call, against 4% with one thread. Child processes inherit
+    the setting. Raises :class:`BenchError` unless bitsim comes from
+    this checkout.
     """
-    os.environ["OPENBLAS_NUM_THREADS"] = str(blas_threads())
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     if not os.path.isdir(os.path.join(SRC, "bitsim")):
         raise BenchError(f"no bitsim sources under {SRC}")
     if SRC not in sys.path:
@@ -160,6 +150,17 @@ def at_reference_speed(raw: list[float], cal: list[float]) -> tuple[list[float],
     """
     factor = statistics.median(cal) / CAL_REF_S
     return [t / factor for t in raw], factor
+
+
+SETUP_CAL_REF_S = 0.02  # child.interpreter_kernel's time at the reference speed
+
+
+def setup_at_reference_speed(samples: list[dict]) -> list[float]:
+    """Scale each set-up to the reference speed by the interpreter kernel
+    timed in its own process. The speed of a fresh process is its own:
+    a kernel timed in another process, even the one just before, does
+    not follow it."""
+    return [s["setup_s"] * SETUP_CAL_REF_S / s["cal_s"] for s in samples]
 
 
 def summarize(samples: list[float]) -> dict:

@@ -26,7 +26,7 @@ import time
 import harness
 
 CHILD_TIMEOUT_S = 160
-SETUP_SAMPLES = 7
+SETUP_SAMPLES = 25
 MODEL_NOTE = (
     "The cycle model has not been checked against the paper's published "
     "figures: the repository holds no reference results, so no error "
@@ -113,14 +113,15 @@ class Gate:
         self.check(kind, None, rows)
 
 
-def end_to_end(args, cfgs, gate: Gate, setup: list[dict]) -> tuple[dict, dict]:
+def end_to_end(args, cfgs, gate: Gate) -> tuple[dict, dict]:
     """Untraced metrics from fresh processes; returns (values, summaries).
 
-    ``simulate_s`` and ``analyze_s`` are medians at the reference host
-    speed (see ``harness.at_reference_speed``); their raw host seconds,
-    calibration times and speed factor are kept in the summaries.
+    The timings are medians at the reference host speed (see
+    ``harness.at_reference_speed`` and ``harness.setup_at_reference_speed``);
+    their raw host seconds and calibration times are kept in the
+    summaries.
     """
-    m = _child("measure", args.workload, args.seed, args.seconds)
+    m = _child("measure", args.workload, args.seed, SETUP_SAMPLES, args.seconds)
     timings = {}
     for kind, rows in (("simulate", harness.rows_per_pass(cfgs)),
                        ("analyze", harness.analyze_rows(cfgs))):
@@ -132,10 +133,10 @@ def end_to_end(args, cfgs, gate: Gate, setup: list[dict]) -> tuple[dict, dict]:
         timings[f"{kind}_s"] = harness.summarize(scaled)
         timings[f"{kind}_s.raw"] = {**harness.summarize(m[kind]["raw"]), "speed_factor": factor,
                                     "samples": m[kind]["raw"], "cal": m[kind]["cal"]}
-    # Import and config parsing follow the page cache more than the
-    # core's speed: calibrating them widened their spread, so set-up
-    # time stays in raw host seconds.
-    timings["setup_s"] = harness.summarize([s["setup_s"] for s in setup])
+    timings["setup_s"] = harness.summarize(harness.setup_at_reference_speed(m["setup"]))
+    raw_setup = [s["setup_s"] for s in m["setup"]]
+    timings["setup_s.raw"] = {**harness.summarize(raw_setup), "samples": raw_setup,
+                              "cal": [s["cal_s"] for s in m["setup"]]}
     sim_s = timings["simulate_s"]["median"]
     values = {
         "simulate_s": sim_s,
@@ -217,9 +218,7 @@ def main(argv=None) -> int:
             values, timings, spans, problems = traced(args, gate)
             wanted = spec["per_layer"]
         else:
-            setup = [_child("setup", args.workload, args.seed)
-                     for _ in range(SETUP_SAMPLES)]
-            values, timings = end_to_end(args, cfgs, gate, setup)
+            values, timings = end_to_end(args, cfgs, gate)
             wanted = spec["end_to_end"]
     except (OSError, ValueError, KeyError, harness.BenchError,
             subprocess.TimeoutExpired) as e:
