@@ -5,9 +5,9 @@
         interpreter kernel's time in the same process around it
     python3 bench/child.py measure WORKLOAD SEED SETUPS SECONDS
         one untimed ``simulate`` pass and ``ru_maxrss`` right after it,
-        then timed ``simulate`` passes for SECONDS and timed ``analyze``
-        passes for SECONDS / 4, with calibration runs between samples and
-        SETUPS fresh ``setup`` processes spread over the timed passes
+        then timed ``simulate`` passes for SECONDS, with timed ``analyze``
+        passes for a quarter as long and SETUPS fresh ``setup`` processes
+        spread among them; each sample is timed with the speed probe
     python3 bench/child.py rss PID
         resident-set sampler for the traced run (see tracing.RssSampler)
 
@@ -22,6 +22,8 @@ import math
 import os
 import resource
 import select
+import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -61,32 +63,54 @@ def sample_rss(pid: int) -> int:
         os.write(sys.stdout.fileno(), b"%d\n" % reply)
 
 
-class Calibration:
-    """A fixed kernel timed before every sample, as the host's speed.
+class SpeedProbe:
+    """Times a tiny fixed kernel inside each sample, as the host's speed
+    while that sample ran.
 
-    On a shared host the same code runs up to a quarter slower for
-    minutes at a time. The kernel mixes what bitsim spends its time on:
-    an interpreter loop, many small numpy calls and a vector op over
-    bit planes.
+    On a shared host a core runs the same code up to half slower, in
+    stretches shorter than one ``simulate`` pass, and a kernel timed
+    between samples misses them. A ``SIGALRM`` every ``PERIOD_S`` runs
+    the kernel in the sampled thread itself, between bytecodes of the
+    sampled code, so it sees the same core at the same moment. A long
+    numpy call defers it, so such stretches give fewer readings.
     """
+
+    PERIOD_S = 0.025
 
     def __init__(self):
         import numpy as np  # not at module level: bootstrap() pins BLAS first
 
-        self._x = np.arange(1 << 17, dtype=np.int64)
-        self._bits = np.arange(12)
-        self._popcount = np.bitwise_count
+        self._np = np
+        self._x = np.arange(1 << 11, dtype=np.int64)
+        self._buf = np.empty_like(self._x)
+        self._readings: list[float] = []
+        signal.signal(signal.SIGALRM, lambda signum, frame: self._readings.append(self.kernel()))
 
-    def __call__(self) -> float:
+    def kernel(self) -> float:
+        """An interpreter loop and small numpy calls, about 0.3 ms. It
+        allocates nothing, so it takes no page faults."""
         t0 = time.perf_counter()
         acc = 0
-        for j in range(240_000):
+        for j in range(3000):
             acc += j & 7
-        for _ in range(800):
-            acc += int((self._x[:256] * 3).sum())
-        planes = (self._x[:, None] >> self._bits) & 1  # 12 MB, memory-bound
-        acc += int(planes.sum()) + int(self._popcount(planes).sum())
+        for _ in range(20):
+            self._np.multiply(self._x, 3, out=self._buf)
+            acc += int(self._buf.sum())
         return time.perf_counter() - t0
+
+    def time(self, fn) -> tuple[float, float]:
+        """Call ``fn``; its seconds without the kernel's, and the median
+        kernel time while it ran (one reading after it, if none came)."""
+        self._readings = []
+        signal.setitimer(signal.ITIMER_REAL, self.PERIOD_S, self.PERIOD_S)
+        t0 = time.perf_counter()
+        try:
+            fn()
+        finally:
+            elapsed = time.perf_counter() - t0
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        readings = self._readings or [self.kernel()]
+        return elapsed - sum(self._readings), statistics.median(readings)
 
 
 def interpreter_kernel() -> float:
@@ -120,8 +144,7 @@ class SetupSampler:
     def __init__(self, workload: str, seed: int, count: int):
         self._argv = [sys.executable, os.path.abspath(__file__), "setup", workload, str(seed)]
         self.count = count
-        self.samples: list[dict] = []
-        self.wall_s = 0.0  # seconds spent in the kept set-up processes
+        self.samples = {"raw": [], "cal": []}  # set-up and kernel seconds
         self._one()
 
     def _one(self) -> dict:
@@ -130,77 +153,73 @@ class SetupSampler:
 
     def keep_up(self, share: float):
         """Take samples until ``share`` of the count is done."""
-        t0 = time.perf_counter()
-        while len(self.samples) < min(self.count, math.ceil(self.count * share)):
-            self.samples.append(self._one())
-        self.wall_s += time.perf_counter() - t0
+        while len(self.samples["raw"]) < min(self.count, math.ceil(self.count * share)):
+            one = self._one()
+            self.samples["raw"].append(one["setup_s"])
+            self.samples["cal"].append(one["cal_s"])
 
 
-def _timed(fn, calibrate, budget: float, min_samples: int, batch: int = 1,
-           between=lambda: None) -> dict:
-    """Time samples of ``batch`` calls of ``fn`` until ``budget`` seconds
-    of them have passed (at least ``min_samples`` samples), with a
-    calibration run before each sample and after the last, and a call of
-    ``between`` after each, whose time the budget leaves out. Seconds per
-    call, calibration seconds, digests (None on a raise) and errors."""
-    out = {"raw": [], "cal": [calibrate()], "digests": [], "errors": []}
-    spent = 0.0
-    while len(out["raw"]) < min_samples or spent < budget:
-        t0 = time.perf_counter()
-        for _ in range(batch):
+class Series:
+    """Timed samples of ``batch`` calls of ``fn``, which returns a digest:
+    seconds per call, the probe's kernel time per sample, digests (None
+    on a raise) and errors."""
+
+    def __init__(self, fn, batch: int = 1):
+        self.fn, self.batch = fn, batch
+        self.out = {"raw": [], "cal": [], "digests": [], "errors": []}
+        self.spent = 0.0  # seconds of samples, the probe's included
+
+    def calls(self):
+        for _ in range(self.batch):
             try:
-                digest = fn()
+                digest = self.fn()
             except Exception as e:  # any raise fails the pass; keep measuring
                 digest = None
-                out["errors"].append(f"{type(e).__name__}: {e}")
-            out["digests"].append(digest)
-        out["raw"].append((time.perf_counter() - t0) / batch)
-        out["cal"].append(calibrate())
-        spent += time.perf_counter() - t0
-        between()
-    return out
+                self.out["errors"].append(f"{type(e).__name__}: {e}")
+            self.out["digests"].append(digest)
+
+    def sample(self, probe: SpeedProbe):
+        t0 = time.perf_counter()
+        net, cal = probe.time(self.calls)
+        self.spent += time.perf_counter() - t0
+        self.out["raw"].append(net / self.batch)
+        self.out["cal"].append(cal)
 
 
 def measure(workload: str, seed: int, setups: int, seconds: float) -> dict:
+    """Untimed first passes, then ``simulate`` samples for ``seconds``, each
+    followed by ``analyze`` samples up to a quarter of the time so far and
+    by set-up processes up to the same share of their count, so all three
+    see the same stretches of host speed."""
     import harness
 
     harness.bootstrap()
     cfgs = harness.load_workload(workload, seed)
-    errors = []
+    sims = Series(lambda: harness.sha256(harness.simulate_pass(cfgs)[0]))
+    anas = Series(lambda: harness.sha256(harness.analyze_pass(cfgs)))
+    docs = []
     try:  # before anything else allocates, so ru_maxrss is bitsim's own
         data, docs = harness.simulate_pass(cfgs)
-        first = harness.sha256(data)
+        sims.out["digests"].append(harness.sha256(data))
     except Exception as e:
-        first, docs = None, []
-        errors.append(f"{type(e).__name__}: {e}")
+        sims.out["digests"].append(None)
+        sims.out["errors"].append(f"{type(e).__name__}: {e}")
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     pairs = sum(d.term_counts[r.layer].pairs for d in docs for r in d.rows)
+    t0 = time.perf_counter()
+    anas.calls()
+    anas.batch = max(1, round(0.2 / (time.perf_counter() - t0)))  # about 0.2 s a sample
 
-    calibrate = Calibration()
+    probe = SpeedProbe()
     setup = SetupSampler(workload, seed, setups)
-    start = time.perf_counter()
-    planned = 1.25 * seconds  # simulate, then analyze for a quarter as long
-
-    def between():
-        setup.keep_up((time.perf_counter() - start - setup.wall_s) / planned)
-
-    def sim():
-        return harness.sha256(harness.simulate_pass(cfgs)[0])
-
-    def ana():
-        return harness.sha256(harness.analyze_pass(cfgs))
-
-    result = {"simulate": _timed(sim, calibrate, seconds, 1, between=between)}
-    result["simulate"]["digests"].insert(0, first)
-    result["simulate"]["errors"] += errors
-    warm = _timed(ana, calibrate, 0, 1)  # sizes samples to about 0.2 s of calls
-    batch = max(1, round(0.2 / warm["raw"][0]))
-    result["analyze"] = ana_t = _timed(ana, calibrate, seconds / 4, 5, batch, between)
-    ana_t["digests"] += warm["digests"]
-    ana_t["errors"] += warm["errors"]
+    while not sims.out["raw"] or sims.spent < seconds:
+        sims.sample(probe)
+        while anas.spent < sims.spent / 4 or len(anas.out["raw"]) < 5:
+            anas.sample(probe)
+        setup.keep_up(sims.spent / seconds)
     setup.keep_up(1.0)
-    result.update(maxrss_kb=maxrss_kb, pairs=pairs, setup=setup.samples)
-    return result
+    return {"simulate": sims.out, "analyze": anas.out, "maxrss_kb": maxrss_kb,
+            "pairs": pairs, "setup": setup.samples}
 
 
 def main(argv) -> int:

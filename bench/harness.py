@@ -136,31 +136,15 @@ def recorded_digests(workload: str, seed: int) -> dict | None:
     return table.get(workload, {}).get(str(seed))
 
 
-CAL_REF_S = 0.02  # the calibration kernel's time at the reference speed
+PROBE_REF_S = 0.0003  # child.SpeedProbe.kernel's time at the reference speed
+SETUP_REF_S = 0.02  # child.interpreter_kernel's time at the reference speed
 
 
-def at_reference_speed(raw: list[float], cal: list[float]) -> tuple[list[float], float]:
-    """Scale host seconds to the reference speed, where the calibration
-    kernel (``child.Calibration``) takes ``CAL_REF_S``.
-
-    The factor is the run's median kernel time over ``CAL_REF_S``: on a
-    shared host a run often falls in a phase where everything is up to a
-    quarter slower, and the kernel slows with it. Returns the scaled
-    samples and the factor.
-    """
-    factor = statistics.median(cal) / CAL_REF_S
-    return [t / factor for t in raw], factor
-
-
-SETUP_CAL_REF_S = 0.02  # child.interpreter_kernel's time at the reference speed
-
-
-def setup_at_reference_speed(samples: list[dict]) -> list[float]:
-    """Scale each set-up to the reference speed by the interpreter kernel
-    timed in its own process. The speed of a fresh process is its own:
-    a kernel timed in another process, even the one just before, does
-    not follow it."""
-    return [s["setup_s"] * SETUP_CAL_REF_S / s["cal_s"] for s in samples]
+def at_reference_speed(raw: list[float], cal: list[float], ref_s: float) -> list[float]:
+    """Scale each sample to the reference speed, where the kernel timed
+    with it takes ``ref_s``: a sample whose kernel ran 1.3 times slower
+    than that is divided by 1.3."""
+    return [t * ref_s / c for t, c in zip(raw, cal)]
 
 
 def summarize(samples: list[float]) -> dict:

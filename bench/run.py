@@ -117,9 +117,8 @@ def end_to_end(args, cfgs, gate: Gate) -> tuple[dict, dict]:
     """Untraced metrics from fresh processes; returns (values, summaries).
 
     The timings are medians at the reference host speed (see
-    ``harness.at_reference_speed`` and ``harness.setup_at_reference_speed``);
-    their raw host seconds and calibration times are kept in the
-    summaries.
+    ``harness.at_reference_speed``); their raw host seconds and kernel
+    times are kept in the summaries.
     """
     m = _child("measure", args.workload, args.seed, SETUP_SAMPLES, args.seconds)
     timings = {}
@@ -128,15 +127,11 @@ def end_to_end(args, cfgs, gate: Gate) -> tuple[dict, dict]:
         gate.errors += m[kind]["errors"]
         for digest in m[kind]["digests"]:
             gate.check(kind, digest, rows)
-    for kind in ("simulate", "analyze"):
-        scaled, factor = harness.at_reference_speed(m[kind]["raw"], m[kind]["cal"])
-        timings[f"{kind}_s"] = harness.summarize(scaled)
-        timings[f"{kind}_s.raw"] = {**harness.summarize(m[kind]["raw"]), "speed_factor": factor,
-                                    "samples": m[kind]["raw"], "cal": m[kind]["cal"]}
-    timings["setup_s"] = harness.summarize(harness.setup_at_reference_speed(m["setup"]))
-    raw_setup = [s["setup_s"] for s in m["setup"]]
-    timings["setup_s.raw"] = {**harness.summarize(raw_setup), "samples": raw_setup,
-                              "cal": [s["cal_s"] for s in m["setup"]]}
+    for kind, ref_s in (("simulate", harness.PROBE_REF_S), ("analyze", harness.PROBE_REF_S),
+                        ("setup", harness.SETUP_REF_S)):
+        raw, cal = m[kind]["raw"], m[kind]["cal"]
+        timings[f"{kind}_s"] = harness.summarize(harness.at_reference_speed(raw, cal, ref_s))
+        timings[f"{kind}_s.raw"] = {**harness.summarize(raw), "samples": raw, "cal": cal}
     sim_s = timings["simulate_s"]["median"]
     values = {
         "simulate_s": sim_s,
