@@ -25,6 +25,8 @@ EXIT_MISMATCH = 3
 def _load(config_path, seed):
     cfg = load_config(config_path)
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         cfg.seed = seed
     return cfg
 

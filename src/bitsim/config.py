@@ -139,6 +139,20 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
     )
 
 
+def _natural(obj: dict, key: str, default: int) -> int:
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"'{key}' must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _object(obj: dict, key: str, default: dict) -> dict:
+    value = obj.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be an object, got {value!r}")
+    return value
+
+
 def _listify(value) -> list:
     return value if isinstance(value, list) else [value]
 
@@ -205,7 +219,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     engines = _parse_engines(_listify(_require(obj, "engines", "config")))
 
-    trace = obj.get("trace", {"kind": "synthetic", "sigma": 100.0, "relu": True})
+    seed = _natural(obj, "seed", 0)
+    out_shift = _natural(obj, "out_shift", 0)
+    trace = _object(obj, "trace", {"kind": "synthetic", "sigma": 100.0, "relu": True})
     kind = trace.get("kind", "synthetic")
     paths: list[str] = []
     sigma, relu = 100.0, True
@@ -226,13 +242,13 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown trace kind {kind!r}")
 
-    output = obj.get("output", {})
+    output = _object(obj, "output", {})
     return ExperimentConfig(
         layers=layers,
         engines=engines,
-        seed=int(obj.get("seed", 0)),
+        seed=seed,
         width=width,
-        out_shift=int(obj.get("out_shift", 0)),
+        out_shift=out_shift,
         trace_kind=kind,
         trace_sigma=sigma,
         trace_relu=relu,

@@ -108,13 +108,15 @@ def generate_quantized_synapses(
 def write_trace(path, tensor: Tensor3, dtype: int = DTYPE_I16) -> None:
     """Serialize a tensor; round-trips bit-exactly with :func:`read_trace`."""
     if dtype == DTYPE_I16:
-        payload = tensor.data.astype("<i2")
+        stored = np.dtype("<i2")
     elif dtype == DTYPE_U8:
-        if tensor.data.min() < 0 or tensor.data.max() > 255:
-            raise TraceIOError("values outside 0..255 cannot be stored as u8")
-        payload = tensor.data.astype("<u1")
+        stored = np.dtype("<u1")
     else:
         raise TraceIOError(f"unknown dtype code {dtype}")
+    lo, hi = np.iinfo(stored).min, np.iinfo(stored).max
+    if tensor.data.min() < lo or tensor.data.max() > hi:
+        raise TraceIOError(f"values outside {lo}..{hi} cannot be stored as {stored}")
+    payload = tensor.data.astype(stored)
     header = _HEADER.pack(MAGIC, VERSION, dtype, 0, tensor.x, tensor.y, tensor.i)
     try:
         with open(path, "wb") as fh:

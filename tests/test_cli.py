@@ -112,6 +112,25 @@ class TestSimulateCommand:
         r = CliRunner().invoke(main, ["simulate", str(path)])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "overrides, options",
+        [
+            ({"seed": "abc"}, []),
+            ({"seed": -1}, []),
+            ({"trace": [1]}, []),
+            ({"out_shift": -1}, []),
+            ({}, ["--seed", "-1"]),
+        ],
+        ids=["seed-string", "seed-negative", "trace-list", "out-shift-negative",
+             "seed-option-negative"],
+    )
+    def test_bad_top_level_value_is_config_error(self, tmp_path, overrides, options):
+        path = write_config(tmp_path, base_config(**overrides))
+        r = CliRunner().invoke(main, ["simulate", str(path), *options])
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert r.exit_code == 1
+        assert "config error:" in r.output
+
     def test_missing_config_is_config_error(self, tmp_path):
         r = CliRunner().invoke(main, ["simulate", str(tmp_path / "none.json")])
         assert r.exit_code == 1

@@ -99,6 +99,18 @@ class TestTraceFile:
         with pytest.raises(TraceIOError):
             write_trace(tmp_path / "x.prgt", t, DTYPE_U8)
 
+    def test_i16_extremes_roundtrip(self, tmp_path):
+        t = Tensor3(np.array([-(1 << 15), (1 << 15) - 1] * 8).reshape(1, 1, 16))
+        path = tmp_path / "edge.prgt"
+        write_trace(path, t, DTYPE_I16)
+        back, _ = read_trace(path)
+        assert back == t
+
+    def test_i16_range_enforced_on_write(self, tmp_path):
+        t = Tensor3(np.full((1, 1, 16), 1 << 15))
+        with pytest.raises(TraceIOError):
+            write_trace(tmp_path / "x.prgt", t, DTYPE_I16)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceIOError):
             read_trace(tmp_path / "absent.prgt")
