@@ -6,14 +6,10 @@ essential-bit-serial design — verified against a brute-force oracle.
 from .geometry import (
     BRICK,
     PALLET,
-    Brick,
     FilterSet,
     LayerSpec,
-    Pallet,
     Tensor3,
-    build_pallet,
     output_dims,
-    window_brick,
 )
 from .numerics import (
     Precision,
@@ -53,21 +49,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BRICK",
     "PALLET",
-    "Brick",
     "BitStats",
     "CycleReport",
     "EngineResult",
     "FilterSet",
     "LayerSpec",
     "OneffsetStream",
-    "Pallet",
     "PragConfig",
     "Precision",
     "QuantParams",
     "Tensor3",
     "TermCounts",
     "activate",
-    "build_pallet",
     "conv_oracle",
     "count_terms",
     "dadn_cycles",
@@ -95,6 +88,5 @@ __all__ = [
     "trim",
     "trim_tensor",
     "two_stage_step",
-    "window_brick",
     "write_trace",
 ]

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import BitStats, essential_counts
-from .geometry import LayerSpec, Tensor3, output_dims
+from .geometry import LayerSpec, Tensor3, num_pairs, window_sum
 from .numerics import MissingProfile, Precision, trim_tensor
-from .reference import EngineResult, im2col
+from .reference import EngineResult
 
 ENGINE_TAGS = ("dadn", "zn", "cvn", "str", "pra_fp16", "pra_red")
 
@@ -76,14 +76,13 @@ def count_terms(
     """Count equivalent terms each engine processes for one layer."""
     if profile is None:
         raise MissingProfile("term counting needs the layer's precision window")
-    x = im2col(input, spec)
-    ox, oy, _ = output_dims(spec)
-    uses = x.size  # neuron uses before filter reuse
-    pairs = uses * spec.n
+    values = input.data
+    pairs = num_pairs(spec)
+    uses = pairs // spec.n  # neuron uses before filter reuse
 
-    nonzero = int(np.count_nonzero(x))
-    raw_essential = int(essential_counts(x, width).sum())
-    trimmed_essential = int(essential_counts(trim_tensor(x, profile), width).sum())
+    nonzero = window_sum(values != 0, spec)
+    raw_essential = window_sum(essential_counts(values, width), spec)
+    trimmed_essential = window_sum(essential_counts(trim_tensor(values, profile), width), spec)
 
     totals = {
         "dadn": width * pairs,

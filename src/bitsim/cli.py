@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 oracle
-mismatch (a serial engine produced output differing from the brute-force
-convolution — an engine bug, never a user error).
+Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 model
+mismatch (an engine's output differs from the brute-force convolution,
+or a serial unit's scalar model disagrees with the lowered layer — an
+engine bug, never a user error).
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import sys
 import click
 
 from .config import ConfigError, load_config
-from .runner import OracleMismatch, analyze, analyze_csv_lines, simulate
+from .reference import ScalarModelMismatch
+from .runner import OracleMismatch, analyze, analyze_csv_lines, build_layer_input, simulate
 from .traces import DTYPE_I16, DTYPE_U8, TraceIOError, write_trace
-from .runner import build_layer_inputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,6 +68,9 @@ def simulate_cmd(config, seed, out):
     except OracleMismatch as e:
         click.echo(f"oracle mismatch: {e}", err=True)
         sys.exit(EXIT_MISMATCH)
+    except ScalarModelMismatch as e:
+        click.echo(f"scalar model mismatch: {e}", err=True)
+        sys.exit(EXIT_MISMATCH)
     sys.exit(EXIT_OK)
 
 
@@ -103,7 +107,7 @@ def gen_trace_cmd(config, out, layer, seed):
         cfg = _load(config, seed)
         if not 0 <= layer < len(cfg.layers):
             raise ConfigError(f"layer index {layer} out of range")
-        tensor, _ = build_layer_inputs(cfg, cfg.layers[layer], layer)
+        tensor = build_layer_input(cfg, cfg.layers[layer], layer)
         dtype = DTYPE_U8 if cfg.width == 8 else DTYPE_I16
         write_trace(out, tensor, dtype)
         click.echo(f"wrote {out}: dims {tensor.dims}, width {cfg.width}")

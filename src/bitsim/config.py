@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .geometry import LayerSpec
@@ -87,22 +88,38 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+# Conversions that can fail on a JSON value of the wrong kind.
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
+def _finite(value, what: str) -> float:
+    try:
+        out = float(value)
+    except _BAD_VALUE:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return out
+
+
 def _parse_precision(obj, where: str) -> Precision:
     if not isinstance(obj, dict):
         raise ConfigError(f"'precision' must be an object in {where}")
-    lsb = int(obj.get("lsb", 0))
     try:
+        lsb = int(obj.get("lsb", 0))
         if "msb" in obj:
             return Precision(int(obj["msb"]), lsb)
         if "width" in obj:
             return Precision.from_width(int(obj["width"]), lsb)
-    except ValueError as e:
+    except _BAD_VALUE as e:
         raise ConfigError(f"bad precision in {where}: {e}") from e
     raise ConfigError(f"'precision' needs 'msb' or 'width' in {where}")
 
 
 def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
     where = f"layers[{index}]"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
     try:
         spec = LayerSpec.normalized(
             nx=int(_require(obj, "nx", where)),
@@ -116,17 +133,17 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
             act=obj.get("act", "identity"),
             name=str(obj.get("name", f"layer{index}")),
         )
-    except ValueError as e:
+    except _BAD_VALUE as e:
         raise ConfigError(f"bad geometry in {where}: {e}") from e
     precision = _parse_precision(_require(obj, "precision", where), where)
     if width == 8 and precision.msb > 7:
         raise ConfigError(f"{where}: precision window exceeds the 8-bit container")
     quant = None
     if "quant" in obj:
-        q = obj["quant"]
+        q = _object(obj, "quant", {})
         try:
-            quant = QuantParams(float(_require(q, "vmin", where)),
-                                float(_require(q, "vmax", where)))
+            quant = QuantParams(_finite(_require(q, "vmin", where), f"'vmin' in {where}"),
+                                _finite(_require(q, "vmax", where), f"'vmax' in {where}"))
         except ValueError as e:
             raise ConfigError(f"bad quant params in {where}: {e}") from e
     if width == 8 and quant is None:
@@ -162,13 +179,15 @@ def _parse_ssrs(value, where: str):
         return None
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except _BAD_VALUE:
         raise ConfigError(f"bad ssrs value {value!r} in {where}") from None
 
 
 def _parse_engines(objs, where="engines") -> list[EngineSelector]:
     selectors: list[EngineSelector] = []
     for idx, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where}[{idx}] must be an object, got {obj!r}")
         kind = _require(obj, "engine", f"{where}[{idx}]")
         if kind in ("dadn", "stripes"):
             selectors.append(EngineSelector(engine=kind))
@@ -190,7 +209,7 @@ def _parse_engines(objs, where="engines") -> list[EngineSelector]:
                         ),
                         trim=str(trim),
                     )
-                except ValueError as e:
+                except _BAD_VALUE as e:
                     raise ConfigError(f"bad pragmatic config in {where}[{idx}]: {e}") from e
                 selectors.append(EngineSelector(engine="pragmatic", prag=cfg))
         else:
@@ -203,14 +222,17 @@ def _parse_engines(objs, where="engines") -> list[EngineSelector]:
 def parse_config(text: str) -> ExperimentConfig:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
 
-    width = int(obj.get("width", 16))
+    try:
+        width = int(obj.get("width", 16))
+    except _BAD_VALUE:
+        width = None
     if width not in (8, 16):
-        raise ConfigError(f"'width' must be 8 or 16, got {width}")
+        raise ConfigError(f"'width' must be 8 or 16, got {obj.get('width')!r}")
 
     layer_objs = _require(obj, "layers", "config")
     if not isinstance(layer_objs, list) or not layer_objs:
@@ -226,12 +248,14 @@ def parse_config(text: str) -> ExperimentConfig:
     paths: list[str] = []
     sigma, relu = 100.0, True
     if kind == "synthetic":
-        sigma = float(trace.get("sigma", 100.0))
+        sigma = _finite(trace.get("sigma", 100.0), "'trace.sigma'")
         if sigma <= 0:
             raise ConfigError("'trace.sigma' must be positive")
         relu = bool(trace.get("relu", True))
     elif kind == "file":
         if "paths" in trace:
+            if not isinstance(trace["paths"], list):
+                raise ConfigError(f"'trace.paths' must be a list, got {trace['paths']!r}")
             paths = [str(p) for p in trace["paths"]]
         elif "path" in trace:
             paths = [str(trace["path"])]
@@ -242,7 +266,13 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown trace kind {kind!r}")
 
+    synapse_sigma = _finite(obj.get("synapse_sigma", 20.0), "'synapse_sigma'")
+    if synapse_sigma < 0:
+        raise ConfigError(f"'synapse_sigma' must be non-negative, got {synapse_sigma}")
     output = _object(obj, "output", {})
+    csv_path = output.get("csv")
+    if csv_path is not None and not isinstance(csv_path, str):
+        raise ConfigError(f"'output.csv' must be a path string, got {csv_path!r}")
     return ExperimentConfig(
         layers=layers,
         engines=engines,
@@ -253,8 +283,8 @@ def parse_config(text: str) -> ExperimentConfig:
         trace_sigma=sigma,
         trace_relu=relu,
         trace_paths=paths,
-        synapse_sigma=float(obj.get("synapse_sigma", 20.0)),
-        csv_path=output.get("csv"),
+        synapse_sigma=synapse_sigma,
+        csv_path=csv_path,
     )
 
 
@@ -262,6 +292,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config(text)

@@ -25,16 +25,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .encoding import OneffsetStream, essential_counts
+from .encoding import OneffsetStream, encode
 from .geometry import BRICK, PALLET, FilterSet, LayerSpec, Tensor3, output_dims
-from .numerics import MissingProfile, Precision, activate, full_precision, trim_tensor
+from .numerics import MissingProfile, Precision, full_precision, trim_tensor
 from .reference import (
     CycleReport,
     EngineResult,
+    ScalarModelMismatch,
     check_shapes,
-    filter_matrix,
+    effectual_terms,
     im2col,
-    plane_matmul,
+    lowered_output,
+    sampled_bricks,
     sb_read_count,
 )
 
@@ -313,35 +315,14 @@ def _layer_masks(x: np.ndarray, spec: LayerSpec) -> np.ndarray:
     return arr.reshape(oy * nb, k, PALLET, BRICK)
 
 
-def _functional_output(
-    x: np.ndarray, filters: FilterSet, spec: LayerSpec, width: int, out_shift: int
-) -> Tensor3:
-    """Shift-accumulate evaluation over essential bits, batched.
+def _lower(input, filters, spec, profile, cfg, width, out_shift):
+    """Lower the layer once for either sync mode.
 
-    Every set magnitude bit contributes ``sign * (synapse << bit)``; this
-    is the PIP arithmetic applied to all windows and filters at once.
+    Returns the column costs ``(pallet, step, window)``, the exact output
+    and the effectual term count. A fixed sample of bricks goes through
+    :func:`pip_inner`, whose value must equal the brick's dot product and
+    whose cycles must equal the brick's column cost.
     """
-    w = filter_matrix(filters)
-    mags = np.abs(x)
-    signs = np.sign(x)
-    top = max(1, int(mags.max()).bit_length()) if mags.size else 1
-    bits = np.arange(min(top, width))
-    planes = ((mags[None, :, :] >> bits[:, None, None]) & 1) * signs[None, :, :]
-    sums = plane_matmul(planes, w)
-    weights = (np.int64(1) << bits).astype(np.int64)
-    acc = np.tensordot(weights, sums, axes=(0, 0))
-    ox, oy, _ = output_dims(spec)
-    return Tensor3(activate(acc.reshape(oy, ox, spec.n), spec.act, out_shift))
-
-
-def _term_counters(x: np.ndarray, spec: LayerSpec, width: int) -> tuple[int, int]:
-    ox, oy, _ = output_dims(spec)
-    pairs = spec.n * ox * oy * spec.fy * spec.fx * spec.i
-    effectual = int(essential_counts(x, width).sum()) * spec.n
-    return width * pairs, effectual
-
-
-def _prepare(input, filters, spec, profile, cfg, width):
     check_shapes(input, filters, spec)
     if cfg.trim == "profile":
         if profile is None:
@@ -352,7 +333,21 @@ def _prepare(input, filters, spec, profile, cfg, width):
     else:
         values = input.data.astype(np.int64)
     x = im2col(Tensor3(values), spec)
-    return x
+    costs = column_costs(_layer_masks(x, spec), cfg.l_bits)
+
+    ox, _, _ = output_dims(spec)
+    row_pallets = -(-ox // PALLET)
+    for window, step, neurons, synapses, dot in sampled_bricks(x, filters):
+        value, cycles = pip_inner([encode(v) for v in neurons], synapses, cfg.l_bits)
+        wy, wx = divmod(window, ox)
+        cost = int(costs[wy * row_pallets + wx // PALLET, step, wx % PALLET])
+        if (value, cycles) != (dot, cost):
+            raise ScalarModelMismatch(
+                f"pip_inner gives {value} in {cycles} cycles on window {window}, "
+                f"brick step {step}; the lowered layer gives {dot} in {cost}"
+            )
+    output = lowered_output(x, filters, spec, out_shift)
+    return costs, output, effectual_terms(values, spec, width)
 
 
 def prag_layer_pallet(
@@ -372,24 +367,20 @@ def prag_layer_pallet(
     """
     if cfg.sync != "pallet":
         raise ValueError("prag_layer_pallet needs cfg.sync == 'pallet'")
-    x = _prepare(input, filters, spec, profile, cfg, width)
-    masks = _layer_masks(x, spec)
-    costs = column_costs(masks, cfg.l_bits)  # (pallet, step, window)
+    costs, output, effectual = _lower(input, filters, spec, profile, cfg, width, out_shift)
     phase_cycles = costs.max(axis=2)  # slowest column per phase
 
     nm_c = dispatcher_fetch_cycles(spec)
     groups = geo.filter_groups(spec)
     slots = np.maximum(phase_cycles, nm_c)
-    total, effectual = _term_counters(x, spec, width)
     report = CycleReport(
         compute_cycles=groups * int(slots.sum()),
         nm_fetch_cycles=groups * phase_cycles.size * nm_c,
         stall_cycles=groups * int((slots - phase_cycles).sum()),
         sb_reads=sb_read_count(spec),
-        total_terms=total,
+        total_terms=width * geo.num_pairs(spec),
         effectual_terms=effectual,
     )
-    output = _functional_output(x, filters, spec, width, out_shift)
     return EngineResult(output=output, report=report, engine="pragmatic",
                         variant=cfg.variant_name())
 
@@ -574,9 +565,7 @@ def prag_layer_column(
     """
     if cfg.sync != "column":
         raise ValueError("prag_layer_column needs cfg.sync == 'column'")
-    x = _prepare(input, filters, spec, profile, cfg, width)
-    masks = _layer_masks(x, spec)
-    costs = column_costs(masks, cfg.l_bits)  # (pallet, step, window)
+    costs, output, effectual = _lower(input, filters, spec, profile, cfg, width, out_shift)
     n_steps = costs.shape[0] * costs.shape[1]
     flat = costs.reshape(n_steps, PALLET)
 
@@ -588,17 +577,15 @@ def prag_layer_column(
         )
 
     groups = geo.filter_groups(spec)
-    total, effectual = _term_counters(x, spec, width)
     critical = max(sched.column_busy)
     report = CycleReport(
         compute_cycles=groups * sched.total_cycles,
         nm_fetch_cycles=groups * n_steps * nm_c,
         stall_cycles=groups * (sched.total_cycles - critical),
         sb_reads=groups * sched.sb_reads,
-        total_terms=total,
+        total_terms=width * geo.num_pairs(spec),
         effectual_terms=effectual,
     )
-    output = _functional_output(x, filters, spec, width, out_shift)
     return EngineResult(output=output, report=report, engine="pragmatic",
                         variant=cfg.variant_name())
 

@@ -1,9 +1,16 @@
-"""Brute-force convolution oracle and the bit-parallel baseline model.
+"""Brute-force convolution oracle, the bit-parallel baseline model, and
+the lowering every engine shares.
 
-The oracle walks windows one at a time and reduces each with a plain
-multiply-accumulate over the filter volume — no bricks, no pallets, no
-bit decomposition — so it shares nothing with the serial datapaths it is
-used to check.
+The oracle walks windows one at a time and reduces each against all
+filters with an int64 multiply-accumulate over the window volume — no
+im2col, no float path, no bricks, pallets or bit decomposition — so it
+shares nothing with the engines it is used to check.
+
+Every engine computes its output one way, :func:`lowered_output`: the
+im2col matrix times the filter matrix, exact on the float64 BLAS path.
+The serial engines also put a fixed sample of bricks through their
+scalar unit models (:func:`sampled_bricks`), which model the shifters
+and the sign handling the lowered product skips.
 
 The baseline ("dadn") models a chip of 16 tiles x 16 filters that
 broadcasts one 16-neuron brick per cycle: its cycle count is a pure
@@ -97,6 +104,8 @@ def conv_oracle(
     """Ground-truth convolution: direct window loop, wide accumulators.
 
     o(k,l,f) = act( sum_{y,x,i} s_f(y,x,i) * n(y + l*s - pad, x + k*s - pad, i) )
+
+    Each clipped window is reduced against every filter at once in int64.
     """
     check_shapes(input, filters, spec)
     ox, oy, _ = output_dims(spec)
@@ -114,8 +123,7 @@ def conv_oracle(
                 continue
             window = data[ylo:yhi, xlo:xhi, :]
             wslice = w[:, ylo - y0 : yhi - y0, xlo - x0 : xhi - x0, :]
-            for f in range(spec.n):
-                acc[l, k, f] = int((window * wslice[f]).sum())
+            acc[l, k, :] = np.tensordot(wslice, window, axes=3)
     return Tensor3(activate(acc, spec.act, out_shift))
 
 
@@ -127,8 +135,7 @@ def dadn_cycles(spec: LayerSpec) -> int:
 
 def dadn_terms(spec: LayerSpec, width: int = 16) -> int:
     """Terms the bit-parallel units grind through: width per multiplication."""
-    ox, oy, _ = output_dims(spec)
-    return width * spec.n * ox * oy * spec.fy * spec.fx * spec.i
+    return width * geo.num_pairs(spec)
 
 
 def sb_read_count(spec: LayerSpec) -> int:
@@ -150,18 +157,15 @@ def dadn_layer(
 ) -> EngineResult:
     """Run the bit-parallel baseline: exact output, value-blind timing."""
     check_shapes(input, filters, spec)
-    output = _matmul_conv(input, filters, spec, out_shift)
+    output = lowered_output(im2col(input, spec), filters, spec, out_shift)
     cycles = dadn_cycles(spec)
-    ox, oy, _ = output_dims(spec)
-    pairs = spec.n * ox * oy * spec.fy * spec.fx * spec.i
-    effectual = int(_window_essentials(input, spec, width).sum()) * spec.n
     report = CycleReport(
         compute_cycles=cycles,
         nm_fetch_cycles=cycles,  # one brick broadcast per cycle
         stall_cycles=0,
         sb_reads=sb_read_count(spec),
-        total_terms=width * pairs,
-        effectual_terms=effectual,
+        total_terms=dadn_terms(spec, width),
+        effectual_terms=effectual_terms(input.data, spec, width),
     )
     return EngineResult(output=output, report=report, engine="dadn")
 
@@ -186,32 +190,78 @@ def im2col(input: Tensor3, spec: LayerSpec) -> np.ndarray:
     return cols.reshape(oy * ox, spec.fy * spec.fx * spec.i)
 
 
-def filter_matrix(filters: FilterSet) -> np.ndarray:
-    """Filters as ``(n, fy*fx*i)`` rows matching :func:`im2col` columns."""
-    return filters.data.astype(np.int64).reshape(filters.n, -1)
+# Every integer of magnitude below 2^53 is exact in float64.
+EXACT_FLOAT_LIMIT = 1 << 53
 
 
-def plane_matmul(planes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact batched ``planes @ w.T`` for bit-plane stacks.
+def _abs_max(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min()))
 
-    Plane entries are in {-1, 0, 1} and synapses fit 16 bits, so every
-    partial sum stays far below 2^53 and the float64 BLAS path is exact;
-    it is an order of magnitude faster than integer matmul here.
+
+def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` of integer matrices, exact in int64, on the float64 BLAS path.
+
+    Every integer below 2^53 in magnitude is exact in float64, so a sum
+    of ``K`` products is exact in any order while ``K * max|x| * max|w|``
+    stays below that. The reduction axis is cut into chunks that meet the
+    bound for the actual maxima, and the chunk sums are added in int64.
     """
-    b, r, c = planes.shape
-    flat = planes.reshape(b * r, c).astype(np.float64)
-    out = flat @ w.T.astype(np.float64)
-    return np.rint(out).astype(np.int64).reshape(b, r, w.shape[0])
+    k = x.shape[1]
+    peak = _abs_max(x) * _abs_max(w)
+    chunk = k if peak == 0 else max(1, min(k, (EXACT_FLOAT_LIMIT - 1) // peak))
+    xf = x.astype(np.float64)
+    wf = w.T.astype(np.float64)
+    acc = np.zeros((x.shape[0], w.shape[0]), dtype=np.int64)
+    for lo in range(0, k, chunk):
+        acc += (xf[:, lo : lo + chunk] @ wf[lo : lo + chunk]).astype(np.int64)
+    return acc
 
 
-def _matmul_conv(input, filters, spec, out_shift):
-    x = im2col(input, spec)
-    w = filter_matrix(filters)
+def lowered_output(
+    x: np.ndarray, filters: FilterSet, spec: LayerSpec, out_shift: int = 0
+) -> Tensor3:
+    """The layer output ``act(x @ W.T)`` from its im2col matrix ``x``.
+
+    This is the one output path of every engine. Neurons fit the 16-bit
+    container and synapses int16, so each product is below 2^31 and
+    every real layer's reduction fits one exact float64 chunk of
+    :func:`exact_matmul`.
+    """
+    acc = exact_matmul(x, filters.data.reshape(filters.n, -1))
     ox, oy, _ = output_dims(spec)
-    acc = x @ w.T
     return Tensor3(activate(acc.reshape(oy, ox, spec.n), spec.act, out_shift))
 
 
-def _window_essentials(input: Tensor3, spec: LayerSpec, width: int) -> np.ndarray:
-    """Essential-bit count of every neuron use (window element)."""
-    return essential_counts(im2col(input, spec), width)
+def effectual_terms(values: np.ndarray, spec: LayerSpec, width: int) -> int:
+    """Essential bits over every neuron use, times the filters that reuse it."""
+    return geo.window_sum(essential_counts(values, width), spec) * spec.n
+
+
+class ScalarModelMismatch(RuntimeError):
+    """A serial unit's scalar model disagrees with the lowered layer."""
+
+
+SAMPLED_BRICKS = 8
+
+
+def sampled_bricks(x: np.ndarray, filters: FilterSet):
+    """Yield ``(window, step, neurons, synapses, dot)`` for a fixed sample
+    of ``SAMPLED_BRICKS`` bricks: the 16 lanes of one im2col row at one
+    brick step, against one filter, with their exact dot product.
+
+    The picks come from a constant seed, so they depend on the layer's
+    shape only, never on the run's seed.
+    """
+    w = filters.data.reshape(filters.n, -1)
+    rng = np.random.default_rng(0)
+    picks = zip(
+        rng.integers(x.shape[0], size=SAMPLED_BRICKS),
+        rng.integers(x.shape[1] // geo.BRICK, size=SAMPLED_BRICKS),
+        rng.integers(filters.n, size=SAMPLED_BRICKS),
+    )
+    for window, step, f in picks:
+        lanes = slice(step * geo.BRICK, (step + 1) * geo.BRICK)
+        neurons = x[window, lanes].tolist()
+        synapses = w[f, lanes].tolist()
+        dot = sum(n * s for n, s in zip(neurons, synapses))
+        yield int(window), int(step), neurons, synapses, dot

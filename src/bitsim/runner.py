@@ -32,9 +32,8 @@ class OracleMismatch(RuntimeError):
     """A serial engine's output differs from the brute-force oracle."""
 
 
-def build_layer_inputs(
-    cfg: ExperimentConfig, layer: LayerConfig, index: int
-) -> tuple[Tensor3, FilterSet]:
+def build_layer_input(cfg: ExperimentConfig, layer: LayerConfig, index: int) -> Tensor3:
+    """The layer's input tensor, loaded or generated from the neuron stream."""
     spec = layer.spec
     if cfg.trace_kind == "file":
         tensor, _ = read_trace(cfg.trace_paths[index])
@@ -53,7 +52,15 @@ def build_layer_inputs(
         )
     else:
         tensor = generate_trace(spec, cfg.trace_sigma, cfg.trace_relu, cfg.seed, index)
+    return tensor
 
+
+def build_layer_inputs(
+    cfg: ExperimentConfig, layer: LayerConfig, index: int
+) -> tuple[Tensor3, FilterSet]:
+    """The layer's input tensor and its filters (from the synapse stream)."""
+    spec = layer.spec
+    tensor = build_layer_input(cfg, layer, index)
     if cfg.width == 8:
         syn = generate_quantized_synapses(
             spec, cfg.synapse_sigma, layer.quant, cfg.seed, index
@@ -129,7 +136,7 @@ def analyze(cfg: ExperimentConfig) -> tuple[dict[str, TermCounts], dict]:
     terms: dict[str, TermCounts] = {}
     bits = {}
     for index, layer in enumerate(cfg.layers):
-        input, _ = build_layer_inputs(cfg, layer, index)
+        input = build_layer_input(cfg, layer, index)
         terms[layer.spec.name] = count_terms(
             input, layer.spec, layer.precision, cfg.width, layer.first_layer
         )

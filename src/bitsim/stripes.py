@@ -14,19 +14,18 @@ schedule degenerates to the bit-parallel baseline's.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import geometry as geo
-from .encoding import essential_counts
-from .geometry import FilterSet, LayerSpec, Tensor3, output_dims
-from .numerics import MissingProfile, Precision, activate, full_precision, trim_tensor
+from .geometry import FilterSet, LayerSpec, Tensor3
+from .numerics import MissingProfile, Precision, full_precision, trim_tensor
 from .reference import (
     CycleReport,
     EngineResult,
+    ScalarModelMismatch,
     check_shapes,
-    filter_matrix,
+    effectual_terms,
     im2col,
-    plane_matmul,
+    lowered_output,
+    sampled_bricks,
     sb_read_count,
 )
 from .pragmatic import dispatcher_fetch_cycles
@@ -83,6 +82,10 @@ def stripes_layer(
     negated), since a magnitude window narrower than the container has
     no exact two's-complement transmission.
 
+    The output is the shared exact lowered product; a fixed sample of
+    bricks goes through :func:`sip_inner` over the streamed planes, and
+    any disagreement raises :class:`ScalarModelMismatch`.
+
     Cycles per phase are ``max(NM_C, p)``: the dispatcher fetch model is
     shared with the essential-bit engine, and equals the pure ``p``
     closed form whenever the fetch keeps up (``NM_C <= p``).
@@ -96,34 +99,29 @@ def stripes_layer(
 
     trimmed = trim_tensor(input.data, profile)
     x = im2col(Tensor3(trimmed), spec)
-    w = filter_matrix(filters)
-
     signed = bool((trimmed < 0).any())
     hi = 15 if signed else profile.msb
-    bits = np.arange(profile.lsb, hi + 1)
-    planes = (x[None, :, :] >> bits[:, None, None]) & 1
-    sums = plane_matmul(planes, w)  # (planes, windows, n)
-    weights = (np.int64(1) << bits).astype(np.int64)
-    if signed:
-        weights[-1] = -weights[-1]
-    acc = np.tensordot(weights, sums, axes=(0, 0))
+    stream = Precision(hi, profile.lsb)
+    for window, step, neurons, synapses, dot in sampled_bricks(x, filters):
+        value = sip_inner(neurons, synapses, stream, signed)
+        if value != dot:
+            raise ScalarModelMismatch(
+                f"sip_inner gives {value} on window {window}, brick step {step}; "
+                f"the lowered layer gives {dot}"
+            )
+    output = lowered_output(x, filters, spec, out_shift)
 
-    ox, oy, _ = output_dims(spec)
-    output = Tensor3(activate(acc.reshape(oy, ox, spec.n), spec.act, out_shift))
-
-    p_eff = hi - profile.lsb + 1
+    p_eff = stream.width
     groups = geo.filter_groups(spec)
     phases = geo.num_pallets(spec) * geo.num_brick_steps(spec)
     nm_c = dispatcher_fetch_cycles(spec)
-    pairs = spec.n * ox * oy * spec.fy * spec.fx * spec.i
-    effectual = int(essential_counts(x, width).sum()) * spec.n
     report = CycleReport(
         compute_cycles=groups * phases * max(nm_c, p_eff),
         nm_fetch_cycles=groups * phases * nm_c,
         stall_cycles=groups * phases * max(0, nm_c - p_eff),
         sb_reads=sb_read_count(spec),
-        total_terms=p_eff * pairs,
-        effectual_terms=effectual,
+        total_terms=p_eff * geo.num_pairs(spec),
+        effectual_terms=effectual_terms(trimmed, spec, width),
     )
     return EngineResult(output=output, report=report, engine="stripes",
                         variant=f"p{profile.width}")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bitsim.pragmatic as pragmatic_mod
 import bitsim.runner as runner_mod
+import bitsim.stripes as stripes_mod
 from bitsim.cli import main
 from bitsim.config import ConfigError, parse_config
 from bitsim.geometry import Tensor3
@@ -150,6 +152,25 @@ class TestSimulateCommand:
         path = write_config(tmp_path, base_config())
         r = CliRunner().invoke(main, ["simulate", str(path)])
         assert r.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "module, name, broken",
+        [
+            (pragmatic_mod, "pip_inner", lambda real: lambda *a: (real(*a)[0] + 1, real(*a)[1])),
+            (pragmatic_mod, "pip_inner", lambda real: lambda *a: (real(*a)[0], real(*a)[1] + 1)),
+            (stripes_mod, "sip_inner", lambda real: lambda *a: real(*a) + 1),
+        ],
+        ids=["pip-value", "pip-cycles", "sip-value"],
+    )
+    def test_scalar_model_mismatch_exit_code(self, tmp_path, monkeypatch, module, name,
+                                             broken):
+        # an off-by-one scalar unit model must abort the run with code 3
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        path = write_config(tmp_path, base_config())
+        r = CliRunner().invoke(main, ["simulate", str(path)])
+        assert isinstance(r.exception, SystemExit)  # no traceback
+        assert r.exit_code == 3
+        assert "scalar model mismatch" in r.output
 
     def test_dadn_only_config(self, tmp_path):
         cfg = base_config()

@@ -7,14 +7,12 @@ from bitsim.geometry import (
     FilterSet,
     LayerSpec,
     NonIntegralDims,
-    OutOfRange,
     Tensor3,
     brick_steps,
-    build_pallet,
     output_dims,
     pad_depth,
-    window_brick,
 )
+from bricks import OutOfRange, build_pallet, window_brick
 
 
 def enumerate_windows(nx, ny, fx, fy, s, pad):

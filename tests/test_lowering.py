@@ -1,0 +1,124 @@
+"""The per-window oracle, the one exact output path and the use-count helper.
+
+The oracle is compared with the per-(window, filter) loop it replaced,
+every engine variant with both, the chunked float64 product with int64
+matmul, and ``window_sum`` with sums over the im2col matrix.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import bitsim.reference as reference
+from bitsim.encoding import essential_counts
+from bitsim.geometry import FilterSet, LayerSpec, Tensor3, window_sum
+from bitsim.numerics import Precision, trim_tensor
+from bitsim.pragmatic import PragConfig, pragmatic_layer
+from bitsim.reference import conv_oracle, dadn_layer, exact_matmul, im2col, lowered_output
+from bitsim.stripes import stripes_layer
+from oracle_reference import reference_conv
+
+
+@st.composite
+def layers(draw):
+    """A small random layer: geometry, input, filters and a precision window.
+
+    Covers stride > 1, padding (including windows wholly in the border),
+    signed and unsigned 16-bit inputs, 8-bit inputs, both activations and
+    output shifts.
+    """
+    fx, fy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s = draw(st.integers(1, 3))
+    pad = draw(st.integers(0, 2))
+    ox, oy = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    nx, ny = (ox - 1) * s + fx - 2 * pad, (oy - 1) * s + fy - 2 * pad
+    assume(nx >= 1 and ny >= 1)
+    i = draw(st.sampled_from([16, 32]))
+    n = draw(st.integers(1, 4))
+    act = draw(st.sampled_from(["identity", "relu"]))
+    spec = LayerSpec(nx=nx, ny=ny, i=i, n=n, fx=fx, fy=fy, s=s, pad=pad, act=act)
+
+    kind = draw(st.sampled_from(["signed16", "unsigned16", "width8"]))
+    width = 8 if kind == "width8" else 16
+    lo, hi = {"signed16": (-32768, 32767), "unsigned16": (0, 65535),
+              "width8": (0, 255)}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(lo, hi + 1, size=(ny, nx, i))
+    # sparse, small and extreme values all occur in real traces
+    values[rng.random(values.shape) < 0.3] = 0
+    values[rng.random(values.shape) < 0.1] = hi
+    syn_bound = 127 if width == 8 else 32767
+    filters = rng.integers(-syn_bound, syn_bound + 1, size=(n, fy, fx, i))
+    msb = draw(st.integers(0, width - 1))
+    profile = Precision(msb, draw(st.integers(0, msb)))
+    out_shift = draw(st.integers(0, 20))
+    return spec, Tensor3(values), FilterSet(filters), profile, width, out_shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(layers())
+def test_every_engine_equals_both_oracles(layer):
+    spec, t, f, profile, width, out_shift = layer
+    trimmed = Tensor3(trim_tensor(t.data, profile))
+    raw_ref = reference_conv(t, f, spec, out_shift)
+    trimmed_ref = reference_conv(trimmed, f, spec, out_shift)
+    assert conv_oracle(t, f, spec, out_shift) == raw_ref
+    assert conv_oracle(trimmed, f, spec, out_shift) == trimmed_ref
+
+    assert dadn_layer(t, f, spec, width, out_shift).output == raw_ref
+    assert stripes_layer(t, f, spec, profile, width, out_shift).output == trimmed_ref
+    for l_bits in range(5):
+        for sync in ("pallet", "column"):
+            for trim, want in (("profile", trimmed_ref), ("none", raw_ref)):
+                cfg = PragConfig(l_bits=l_bits, sync=sync, trim=trim)
+                res = pragmatic_layer(t, f, spec, profile, cfg, width, out_shift)
+                assert res.output == want, cfg.variant_name()
+
+
+@pytest.mark.parametrize("limit_bits", [0, 33, 36, 40])
+def test_chunked_exact_product_at_extreme_values(monkeypatch, limit_bits):
+    # A lowered limit forces the reduction into chunks of 1, 4, 32 and 512
+    # columns (peak product 65535 * 32767, just under 2^31).
+    monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", 1 << limit_bits)
+    rng = np.random.default_rng(limit_bits)
+    x = rng.choice([0, 1, 65535, 65534], size=(7, 576)).astype(np.int64)
+    x[0] = 65535
+    w = rng.choice([-32767, 32767, -1, 0], size=(5, 576)).astype(np.int64)
+    w[0] = 32767
+    w[1] = np.where(np.arange(576) % 2, 32767, -32767)
+    assert np.array_equal(exact_matmul(x, w), x @ w.T)
+
+
+def test_unchunked_product_is_exact_at_extreme_values():
+    x = np.full((3, 4608), 65535, dtype=np.int64)
+    x[1, ::3] = 65534
+    w = np.full((2, 4608), -32767, dtype=np.int64)
+    w[1, 1::2] = 32767
+    assert np.array_equal(exact_matmul(x, w), x @ w.T)
+
+
+def test_lowered_output_applies_activation_and_shift():
+    spec = LayerSpec(nx=3, ny=3, i=16, n=2, fx=3, fy=3, act="relu")
+    rng = np.random.default_rng(4)
+    t = Tensor3(rng.integers(0, 300, size=(3, 3, 16)))
+    f = FilterSet(rng.integers(-50, 50, size=(2, 3, 3, 16)))
+    out = lowered_output(im2col(t, spec), f, spec, out_shift=3)
+    assert out == reference_conv(t, f, spec, out_shift=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layers())
+def test_window_sum_equals_im2col_sums(layer):
+    spec, t, _, profile, width, _ = layer
+    x = im2col(t, spec)
+    assert window_sum(t.data != 0, spec) == np.count_nonzero(x)
+    assert window_sum(essential_counts(t.data, width), spec) == int(
+        essential_counts(x, width).sum()
+    )
+    trimmed = trim_tensor(t.data, profile)
+    assert window_sum(essential_counts(trimmed, width), spec) == int(
+        essential_counts(trim_tensor(x, profile), width).sum()
+    )
+    assert window_sum(np.ones_like(t.data), spec) == int(
+        (im2col(Tensor3(np.ones_like(t.data)), spec) != 0).sum()
+    )

@@ -305,7 +305,8 @@ def test_layer_equals_brick_by_brick_pip_sums():
     # the vectorized layer path must agree with pip_inner over the brick
     # schedule, and the pallet phase costs with the unit scheduler
     from bitsim.encoding import encode
-    from bitsim.geometry import brick_steps, build_pallet, output_dims, pallet_bases, window_brick
+    from bitsim.geometry import brick_steps, output_dims, pallet_bases
+    from bricks import build_pallet, window_brick
     from bitsim.numerics import activate
 
     spec = LayerSpec(nx=5, ny=4, i=32, n=3, fx=2, fy=2, s=1, pad=1, act="identity")
