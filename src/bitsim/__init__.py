@@ -34,7 +34,6 @@ from .stripes import sip_inner, stripes_cycles, stripes_layer
 from .pragmatic import (
     PragConfig,
     dispatcher_fetch_cycles,
-    pallet_phase_cycles,
     pip_inner,
     prag_layer_column,
     prag_layer_pallet,
@@ -72,7 +71,6 @@ __all__ = [
     "essential_count",
     "generate_trace",
     "output_dims",
-    "pallet_phase_cycles",
     "pip_inner",
     "prag_layer_column",
     "prag_layer_pallet",

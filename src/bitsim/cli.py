@@ -36,7 +36,7 @@ def _write_lines(path, lines):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise TraceIOError(f"cannot write {path}: {e}") from e
 
 

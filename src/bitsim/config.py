@@ -42,6 +42,10 @@ from .numerics import Precision, QuantParams
 from .pragmatic import PragConfig
 
 
+# Accumulators are int64: a wider shift has no defined result.
+MAX_OUT_SHIFT = 63
+
+
 class ConfigError(ValueError):
     """Configuration file missing, malformed, or inconsistent."""
 
@@ -243,6 +247,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     seed = _natural(obj, "seed", 0)
     out_shift = _natural(obj, "out_shift", 0)
+    if out_shift > MAX_OUT_SHIFT:
+        raise ConfigError(
+            f"'out_shift' must be at most {MAX_OUT_SHIFT} (accumulators are int64), "
+            f"got {out_shift}"
+        )
     trace = _object(obj, "trace", {"kind": "synthetic", "sigma": 100.0, "relu": True})
     kind = trace.get("kind", "synthetic")
     paths: list[str] = []
@@ -292,6 +301,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config(text)

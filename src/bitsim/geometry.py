@@ -27,10 +27,16 @@ FILTERS_PER_GROUP = FILTERS_PER_TILE * TILES  # filters processed per pass
 
 INT16_MIN = -(1 << 15)
 INT16_MAX = (1 << 15) - 1
+
+
+def container_bounds(width: int) -> tuple[int, int]:
+    """Values a ``width``-bit container holds: its signed and unsigned views."""
+    return -(1 << (width - 1)), (1 << width) - 1
+
+
 # Neuron containers are 16-bit patterns; post-activation streams may use
 # the unsigned view, so tensors accept the union of both interpretations.
-CONTAINER_MIN = INT16_MIN
-CONTAINER_MAX = (1 << 16) - 1
+CONTAINER_MIN, CONTAINER_MAX = container_bounds(16)
 
 
 class NonIntegralDims(ValueError):

@@ -195,21 +195,6 @@ def pip_inner(neuron_streams, synapses, l_bits: int = 4) -> tuple[int, int]:
     return acc, max(cycles, 1)
 
 
-def pallet_phase_cycles(pallet_streams, l_bits: int = 4) -> int:
-    """Cycles one pallet phase takes under pallet synchronization.
-
-    ``pallet_streams`` is 16 windows x 16 lanes of oneffset streams (a
-    flat list of 256 works too). All columns wait for the slowest.
-    """
-    streams = list(pallet_streams)
-    if len(streams) == PALLET * BRICK:
-        streams = [streams[w * BRICK : (w + 1) * BRICK] for w in range(PALLET)]
-    worst = 1
-    for column in streams:
-        worst = max(worst, len(pip_schedule(column, l_bits)))
-    return worst
-
-
 # --- vectorized column costs (the same scheduler on magnitude bitmasks) ---
 
 _LOWBIT = np.full(1 << 16, 64, dtype=np.int64)
@@ -298,21 +283,28 @@ def dispatcher_fetch_cycles(spec: LayerSpec) -> int:
 # --- layer lowering shared by both sync modes ---
 
 
-def _layer_masks(x: np.ndarray, spec: LayerSpec) -> np.ndarray:
-    """Magnitude bitmasks arranged (pallet, brick-step, window, lane).
+def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray:
+    """Column costs arranged (pallet, brick-step, window) from the input.
 
-    ``x`` is the im2col matrix of the (possibly trimmed) input. Windows
-    beyond the output row edge appear as zero masks: idle lanes.
+    A brick's cost depends on its 16 neurons alone, so every brick of the
+    input is scheduled once and its cost gathered into each window that
+    reads it. Bricks of the zero border, and idle lanes past the row
+    edge, cost one cycle, as an all-zero mask does.
     """
     ox, oy, _ = output_dims(spec)
-    k = geo.num_brick_steps(spec)
-    mags = np.abs(x).reshape(oy, ox, k, BRICK)
     nb = -(-ox // PALLET)
-    padded = np.zeros((oy, nb * PALLET, k, BRICK), dtype=np.int64)
-    padded[:, :ox] = mags
-    # (oy, nb, PALLET, k, BRICK) -> (pallet, step, window, lane)
-    arr = padded.reshape(oy, nb, PALLET, k, BRICK).transpose(0, 1, 3, 2, 4)
-    return arr.reshape(oy * nb, k, PALLET, BRICK)
+    s, pad = spec.s, spec.pad
+    mags = np.abs(values).reshape(spec.ny, spec.nx, spec.i // BRICK, BRICK)
+    per_brick = column_costs(mags, l_bits)
+    # One more column of ones past the border stands in for idle lanes.
+    per_brick = np.pad(per_brick, ((pad, pad), (pad, pad + 1), (0, 0)), constant_values=1)
+    rows = (np.arange(oy) * s)[:, None] + np.arange(spec.fy)  # (wy, by)
+    wx = np.arange(nb * PALLET).reshape(nb, 1, PALLET)
+    cols = np.where(wx < ox, wx * s + np.arange(spec.fx)[:, None], -1)  # (nb, bx, window)
+    depth = np.arange(spec.i // BRICK)[:, None]
+    # (wy, nb, by, bx, d, window) -> (pallet, step, window)
+    costs = per_brick[rows[:, None, :, None, None, None], cols[None, :, None, :, None, :], depth]
+    return costs.reshape(oy * nb, geo.num_brick_steps(spec), PALLET)
 
 
 def _lower(input, filters, spec, profile, cfg, width, out_shift):
@@ -333,7 +325,7 @@ def _lower(input, filters, spec, profile, cfg, width, out_shift):
     else:
         values = input.data.astype(np.int64)
     x = im2col(Tensor3(values), spec)
-    costs = column_costs(_layer_masks(x, spec), cfg.l_bits)
+    costs = _layer_costs(values, spec, cfg.l_bits)
 
     ox, _, _ = output_dims(spec)
     row_pallets = -(-ox // PALLET)

@@ -14,12 +14,13 @@ import numpy as np
 from .analysis import ReportDocument, TermCounts, count_terms, report
 from .config import EngineSelector, ExperimentConfig, LayerConfig
 from .encoding import stats
-from .geometry import FilterSet, Tensor3
+from .geometry import FilterSet, Tensor3, container_bounds
 from .numerics import trim_tensor
 from .pragmatic import pragmatic_layer
 from .reference import EngineResult, conv_oracle, dadn_cycles, dadn_layer
 from .stripes import stripes_layer
 from .traces import (
+    TraceIOError,
     generate_quantized_synapses,
     generate_quantized_trace,
     generate_synapses,
@@ -36,16 +37,23 @@ def build_layer_input(cfg: ExperimentConfig, layer: LayerConfig, index: int) -> 
     """The layer's input tensor, loaded or generated from the neuron stream."""
     spec = layer.spec
     if cfg.trace_kind == "file":
-        tensor, _ = read_trace(cfg.trace_paths[index])
+        path = cfg.trace_paths[index]
+        tensor, _ = read_trace(path)
         if (tensor.x, tensor.y) != (spec.nx, spec.ny) or tensor.i > spec.i:
-            raise ValueError(
-                f"trace dims {tensor.dims} do not fit layer {spec.name!r} "
+            raise TraceIOError(
+                f"{path}: trace dims {tensor.dims} do not fit layer {spec.name!r} "
                 f"({spec.nx},{spec.ny},{spec.i})"
             )
         if tensor.i < spec.i:
             padded = np.zeros((spec.ny, spec.nx, spec.i), dtype=np.int64)
             padded[:, :, : tensor.i] = tensor.data
             tensor = Tensor3(padded)
+        lo, hi = container_bounds(cfg.width)
+        if tensor.data.min() < lo or tensor.data.max() > hi:
+            raise TraceIOError(
+                f"{path}: trace values {tensor.data.min()}..{tensor.data.max()} "
+                f"do not fit the {cfg.width}-bit container ({lo}..{hi})"
+            )
     elif cfg.width == 8:
         tensor = generate_quantized_trace(
             spec, cfg.trace_sigma, cfg.trace_relu, layer.quant, cfg.seed, index

@@ -70,10 +70,13 @@ def generate_synapses(
     layer_index: int = 0,
     bound: int = 127,
 ) -> np.ndarray:
-    """Synthetic filters, magnitude-bounded to keep accumulators tame."""
+    """Synthetic int32 filters, magnitude-bounded to keep accumulators tame."""
     rng = synapse_rng(seed, layer_index)
     vals = rng.normal(0.0, sigma, size=(spec.n, spec.fy, spec.fx, spec.i))
-    return np.clip(np.rint(vals), -bound, bound).astype(np.int64)
+    # Round and clamp the draws in place: one float buffer, one cast.
+    np.rint(vals, out=vals)
+    np.clip(vals, -bound, bound, out=vals)
+    return vals.astype(np.int32)
 
 
 def generate_quantized_trace(
@@ -122,7 +125,7 @@ def write_trace(path, tensor: Tensor3, dtype: int = DTYPE_I16) -> None:
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(payload.tobytes())
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise TraceIOError(f"cannot write trace {path}: {e}") from e
 
 
@@ -131,7 +134,7 @@ def read_trace(path) -> tuple[Tensor3, int]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise TraceIOError(f"cannot read trace {path}: {e}") from e
     if len(raw) < _HEADER.size:
         raise TraceIOError(f"{path}: truncated header")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bitsim.geometry import BRICK, PALLET, LayerSpec, Tensor3, output_dims
+from bitsim.pragmatic import pip_schedule
 
 
 class OutOfRange(IndexError):
@@ -115,3 +116,18 @@ def build_pallet(
                       present=False)
             )
     return Pallet(tuple(bricks))
+
+
+def pallet_phase_cycles(pallet_streams, l_bits: int = 4) -> int:
+    """Cycles one pallet phase takes under pallet synchronization.
+
+    ``pallet_streams`` is 16 windows x 16 lanes of oneffset streams (a
+    flat list of 256 works too). All columns wait for the slowest.
+    """
+    streams = list(pallet_streams)
+    if len(streams) == PALLET * BRICK:
+        streams = [streams[w * BRICK : (w + 1) * BRICK] for w in range(PALLET)]
+    worst = 1
+    for column in streams:
+        worst = max(worst, len(pip_schedule(column, l_bits)))
+    return worst

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import bitsim.pragmatic as pragmatic_mod
 import bitsim.runner as runner_mod
@@ -10,7 +12,8 @@ import bitsim.stripes as stripes_mod
 from bitsim.cli import main
 from bitsim.config import ConfigError, parse_config
 from bitsim.geometry import Tensor3
-from bitsim.traces import read_trace
+from bitsim.traces import DTYPE_I16, read_trace, write_trace
+from test_config import _slots
 
 
 def base_config(**overrides):
@@ -266,3 +269,98 @@ class TestValidateCommand:
         r = CliRunner().invoke(main, ["validate", str(path)])
         assert r.exit_code == 1
         assert "precision" in r.output
+
+
+def assert_clean_exit(r, code=None):
+    """The command ended in a documented exit code, with no traceback.
+
+    ``CliRunner`` keeps an escaped exception in ``r.exception`` instead
+    of printing its traceback, so that is where one would show.
+    """
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert r.exit_code in (0, 1, 2, 3)
+    assert "Traceback" not in r.output
+    if code is not None:
+        assert r.exit_code == code, r.output
+
+
+class TestNoTraceback:
+    def _file_config(self, tmp_path, data, width=16):
+        """A one-layer config that reads ``data`` from an i16 trace file."""
+        trace_path = tmp_path / "conv1.prgt"
+        write_trace(trace_path, Tensor3(data), DTYPE_I16)
+        cfg = base_config(width=width, trace={"kind": "file", "path": str(trace_path)})
+        if width == 8:
+            cfg["layers"][0]["quant"] = {"vmin": 0.0, "vmax": 500.0}
+        return write_config(tmp_path, cfg)
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_trace_dims_that_do_not_fit_are_io_errors(self, tmp_path, command):
+        # an 8 x 8 layer fed a 6-wide trace
+        path = self._file_config(tmp_path, np.ones((8, 6, 16), dtype=np.int64))
+        r = CliRunner().invoke(main, [command, str(path)])
+        assert_clean_exit(r, 2)
+        assert "i/o error:" in r.output and "dims" in r.output
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("value, code", [(1023, 2), (-129, 2), (255, 0), (-128, 0)])
+    def test_width8_run_rejects_values_outside_its_container(self, tmp_path, command,
+                                                            value, code):
+        data = np.zeros((8, 8, 16), dtype=np.int64)
+        data[3, 4, 5] = value
+        path = self._file_config(tmp_path, data, width=8)
+        r = CliRunner().invoke(main, [command, str(path)])
+        assert_clean_exit(r, code)
+        if code:
+            assert "8-bit container" in r.output
+
+    @pytest.mark.parametrize("shift, code", [(10**30, 1), (64, 1), (63, 0)])
+    def test_out_shift_is_bounded_at_load(self, tmp_path, shift, code):
+        path = write_config(tmp_path, base_config(out_shift=shift))
+        r = CliRunner().invoke(main, ["simulate", str(path)])
+        assert_clean_exit(r, code)
+        if code:
+            assert "out_shift" in r.output
+
+    @pytest.mark.parametrize("command, overrides, code", [
+        ("simulate", {"output": {"csv": "a\x00b"}}, 2),
+        ("analyze", {"output": {"csv": "a\x00b"}}, 0),  # analyze writes no csv
+        ("simulate", {"trace": {"kind": "file", "path": "a\x00b"}}, 2),
+        ("analyze", {"trace": {"kind": "file", "path": "a\x00b"}}, 2),
+    ], ids=["simulate-csv", "analyze-csv", "simulate-trace", "analyze-trace"])
+    def test_nul_in_a_path_is_an_io_error(self, tmp_path, command, overrides, code):
+        path = write_config(tmp_path, base_config(**overrides))
+        r = CliRunner().invoke(main, [command, str(path)])
+        assert_clean_exit(r, code)
+
+
+# Every place in the base config a value can be replaced at.
+SLOTS = [p for p in _slots(base_config(output={"csv": "out.csv"})) if p] + [
+    ("out_shift",), ("layers", 0, "quant"), ("trace", "kind"), ("trace", "path"),
+]
+
+# Any JSON value, but with small numbers: a replaced geometry field must
+# not make a layer large enough to strain memory.
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-50, 50)
+    | st.sampled_from([math.nan, math.inf]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SLOTS), small_json)
+def test_config_with_one_value_replaced_exits_cleanly(slot, value):
+    doc = base_config(output={"csv": "out.csv"})
+    node = doc
+    for key in slot[:-1]:
+        node = node[key]
+    node[slot[-1]] = value
+    runner = CliRunner()
+    with runner.isolated_filesystem():  # output.csv may name any file
+        with open("cfg.json", "w") as fh:
+            json.dump(doc, fh)
+        for command in ("simulate", "analyze"):
+            assert_clean_exit(runner.invoke(main, [command, "cfg.json"]))

@@ -10,7 +10,6 @@ from bitsim.pragmatic import (
     column_costs,
     dispatcher_fetch_cycles,
     pallet_fetch_rows,
-    pallet_phase_cycles,
     pip_inner,
     pip_schedule,
     prag_layer_column,
@@ -21,6 +20,7 @@ from bitsim.pragmatic import (
 )
 from bitsim.reference import conv_oracle, dadn_cycles, sb_read_count
 from bitsim.stripes import stripes_layer
+from bricks import pallet_phase_cycles
 
 
 class TestTwoStageStep:

@@ -11,6 +11,7 @@ from bitsim.traces import (
     generate_synapses,
     generate_trace,
     read_trace,
+    synapse_rng,
     write_trace,
 )
 
@@ -43,6 +44,16 @@ class TestGenerate:
         syn = generate_synapses(SPEC, sigma=50.0, seed=3)
         assert syn.shape == (4, 3, 3, 32)
         assert np.abs(syn).max() <= 127
+
+    @pytest.mark.parametrize("seed, sigma, bound",
+                             [(0, 10.0, 127), (3, 50.0, 127), (7, 300.0, 127),
+                              (11, 0.0, 127), (13, 2.5, 5)])
+    def test_synapses_equal_clipped_rounded_draws(self, seed, sigma, bound):
+        # rounding and clamping in place must give the out-of-place values
+        syn = generate_synapses(SPEC, sigma=sigma, seed=seed, layer_index=2, bound=bound)
+        draws = synapse_rng(seed, 2).normal(0.0, sigma, size=(4, 3, 3, 32))
+        assert syn.dtype == np.int32
+        assert np.array_equal(syn, np.clip(np.rint(draws), -bound, bound))
 
     def test_quantized_codes_in_range(self):
         q = QuantParams(0.0, 500.0)
