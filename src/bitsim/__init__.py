@@ -24,6 +24,7 @@ from .encoding import BitStats, OneffsetStream, encode, essential_count, stats
 from .reference import (
     CycleReport,
     EngineResult,
+    LayerLowering,
     conv_oracle,
     dadn_cycles,
     dadn_layer,
@@ -52,6 +53,7 @@ __all__ = [
     "CycleReport",
     "EngineResult",
     "FilterSet",
+    "LayerLowering",
     "LayerSpec",
     "OneffsetStream",
     "PragConfig",

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 model
-mismatch (an engine's output differs from the brute-force convolution,
-or a serial unit's scalar model disagrees with the lowered layer — an
-engine bug, never a user error).
+Exit codes: 0 success, 1 configuration error, 2 I/O or resource error
+(a file that cannot be read or written, or memory that cannot be
+allocated), 3 model mismatch (an engine's output differs from the
+brute-force convolution, or a serial unit's scalar model disagrees with
+the lowered layer — an engine bug, never a user error).
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ def _load(config_path, seed):
             raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
         cfg.seed = seed
     return cfg
+
+
+def _out_of_memory(e: MemoryError):
+    click.echo(f"resource error: out of memory ({str(e) or 'allocation failed'})",
+               err=True)
+    sys.exit(EXIT_IO)
 
 
 def _write_lines(path, lines):
@@ -65,6 +72,8 @@ def simulate_cmd(config, seed, out):
     except TraceIOError as e:
         click.echo(f"i/o error: {e}", err=True)
         sys.exit(EXIT_IO)
+    except MemoryError as e:
+        _out_of_memory(e)
     except OracleMismatch as e:
         click.echo(f"oracle mismatch: {e}", err=True)
         sys.exit(EXIT_MISMATCH)
@@ -93,6 +102,8 @@ def analyze_cmd(config, seed, out):
     except TraceIOError as e:
         click.echo(f"i/o error: {e}", err=True)
         sys.exit(EXIT_IO)
+    except MemoryError as e:
+        _out_of_memory(e)
     sys.exit(EXIT_OK)
 
 
@@ -117,6 +128,8 @@ def gen_trace_cmd(config, out, layer, seed):
     except (TraceIOError, ValueError) as e:
         click.echo(f"i/o error: {e}", err=True)
         sys.exit(EXIT_IO)
+    except MemoryError as e:
+        _out_of_memory(e)
     sys.exit(EXIT_OK)
 
 

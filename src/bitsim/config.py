@@ -37,13 +37,18 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import LayerSpec
+from .geometry import LayerSpec, output_dims
 from .numerics import Precision, QuantParams
 from .pragmatic import PragConfig
 
 
 # Accumulators are int64: a wider shift has no defined result.
 MAX_OUT_SHIFT = 63
+
+# numpy indexes arrays of any size, but a layer whose input, filters or
+# im2col matrix has more elements than a signed 32-bit count cannot be
+# allocated on any machine this model targets.
+MAX_ELEMENTS = (1 << 31) - 1
 
 
 class ConfigError(ValueError):
@@ -120,6 +125,18 @@ def _parse_precision(obj, where: str) -> Precision:
     raise ConfigError(f"'precision' needs 'msb' or 'width' in {where}")
 
 
+def _check_size(spec: LayerSpec, where: str):
+    ox, oy, _ = output_dims(spec)
+    window = spec.fy * spec.fx * spec.i
+    for what, size in (("input", spec.nx * spec.ny * spec.i),
+                       ("filter set", spec.n * window),
+                       ("im2col matrix", ox * oy * window)):
+        if size > MAX_ELEMENTS:
+            raise ConfigError(
+                f"{where}: the {what} has {size} elements, more than {MAX_ELEMENTS}"
+            )
+
+
 def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
     where = f"layers[{index}]"
     if not isinstance(obj, dict):
@@ -139,6 +156,7 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
         )
     except _BAD_VALUE as e:
         raise ConfigError(f"bad geometry in {where}: {e}") from e
+    _check_size(spec, where)
     precision = _parse_precision(_require(obj, "precision", where), where)
     if width == 8 and precision.msb > 7:
         raise ConfigError(f"{where}: precision window exceeds the 8-bit container")

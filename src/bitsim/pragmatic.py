@@ -27,15 +27,15 @@ import numpy as np
 from . import geometry as geo
 from .encoding import OneffsetStream, encode
 from .geometry import BRICK, PALLET, FilterSet, LayerSpec, Tensor3, output_dims
-from .numerics import MissingProfile, Precision, full_precision, trim_tensor
+from .numerics import MissingProfile, Precision, full_precision
 from .reference import (
     CycleReport,
     EngineResult,
+    LayerLowering,
     ScalarModelMismatch,
-    check_shapes,
-    effectual_terms,
-    im2col,
-    lowered_output,
+    ViewLowering,
+    layer_lowering,
+    read_only,
     sampled_bricks,
     sb_read_count,
 )
@@ -280,6 +280,11 @@ def dispatcher_fetch_cycles(spec: LayerSpec) -> int:
     return worst
 
 
+def fetch_cycles(lowered: LayerLowering) -> int:
+    """:func:`dispatcher_fetch_cycles` of the layer, once per shared lowering."""
+    return lowered.cached("fetch", lambda: dispatcher_fetch_cycles(lowered.spec))
+
+
 # --- layer lowering shared by both sync modes ---
 
 
@@ -307,30 +312,19 @@ def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray
     return costs.reshape(oy * nb, geo.num_brick_steps(spec), PALLET)
 
 
-def _lower(input, filters, spec, profile, cfg, width, out_shift):
-    """Lower the layer once for either sync mode.
+def _checked_costs(view: ViewLowering, filters: FilterSet, spec: LayerSpec,
+                   l_bits: int) -> np.ndarray:
+    """The view's column costs ``(pallet, step, window)`` at ``l_bits``.
 
-    Returns the column costs ``(pallet, step, window)``, the exact output
-    and the effectual term count. A fixed sample of bricks goes through
-    :func:`pip_inner`, whose value must equal the brick's dot product and
-    whose cycles must equal the brick's column cost.
+    A fixed sample of bricks goes through :func:`pip_inner`, whose value
+    must equal the brick's dot product and whose cycles must equal the
+    brick's column cost.
     """
-    check_shapes(input, filters, spec)
-    if cfg.trim == "profile":
-        if profile is None:
-            raise MissingProfile("trim='profile' needs a per-layer window")
-        if profile.msb > full_precision(width).msb:
-            raise ValueError(f"profile {profile} exceeds container width {width}")
-        values = trim_tensor(input.data, profile)
-    else:
-        values = input.data.astype(np.int64)
-    x = im2col(Tensor3(values), spec)
-    costs = _layer_costs(values, spec, cfg.l_bits)
-
+    costs = _layer_costs(view.values, spec, l_bits)
     ox, _, _ = output_dims(spec)
     row_pallets = -(-ox // PALLET)
-    for window, step, neurons, synapses, dot in sampled_bricks(x, filters):
-        value, cycles = pip_inner([encode(v) for v in neurons], synapses, cfg.l_bits)
+    for window, step, neurons, synapses, dot in sampled_bricks(view.x, filters):
+        value, cycles = pip_inner([encode(v) for v in neurons], synapses, l_bits)
         wy, wx = divmod(window, ox)
         cost = int(costs[wy * row_pallets + wx // PALLET, step, wx % PALLET])
         if (value, cycles) != (dot, cost):
@@ -338,8 +332,25 @@ def _lower(input, filters, spec, profile, cfg, width, out_shift):
                 f"pip_inner gives {value} in {cycles} cycles on window {window}, "
                 f"brick step {step}; the lowered layer gives {dot} in {cost}"
             )
-    output = lowered_output(x, filters, spec, out_shift)
-    return costs, output, effectual_terms(values, spec, width)
+    return read_only(costs)
+
+
+def _lower(input, filters, spec, profile, cfg, width, out_shift, lowered):
+    """The view this variant reads, its checked column costs at
+    ``cfg.l_bits`` and the layer's fetch cost, from the shared lowering
+    (or a new one). Costs are computed once per (view, ``l_bits``).
+    """
+    lowered = layer_lowering(lowered, input, filters, spec, width, out_shift)
+    if cfg.trim == "profile":
+        if profile is None:
+            raise MissingProfile("trim='profile' needs a per-layer window")
+        if profile.msb > full_precision(width).msb:
+            raise ValueError(f"profile {profile} exceeds container width {width}")
+    view = lowered.view(profile if cfg.trim == "profile" else None)
+    costs = view.cached(
+        ("costs", cfg.l_bits), lambda: _checked_costs(view, filters, spec, cfg.l_bits)
+    )
+    return view, costs, fetch_cycles(lowered)
 
 
 def prag_layer_pallet(
@@ -350,6 +361,7 @@ def prag_layer_pallet(
     cfg: PragConfig,
     width: int = 16,
     out_shift: int = 0,
+    lowered: LayerLowering | None = None,
 ) -> EngineResult:
     """Essential-bit engine under pallet-level synchronization.
 
@@ -359,10 +371,10 @@ def prag_layer_pallet(
     """
     if cfg.sync != "pallet":
         raise ValueError("prag_layer_pallet needs cfg.sync == 'pallet'")
-    costs, output, effectual = _lower(input, filters, spec, profile, cfg, width, out_shift)
+    view, costs, nm_c = _lower(
+        input, filters, spec, profile, cfg, width, out_shift, lowered
+    )
     phase_cycles = costs.max(axis=2)  # slowest column per phase
-
-    nm_c = dispatcher_fetch_cycles(spec)
     groups = geo.filter_groups(spec)
     slots = np.maximum(phase_cycles, nm_c)
     report = CycleReport(
@@ -371,9 +383,9 @@ def prag_layer_pallet(
         stall_cycles=groups * int((slots - phase_cycles).sum()),
         sb_reads=sb_read_count(spec),
         total_terms=width * geo.num_pairs(spec),
-        effectual_terms=effectual,
+        effectual_terms=view.effectual_terms,
     )
-    return EngineResult(output=output, report=report, engine="pragmatic",
+    return EngineResult(output=view.output, report=report, engine="pragmatic",
                         variant=cfg.variant_name())
 
 
@@ -547,6 +559,7 @@ def prag_layer_column(
     cfg: PragConfig,
     width: int = 16,
     out_shift: int = 0,
+    lowered: LayerLowering | None = None,
 ) -> EngineResult:
     """Essential-bit engine under per-column synchronization.
 
@@ -557,11 +570,11 @@ def prag_layer_column(
     """
     if cfg.sync != "column":
         raise ValueError("prag_layer_column needs cfg.sync == 'column'")
-    costs, output, effectual = _lower(input, filters, spec, profile, cfg, width, out_shift)
+    view, costs, nm_c = _lower(
+        input, filters, spec, profile, cfg, width, out_shift, lowered
+    )
     n_steps = costs.shape[0] * costs.shape[1]
     flat = costs.reshape(n_steps, PALLET)
-
-    nm_c = dispatcher_fetch_cycles(spec)
     sched = simulate_column_sync(flat, nm_c, cfg.ssr_count, cfg.effective_buffer)
     if sched.sb_reads != n_steps:
         raise AssertionError(
@@ -576,9 +589,9 @@ def prag_layer_column(
         stall_cycles=groups * (sched.total_cycles - critical),
         sb_reads=groups * sched.sb_reads,
         total_terms=width * geo.num_pairs(spec),
-        effectual_terms=effectual,
+        effectual_terms=view.effectual_terms,
     )
-    return EngineResult(output=output, report=report, engine="pragmatic",
+    return EngineResult(output=view.output, report=report, engine="pragmatic",
                         variant=cfg.variant_name())
 
 
@@ -590,7 +603,11 @@ def pragmatic_layer(
     cfg: PragConfig,
     width: int = 16,
     out_shift: int = 0,
+    lowered: LayerLowering | None = None,
 ) -> EngineResult:
-    """Run the essential-bit engine with either synchronization mode."""
+    """Run the essential-bit engine with either synchronization mode.
+
+    ``lowered`` is the layer's shared lowering, if the caller holds one.
+    """
     runner = prag_layer_pallet if cfg.sync == "pallet" else prag_layer_column
-    return runner(input, filters, spec, profile, cfg, width, out_shift)
+    return runner(input, filters, spec, profile, cfg, width, out_shift, lowered)

@@ -12,6 +12,11 @@ The serial engines also put a fixed sample of bricks through their
 scalar unit models (:func:`sampled_bricks`), which model the shifters
 and the sign handling the lowered product skips.
 
+A :class:`LayerLowering` holds one layer's input views (raw, or
+window-trimmed), each lowered on first use to its im2col matrix, exact
+output and effectual term count. Every engine variant that reads a view
+shares that lowering, so a sweep of variants lowers each view once.
+
 The baseline ("dadn") models a chip of 16 tiles x 16 filters that
 broadcasts one 16-neuron brick per cycle: its cycle count is a pure
 function of geometry, blind to the values.
@@ -26,7 +31,7 @@ import numpy as np
 from . import geometry as geo
 from .encoding import essential_counts
 from .geometry import FilterSet, LayerSpec, Tensor3, output_dims
-from .numerics import activate
+from .numerics import Precision, activate, trim_tensor
 
 
 class ShapeMismatch(ValueError):
@@ -154,10 +159,13 @@ def dadn_layer(
     spec: LayerSpec,
     width: int = 16,
     out_shift: int = 0,
+    lowered: LayerLowering | None = None,
 ) -> EngineResult:
-    """Run the bit-parallel baseline: exact output, value-blind timing."""
-    check_shapes(input, filters, spec)
-    output = lowered_output(im2col(input, spec), filters, spec, out_shift)
+    """Run the bit-parallel baseline: exact output, value-blind timing.
+
+    ``lowered`` is the layer's shared lowering, if the caller holds one.
+    """
+    view = layer_lowering(lowered, input, filters, spec, width, out_shift).view(None)
     cycles = dadn_cycles(spec)
     report = CycleReport(
         compute_cycles=cycles,
@@ -165,19 +173,20 @@ def dadn_layer(
         stall_cycles=0,
         sb_reads=sb_read_count(spec),
         total_terms=dadn_terms(spec, width),
-        effectual_terms=effectual_terms(input.data, spec, width),
+        effectual_terms=view.effectual_terms,
     )
-    return EngineResult(output=output, report=report, engine="dadn")
+    return EngineResult(output=view.output, report=report, engine="dadn")
 
 
 # --- shared lowering helpers (used by the engine models, not the oracle) ---
 
 
 def im2col(input: Tensor3, spec: LayerSpec) -> np.ndarray:
-    """Window matrix ``(oy*ox, fy*fx*i)`` with virtual zero padding."""
+    """Window matrix ``(oy*ox, fy*fx*i)`` with virtual zero padding, in
+    the int32 of :class:`Tensor3`."""
     ox, oy, _ = output_dims(spec)
-    data = input.data.astype(np.int64)
-    cols = np.zeros((oy, ox, spec.fy, spec.fx, spec.i), dtype=np.int64)
+    data = input.data
+    cols = np.zeros((oy, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
     for by in range(spec.fy):
         for bx in range(spec.fx):
             for l in range(oy):
@@ -265,3 +274,91 @@ def sampled_bricks(x: np.ndarray, filters: FilterSet):
         synapses = w[f, lanes].tolist()
         dot = sum(n * s for n, s in zip(neurons, synapses))
         yield int(window), int(step), neurons, synapses, dot
+
+
+# --- one lowering per input view, shared by every engine variant ---
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself keeps its flags."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+class _Cached:
+    """Values derived once per key and handed to every later reader."""
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def cached(self, key, make):
+        """``make()`` on the first call with ``key``, the same value after."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+
+class ViewLowering(_Cached):
+    """One input view of a layer, lowered once: its values, im2col matrix,
+    exact output and effectual term count, all read-only, so no engine
+    variant can change what a later one reads. :meth:`cached` keeps what
+    engines derive from the view (sampled checks, column costs).
+    """
+
+    def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,
+                 width: int, out_shift: int):
+        super().__init__()
+        self.values = read_only(values)
+        self.x = read_only(im2col(Tensor3(values), spec))
+        self.output = lowered_output(self.x, filters, spec, out_shift)
+        self.output.data.setflags(write=False)
+        self.effectual_terms = effectual_terms(values, spec, width)
+
+
+class LayerLowering(_Cached):
+    """A layer's inputs, each input view lowered on first use.
+
+    A view is keyed by its precision window: ``None`` is the raw input, a
+    :class:`Precision` the input trimmed to that window. Every engine
+    variant on the layer reads the same :class:`ViewLowering` of its
+    view, and :meth:`cached` keeps what depends on the layer alone.
+    """
+
+    def __init__(self, input: Tensor3, filters: FilterSet, spec: LayerSpec,
+                 width: int = 16, out_shift: int = 0):
+        super().__init__()
+        check_shapes(input, filters, spec)
+        self.input, self.filters, self.spec = input, filters, spec
+        self.width, self.out_shift = width, out_shift
+        self._views: dict[Precision | None, ViewLowering] = {}
+
+    def reads(self, input, filters, spec, width, out_shift) -> bool:
+        """Whether this lowering was built from exactly these arguments."""
+        return (self.input is input and self.filters is filters and self.spec == spec
+                and (self.width, self.out_shift) == (width, out_shift))
+
+    def view(self, profile: Precision | None) -> ViewLowering:
+        if profile not in self._views:
+            data = self.input.data
+            values = data if profile is None else trim_tensor(data, profile)
+            self._views[profile] = ViewLowering(
+                values, self.filters, self.spec, self.width, self.out_shift
+            )
+        return self._views[profile]
+
+
+def layer_lowering(
+    lowered: LayerLowering | None,
+    input: Tensor3,
+    filters: FilterSet,
+    spec: LayerSpec,
+    width: int,
+    out_shift: int,
+) -> LayerLowering:
+    """The caller's shared lowering of this layer, or a new one."""
+    if lowered is None:
+        return LayerLowering(input, filters, spec, width, out_shift)
+    if not lowered.reads(input, filters, spec, width, out_shift):
+        raise ValueError("the shared lowering was built from other layer inputs")
+    return lowered

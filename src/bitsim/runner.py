@@ -2,9 +2,10 @@
 
 Every engine variant in a run consumes the same generated or loaded
 tensors, so the designs see identical synapse reuse and comparisons are
-fair. Each serial engine's output is checked against the brute-force
-oracle on its own input view (raw or profile-trimmed); a mismatch is an
-engine bug and aborts the run.
+fair. Each input view (raw or profile-trimmed) is lowered once per
+layer and shared by every variant that reads it. Each engine's output
+is checked against the brute-force oracle on its own input view; a
+mismatch is an engine bug and aborts the run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .encoding import stats
 from .geometry import FilterSet, Tensor3, container_bounds
 from .numerics import trim_tensor
 from .pragmatic import pragmatic_layer
-from .reference import EngineResult, conv_oracle, dadn_cycles, dadn_layer
+from .reference import EngineResult, LayerLowering, conv_oracle, dadn_cycles, dadn_layer
 from .stripes import stripes_layer
 from .traces import (
     TraceIOError,
@@ -85,30 +86,59 @@ def run_engine(
     layer: LayerConfig,
     width: int,
     out_shift: int,
+    lowered: LayerLowering | None = None,
 ) -> EngineResult:
+    """One engine variant on one layer; ``lowered`` is the layer's shared
+    lowering, or None for the engine to lower its own input."""
     if sel.engine == "dadn":
-        return dadn_layer(input, filters, layer.spec, width, out_shift)
+        return dadn_layer(input, filters, layer.spec, width, out_shift, lowered=lowered)
     if sel.engine == "stripes":
-        return stripes_layer(input, filters, layer.spec, layer.precision, width, out_shift)
+        return stripes_layer(input, filters, layer.spec, layer.precision, width,
+                             out_shift, lowered=lowered)
     if sel.engine == "pragmatic":
-        return pragmatic_layer(
-            input, filters, layer.spec, layer.precision, sel.prag, width, out_shift
-        )
+        return pragmatic_layer(input, filters, layer.spec, layer.precision, sel.prag,
+                               width, out_shift, lowered=lowered)
     raise ValueError(f"unknown engine {sel.engine!r}")
 
 
-def _oracle_view(sel: EngineSelector, input: Tensor3, layer: LayerConfig) -> Tensor3:
-    """The input the oracle must see to match this engine: raw for the
-    bit-parallel baseline and untrimmed runs, window-trimmed otherwise."""
-    if sel.engine == "stripes" or (
+def _reads_trimmed(sel: EngineSelector) -> bool:
+    """Whether the oracle must see the window-trimmed input to match this
+    engine: raw for the bit-parallel baseline and untrimmed runs."""
+    return sel.engine == "stripes" or (
         sel.engine == "pragmatic" and sel.prag.trim == "profile"
-    ):
-        return Tensor3(trim_tensor(input.data, layer.precision))
-    return input
+    )
+
+
+def run_layer(
+    cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3, filters: FilterSet
+) -> list[EngineResult]:
+    """Every engine variant of the run on one layer, in config order.
+
+    Each input view is lowered once and shared by the variants that read
+    it. Raises :class:`OracleMismatch` if any engine disagrees with the
+    brute-force convolution on its input view.
+    """
+    lowered = LayerLowering(input, filters, layer.spec, cfg.width, cfg.out_shift)
+    oracles: dict[bool, Tensor3] = {}
+    results = []
+    for sel in cfg.engines:
+        result = run_engine(sel, input, filters, layer, cfg.width, cfg.out_shift, lowered)
+        trimmed = _reads_trimmed(sel)
+        if trimmed not in oracles:
+            # built apart from the engines' lowering, so a wrong view shows
+            view = Tensor3(trim_tensor(input.data, layer.precision)) if trimmed else input
+            oracles[trimmed] = conv_oracle(view, filters, layer.spec, cfg.out_shift)
+        if result.output != oracles[trimmed]:
+            raise OracleMismatch(
+                f"{sel.label()} output differs from the oracle on layer "
+                f"{layer.spec.name!r}"
+            )
+        results.append(result)
+    return results
 
 
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
-    """Run the full layer x engine grid, verifying every serial output.
+    """Run the full layer x engine grid, verifying every output.
 
     Raises :class:`OracleMismatch` if any engine disagrees with the
     brute-force convolution on its input view.
@@ -119,18 +149,7 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
     for index, layer in enumerate(cfg.layers):
         input, filters = build_layer_inputs(cfg, layer, index)
         baseline = dadn_cycles(layer.spec)
-        oracles: dict[bool, Tensor3] = {}
-        for sel in cfg.engines:
-            result = run_engine(sel, input, filters, layer, cfg.width, cfg.out_shift)
-            view = _oracle_view(sel, input, layer)
-            trimmed = view is not input
-            if trimmed not in oracles:
-                oracles[trimmed] = conv_oracle(view, filters, layer.spec, cfg.out_shift)
-            if result.output != oracles[trimmed]:
-                raise OracleMismatch(
-                    f"{sel.label()} output differs from the oracle on layer "
-                    f"{layer.spec.name!r}"
-                )
+        for result in run_layer(cfg, layer, input, filters):
             rows.append((layer.spec.name, result, baseline))
         terms[layer.spec.name] = count_terms(
             input, layer.spec, layer.precision, cfg.width, layer.first_layer

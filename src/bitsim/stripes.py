@@ -16,19 +16,18 @@ from __future__ import annotations
 
 from . import geometry as geo
 from .geometry import FilterSet, LayerSpec, Tensor3
-from .numerics import MissingProfile, Precision, full_precision, trim_tensor
+from .numerics import MissingProfile, Precision, full_precision
 from .reference import (
     CycleReport,
     EngineResult,
+    LayerLowering,
     ScalarModelMismatch,
-    check_shapes,
-    effectual_terms,
-    im2col,
-    lowered_output,
+    ViewLowering,
+    layer_lowering,
     sampled_bricks,
     sb_read_count,
 )
-from .pragmatic import dispatcher_fetch_cycles
+from .pragmatic import fetch_cycles
 
 
 def _check_window(n: int, p: Precision, signed: bool):
@@ -65,6 +64,21 @@ def sip_inner(neurons, synapses, p: Precision, signed: bool | None = None) -> in
     return acc
 
 
+def _check_sip(view: ViewLowering, filters: FilterSet, profile: Precision):
+    """The streamed window of a view, after the sampled :func:`sip_inner`
+    bricks matched the lowered layer."""
+    signed = bool((view.values < 0).any())
+    stream = Precision(15 if signed else profile.msb, profile.lsb)
+    for window, step, neurons, synapses, dot in sampled_bricks(view.x, filters):
+        value = sip_inner(neurons, synapses, stream, signed)
+        if value != dot:
+            raise ScalarModelMismatch(
+                f"sip_inner gives {value} on window {window}, brick step {step}; "
+                f"the lowered layer gives {dot}"
+            )
+    return stream
+
+
 def stripes_layer(
     input: Tensor3,
     filters: FilterSet,
@@ -72,6 +86,7 @@ def stripes_layer(
     profile: Precision | None,
     width: int = 16,
     out_shift: int = 0,
+    lowered: LayerLowering | None = None,
 ) -> EngineResult:
     """Run the precision-serial engine on one layer.
 
@@ -83,8 +98,9 @@ def stripes_layer(
     no exact two's-complement transmission.
 
     The output is the shared exact lowered product; a fixed sample of
-    bricks goes through :func:`sip_inner` over the streamed planes, and
-    any disagreement raises :class:`ScalarModelMismatch`.
+    bricks goes through :func:`sip_inner` over the streamed planes, once
+    per view of a shared lowering, and any disagreement raises
+    :class:`ScalarModelMismatch`.
 
     Cycles per phase are ``max(NM_C, p)``: the dispatcher fetch model is
     shared with the essential-bit engine, and equals the pure ``p``
@@ -92,38 +108,27 @@ def stripes_layer(
     """
     if profile is None:
         raise MissingProfile("the precision-serial engine needs a per-layer window")
-    check_shapes(input, filters, spec)
+    lowered = layer_lowering(lowered, input, filters, spec, width, out_shift)
     container = full_precision(width)
     if profile.msb > container.msb:
         raise ValueError(f"profile {profile} exceeds container width {width}")
 
-    trimmed = trim_tensor(input.data, profile)
-    x = im2col(Tensor3(trimmed), spec)
-    signed = bool((trimmed < 0).any())
-    hi = 15 if signed else profile.msb
-    stream = Precision(hi, profile.lsb)
-    for window, step, neurons, synapses, dot in sampled_bricks(x, filters):
-        value = sip_inner(neurons, synapses, stream, signed)
-        if value != dot:
-            raise ScalarModelMismatch(
-                f"sip_inner gives {value} on window {window}, brick step {step}; "
-                f"the lowered layer gives {dot}"
-            )
-    output = lowered_output(x, filters, spec, out_shift)
+    view = lowered.view(profile)
+    stream = view.cached("sip", lambda: _check_sip(view, filters, profile))
 
     p_eff = stream.width
     groups = geo.filter_groups(spec)
     phases = geo.num_pallets(spec) * geo.num_brick_steps(spec)
-    nm_c = dispatcher_fetch_cycles(spec)
+    nm_c = fetch_cycles(lowered)
     report = CycleReport(
         compute_cycles=groups * phases * max(nm_c, p_eff),
         nm_fetch_cycles=groups * phases * nm_c,
         stall_cycles=groups * phases * max(0, nm_c - p_eff),
         sb_reads=sb_read_count(spec),
         total_terms=p_eff * geo.num_pairs(spec),
-        effectual_terms=effectual_terms(trimmed, spec, width),
+        effectual_terms=view.effectual_terms,
     )
-    return EngineResult(output=output, report=report, engine="stripes",
+    return EngineResult(output=view.output, report=report, engine="stripes",
                         variant=f"p{profile.width}")
 
 

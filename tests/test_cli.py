@@ -144,8 +144,8 @@ class TestSimulateCommand:
         # corrupt one engine's output: the runner must abort with code 3
         real = runner_mod.dadn_layer
 
-        def broken(input, filters, spec, width=16, out_shift=0):
-            res = real(input, filters, spec, width, out_shift)
+        def broken(input, filters, spec, width=16, out_shift=0, lowered=None):
+            res = real(input, filters, spec, width, out_shift, lowered)
             data = res.output.data.copy()
             data[0, 0, 0] += 1
             res.output = Tensor3(data)
@@ -173,6 +173,23 @@ class TestSimulateCommand:
         r = CliRunner().invoke(main, ["simulate", str(path)])
         assert isinstance(r.exception, SystemExit)  # no traceback
         assert r.exit_code == 3
+        assert "scalar model mismatch" in r.output
+
+    def test_pip_cycles_off_at_one_l_bits_exit_code(self, tmp_path, monkeypatch):
+        # the sampled check runs once per (view, l_bits): a fault at L=4
+        # alone is not hidden by the checks that passed at L=2
+        real = pragmatic_mod.pip_inner
+
+        def broken(streams, synapses, l_bits=4):
+            value, cycles = real(streams, synapses, l_bits)
+            return value, cycles + (l_bits == 4)
+
+        monkeypatch.setattr(pragmatic_mod, "pip_inner", broken)
+        cfg = base_config(engines=[
+            {"engine": "pragmatic", "l_bits": [2, 4], "sync": ["pallet", "column"]},
+        ])
+        r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg))])
+        assert_clean_exit(r, 3)
         assert "scalar model mismatch" in r.output
 
     def test_dadn_only_config(self, tmp_path):
@@ -332,6 +349,27 @@ class TestNoTraceback:
         path = write_config(tmp_path, base_config(**overrides))
         r = CliRunner().invoke(main, [command, str(path)])
         assert_clean_exit(r, code)
+
+    @pytest.mark.parametrize("field", ["nx", "n", "i"])
+    def test_a_layer_too_large_to_allocate_is_a_config_error(self, tmp_path, field):
+        cfg = base_config()
+        cfg["layers"][0][field] = 10**30
+        r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg))])
+        assert_clean_exit(r, 1)
+        assert "more than 2147483647" in r.output
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "gen-trace"])
+    def test_out_of_memory_is_a_resource_error(self, tmp_path, monkeypatch, command):
+        def no_memory(*args):
+            raise MemoryError("cannot allocate the layer input")
+
+        monkeypatch.setattr(runner_mod, "generate_trace", no_memory)
+        args = [command, str(write_config(tmp_path, base_config()))]
+        if command == "gen-trace":
+            args += ["-o", str(tmp_path / "t.prgt")]
+        r = CliRunner().invoke(main, args)
+        assert_clean_exit(r, 2)
+        assert "out of memory" in r.output
 
 
 # Every place in the base config a value can be replaced at.

@@ -1,20 +1,35 @@
-"""The per-window oracle, the one exact output path and the use-count helper.
+"""The per-window oracle, the one exact output path, the shared lowering
+and the use-count helper.
 
 The oracle is compared with the per-(window, filter) loop it replaced,
 every engine variant with both, the chunked float64 product with int64
-matmul, and ``window_sum`` with sums over the im2col matrix.
+matmul, the variants that share a layer's lowering with the same
+variants lowered alone, and ``window_sum`` with sums over the im2col
+matrix.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import bitsim.pragmatic as pragmatic
 import bitsim.reference as reference
+from bitsim.config import EngineSelector, ExperimentConfig, LayerConfig, load_config
 from bitsim.encoding import essential_counts
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3, window_sum
 from bitsim.numerics import Precision, trim_tensor
 from bitsim.pragmatic import PragConfig, pragmatic_layer
-from bitsim.reference import conv_oracle, dadn_layer, exact_matmul, im2col, lowered_output
+from bitsim.reference import (
+    LayerLowering,
+    conv_oracle,
+    dadn_layer,
+    exact_matmul,
+    im2col,
+    lowered_output,
+)
+from bitsim.runner import run_engine, run_layer, simulate
 from bitsim.stripes import stripes_layer
 from oracle_reference import reference_conv
 
@@ -122,3 +137,113 @@ def test_window_sum_equals_im2col_sums(layer):
     assert window_sum(np.ones_like(t.data), spec) == int(
         (im2col(Tensor3(np.ones_like(t.data)), spec) != 0).sum()
     )
+
+
+@st.composite
+def engine_sweeps(draw):
+    """dadn, stripes and 2-6 pragmatic variants in any order: mixed
+    ``l_bits``, both syncs, SSR counts and both trims, so each input view
+    is read by several variants."""
+    engines = [EngineSelector("dadn"), EngineSelector("stripes")]
+    for _ in range(draw(st.integers(2, 6))):
+        cfg = PragConfig(
+            l_bits=draw(st.integers(0, 4)),
+            sync=draw(st.sampled_from(["pallet", "column"])),
+            ssr_count=draw(st.sampled_from([1, 4, None])),
+            trim=draw(st.sampled_from(["profile", "none"])),
+        )
+        engines.append(EngineSelector("pragmatic", cfg))
+    return draw(st.permutations(engines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layers(), engine_sweeps())
+def test_shared_lowering_equals_a_lowering_per_variant(layer, engines):
+    spec, t, f, profile, width, out_shift = layer
+    lc = LayerConfig(spec=spec, precision=profile)
+    cfg = ExperimentConfig(
+        layers=[lc], engines=engines, seed=0, width=width, out_shift=out_shift,
+        trace_kind="synthetic", trace_sigma=1.0, trace_relu=True, trace_paths=[],
+        synapse_sigma=1.0, csv_path=None,
+    )
+    shared = run_layer(cfg, lc, t, f)
+    assert len(shared) == len(engines)
+    for sel, got in zip(engines, shared):
+        alone = run_engine(sel, t, f, lc, width, out_shift)
+        assert got.output == alone.output, sel.label()
+        assert got.report == alone.report, sel.label()
+        assert (got.engine, got.variant) == (alone.engine, alone.variant)
+
+
+def small_layer():
+    spec = LayerSpec(nx=6, ny=4, i=16, n=3, fx=3, fy=3, pad=1)
+    rng = np.random.default_rng(9)
+    t = Tensor3(rng.integers(0, 900, size=(4, 6, 16)))
+    f = FilterSet(rng.integers(-20, 21, size=(3, 3, 3, 16)))
+    return spec, t, f, Precision(8, 0)
+
+
+def test_shared_lowering_is_read_only():
+    spec, t, f, profile = small_layer()
+    lowered = LayerLowering(t, f, spec)
+    for trim in ("profile", "none"):
+        for sync in ("pallet", "column"):
+            cfg = PragConfig(l_bits=2, sync=sync, trim=trim)
+            pragmatic_layer(t, f, spec, profile, cfg, lowered=lowered)
+    for view in (lowered.view(profile), lowered.view(None)):
+        costs = view.cached(("costs", 2), lambda: pytest.fail("costs were not shared"))
+        for shared in (costs, view.values, view.x, view.output.data):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared.flat[0] = 1
+    assert t.data.flags.writeable  # the caller's input keeps its flags
+
+
+def test_a_lowering_of_other_inputs_is_refused():
+    spec, t, f, profile = small_layer()
+    lowered = LayerLowering(t, f, spec)
+    other = Tensor3(t.data.copy())
+    with pytest.raises(ValueError, match="other layer inputs"):
+        dadn_layer(other, f, spec, lowered=lowered)
+    with pytest.raises(ValueError, match="other layer inputs"):
+        stripes_layer(t, f, spec, profile, out_shift=1, lowered=lowered)
+
+
+def test_each_window_has_its_own_view():
+    spec, t, f, profile = small_layer()
+    lowered = LayerLowering(t, f, spec)
+    for window in (profile, Precision(5, 1), profile):
+        for cfg in (PragConfig(l_bits=1), PragConfig(l_bits=1, sync="column")):
+            shared = pragmatic_layer(t, f, spec, window, cfg, lowered=lowered)
+            assert shared == pragmatic_layer(t, f, spec, window, cfg)
+        assert stripes_layer(t, f, spec, window, lowered=lowered) == stripes_layer(
+            t, f, spec, window
+        )
+
+
+def test_shipped_configs_lower_each_view_once(monkeypatch):
+    # example.json: 2 layers x 8 variants on 2 views, 3 l_bits on the
+    # trimmed one; quantized.json: 1 layer x 4 variants on 2 views, 2 l_bits
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(reference, "im2col")
+    for name in ("column_costs", "pip_inner", "dispatcher_fetch_cycles"):
+        counted(pragmatic, name)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("example.json", "quantized.json"):
+        simulate(load_config(configs / name))
+    assert calls == {
+        "im2col": 6,
+        "column_costs": 8,
+        "pip_inner": 8 * reference.SAMPLED_BRICKS,
+        "dispatcher_fetch_cycles": 3,
+    }
