@@ -7,6 +7,7 @@ schedule takes and how many terms the arithmetic actually touches.
 
 from bitsim import (
     FilterSet,
+    LayerLowering,
     LayerSpec,
     PragConfig,
     Precision,
@@ -29,11 +30,12 @@ t = generate_trace(spec, sigma=900.0, relu=True, seed=3)
 f = FilterSet(generate_synapses(spec, sigma=10.0, seed=3))
 trimmed = Tensor3(trim_tensor(t.data, profile))
 oracle = conv_oracle(trimmed, f, spec)
+lowered = LayerLowering(t, f, spec)  # shared by every engine below
 
 results = []
-results.append(("conv", dadn_layer(t, f, spec), dadn_cycles(spec)))
+results.append(("conv", dadn_layer(lowered), dadn_cycles(spec)))
 
-stri = stripes_layer(t, f, spec, profile)
+stri = stripes_layer(lowered, profile)
 assert stri.output == oracle
 results.append(("conv", stri, dadn_cycles(spec)))
 
@@ -42,7 +44,7 @@ for cfg in (
     PragConfig(l_bits=2, sync="pallet"),
     PragConfig(l_bits=2, sync="column", ssr_count=1),
 ):
-    res = pragmatic_layer(t, f, spec, profile, cfg)
+    res = pragmatic_layer(lowered, profile, cfg)
     assert res.output == oracle
     results.append(("conv", res, dadn_cycles(spec)))
 

@@ -9,6 +9,7 @@ zero bit inside the surviving codes.
 
 from bitsim import (
     FilterSet,
+    LayerLowering,
     LayerSpec,
     PragConfig,
     Precision,
@@ -40,7 +41,7 @@ print(f"  zero-skipping  {norm['zn']:.3f}")
 print(f"  essential-bit  {norm['pra_fp16']:.3f}")
 
 oracle = conv_oracle(t, f, spec)
-res = pragmatic_layer(t, f, spec, profile, PragConfig(l_bits=2), width=8)
+res = pragmatic_layer(LayerLowering(t, f, spec, width=8), profile, PragConfig(l_bits=2))
 assert res.output == oracle
 pairs = res.report.total_terms // 8
 print()

@@ -15,7 +15,6 @@ from .numerics import (
     Precision,
     QuantParams,
     activate,
-    dequantize8,
     quantize8,
     trim,
     trim_tensor,
@@ -31,13 +30,11 @@ from .reference import (
     dadn_terms,
     sb_read_count,
 )
-from .stripes import sip_inner, stripes_cycles, stripes_layer
+from .stripes import sip_inner, stripes_layer
 from .pragmatic import (
     PragConfig,
     dispatcher_fetch_cycles,
     pip_inner,
-    prag_layer_column,
-    prag_layer_pallet,
     pragmatic_layer,
     two_stage_step,
 )
@@ -67,15 +64,12 @@ __all__ = [
     "dadn_cycles",
     "dadn_layer",
     "dadn_terms",
-    "dequantize8",
     "dispatcher_fetch_cycles",
     "encode",
     "essential_count",
     "generate_trace",
     "output_dims",
     "pip_inner",
-    "prag_layer_column",
-    "prag_layer_pallet",
     "pragmatic_layer",
     "quantize8",
     "read_trace",
@@ -83,7 +77,6 @@ __all__ = [
     "sb_read_count",
     "sip_inner",
     "stats",
-    "stripes_cycles",
     "stripes_layer",
     "trim",
     "trim_tensor",

@@ -46,26 +46,6 @@ class TermCounts:
         return {tag: self.totals[tag] / base for tag in ENGINE_TAGS}
 
 
-def pair_term_counts(
-    value: int,
-    profile: Precision,
-    width: int = 16,
-    first_layer: bool = False,
-) -> dict[str, int]:
-    """Terms one neuron/synapse multiplication costs on each engine."""
-    essential = int(essential_counts(np.asarray([value]), width)[0])
-    trimmed = int(essential_counts(trim_tensor(np.asarray([value]), profile), width)[0])
-    zn = 0 if value == 0 else width
-    return {
-        "dadn": width,
-        "zn": zn,
-        "cvn": width if first_layer else zn,
-        "str": profile.width,
-        "pra_fp16": essential,
-        "pra_red": trimmed,
-    }
-
-
 def count_terms(
     input: Tensor3,
     spec: LayerSpec,

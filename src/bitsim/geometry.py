@@ -148,15 +148,6 @@ class Tensor3:
         a = np.asarray(values, dtype=np.int64).reshape(y, x, i)
         return cls(a)
 
-    def zero_extended(self) -> "Tensor3":
-        """Same tensor with depth padded to a whole number of bricks."""
-        want = pad_depth(self.i)
-        if want == self.i:
-            return self
-        padded = np.zeros((self.y, self.x, want), dtype=np.int32)
-        padded[:, :, : self.i] = self.data
-        return Tensor3(padded)
-
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
@@ -194,14 +185,6 @@ class FilterSet:
     @property
     def i(self) -> int:
         return self.data.shape[3]
-
-    def zero_extended(self) -> "FilterSet":
-        want = pad_depth(self.i)
-        if want == self.i:
-            return self
-        padded = np.zeros((self.n, self.fy, self.fx, want), dtype=np.int32)
-        padded[:, :, :, : self.i] = self.data
-        return FilterSet(padded)
 
     def matches(self, spec: LayerSpec) -> bool:
         return (self.n, self.fy, self.fx, self.i) == (spec.n, spec.fy, spec.fx, spec.i)

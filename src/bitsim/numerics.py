@@ -116,15 +116,6 @@ def quantize8(x, q: QuantParams):
     return codes
 
 
-def dequantize8(code, q: QuantParams):
-    """Inverse of :func:`quantize8` up to one quantization step."""
-    c = np.asarray(code, dtype=np.float64)
-    out = q.vmin + c * (q.vmax - q.vmin) / 255.0
-    if np.ndim(code) == 0:
-        return float(out)
-    return out
-
-
 def activate(acc, act: str = "identity", out_shift: int = 0):
     """Activation stage: optional ReLU, arithmetic right shift, saturate.
 

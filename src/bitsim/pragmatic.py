@@ -25,16 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .encoding import OneffsetStream, encode
-from .geometry import BRICK, PALLET, FilterSet, LayerSpec, Tensor3, output_dims
-from .numerics import MissingProfile, Precision, full_precision
+from .encoding import encode
+from .geometry import BRICK, PALLET, FilterSet, LayerSpec, output_dims
+from .numerics import Precision
 from .reference import (
     CycleReport,
     EngineResult,
     LayerLowering,
     ScalarModelMismatch,
     ViewLowering,
-    layer_lowering,
     read_only,
     sampled_bricks,
     sb_read_count,
@@ -94,32 +93,6 @@ class PragConfig:
         return tag
 
 
-@dataclass
-class LaneState:
-    """One neuron lane: remaining ascending offsets plus sign."""
-
-    offsets: tuple[int, ...]
-    neg: bool = False
-    pos: int = 0
-
-    @classmethod
-    def from_stream(cls, stream: OneffsetStream) -> "LaneState":
-        return cls(offsets=stream.offsets, neg=stream.neg)
-
-    @property
-    def done(self) -> bool:
-        return self.pos >= len(self.offsets)
-
-    @property
-    def head(self) -> int | None:
-        return None if self.done else self.offsets[self.pos]
-
-    def advance(self) -> int:
-        f = self.offsets[self.pos]
-        self.pos += 1
-        return f
-
-
 def two_stage_step(heads, l_bits: int):
     """One scheduling decision over the current lane heads.
 
@@ -151,18 +124,18 @@ def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     All-empty lanes still take one cycle: the end-of-neuron marker has to
     be consumed.
     """
-    lanes = [LaneState.from_stream(s) for s in streams]
-    if len(lanes) > BRICK:
+    offsets = [s.offsets for s in streams]
+    if len(offsets) > BRICK:
         raise ValueError(f"a PIP column has at most {BRICK} lanes")
+    pos = [0] * len(offsets)  # each lane's next offset
     steps: list[ScheduleStep] = []
-    while not all(l.done for l in lanes):
-        c, advance, _ = two_stage_step([l.head for l in lanes], l_bits)
-        advanced = []
-        for idx, (lane, adv) in enumerate(zip(lanes, advance)):
-            if adv:
-                lane.advance()
-                advanced.append(idx)
-        steps.append(ScheduleStep(common_shift=c, advanced=tuple(advanced)))
+    while any(p < len(o) for p, o in zip(pos, offsets)):
+        heads = [o[p] if p < len(o) else None for p, o in zip(pos, offsets)]
+        c, advance, _ = two_stage_step(heads, l_bits)
+        advanced = tuple(idx for idx, adv in enumerate(advance) if adv)
+        for idx in advanced:
+            pos[idx] += 1
+        steps.append(ScheduleStep(common_shift=c, advanced=advanced))
     if not steps:
         steps.append(ScheduleStep(common_shift=0, advanced=()))
     return steps
@@ -171,28 +144,27 @@ def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
 def pip_inner(neuron_streams, synapses, l_bits: int = 4) -> tuple[int, int]:
     """Inner product of one PIP: shift-accumulate over essential bits.
 
-    Returns ``(value, cycles)``. The value is accumulated exactly as the
-    datapath does: per cycle, first-stage shifts of ``head - c``, adder
-    tree, then the common shift by ``c``.
+    Returns ``(value, cycles)``, one cycle per :func:`pip_schedule` step.
+    The value is accumulated exactly as the datapath does: per cycle,
+    first-stage shifts of ``head - c``, adder tree, then the common shift
+    by ``c``.
     """
     streams = list(neuron_streams)
     synapses = [int(s) for s in synapses]
     if len(streams) != len(synapses):
         raise ValueError("need one synapse per neuron stream")
-    lanes = [LaneState.from_stream(s) for s in streams]
-    signs = [-1 if s.neg else 1 for s in streams]
+    signed = [-s if stream.neg else s for stream, s in zip(streams, synapses)]
+    steps = pip_schedule(streams, l_bits)
+    pos = [0] * len(streams)  # each lane's next offset
     acc = 0
-    cycles = 0
-    while not all(l.done for l in lanes):
-        c, advance, _ = two_stage_step([l.head for l in lanes], l_bits)
+    for step in steps:
         first_stage = 0
-        for lane, adv, syn, sgn in zip(lanes, advance, synapses, signs):
-            if adv:
-                f = lane.advance()
-                first_stage += sgn * (syn << (f - c))
-        acc += first_stage << c
-        cycles += 1
-    return acc, max(cycles, 1)
+        for idx in step.advanced:
+            f = streams[idx].offsets[pos[idx]]
+            pos[idx] += 1
+            first_stage += signed[idx] << (f - step.common_shift)
+        acc += first_stage << step.common_shift
+    return acc, len(steps)
 
 
 # --- vectorized column costs (the same scheduler on magnitude bitmasks) ---
@@ -333,60 +305,6 @@ def _checked_costs(view: ViewLowering, filters: FilterSet, spec: LayerSpec,
                 f"brick step {step}; the lowered layer gives {dot} in {cost}"
             )
     return read_only(costs)
-
-
-def _lower(input, filters, spec, profile, cfg, width, out_shift, lowered):
-    """The view this variant reads, its checked column costs at
-    ``cfg.l_bits`` and the layer's fetch cost, from the shared lowering
-    (or a new one). Costs are computed once per (view, ``l_bits``).
-    """
-    lowered = layer_lowering(lowered, input, filters, spec, width, out_shift)
-    if cfg.trim == "profile":
-        if profile is None:
-            raise MissingProfile("trim='profile' needs a per-layer window")
-        if profile.msb > full_precision(width).msb:
-            raise ValueError(f"profile {profile} exceeds container width {width}")
-    view = lowered.view(profile if cfg.trim == "profile" else None)
-    costs = view.cached(
-        ("costs", cfg.l_bits), lambda: _checked_costs(view, filters, spec, cfg.l_bits)
-    )
-    return view, costs, fetch_cycles(lowered)
-
-
-def prag_layer_pallet(
-    input: Tensor3,
-    filters: FilterSet,
-    spec: LayerSpec,
-    profile: Precision | None,
-    cfg: PragConfig,
-    width: int = 16,
-    out_shift: int = 0,
-    lowered: LayerLowering | None = None,
-) -> EngineResult:
-    """Essential-bit engine under pallet-level synchronization.
-
-    A phase retires when its slowest column does; the next pallet fetch
-    overlaps processing, so each phase occupies ``max(NM_C, P_C)`` cycles
-    and ``(NM_C - P_C)+`` of that is fetch stall.
-    """
-    if cfg.sync != "pallet":
-        raise ValueError("prag_layer_pallet needs cfg.sync == 'pallet'")
-    view, costs, nm_c = _lower(
-        input, filters, spec, profile, cfg, width, out_shift, lowered
-    )
-    phase_cycles = costs.max(axis=2)  # slowest column per phase
-    groups = geo.filter_groups(spec)
-    slots = np.maximum(phase_cycles, nm_c)
-    report = CycleReport(
-        compute_cycles=groups * int(slots.sum()),
-        nm_fetch_cycles=groups * phase_cycles.size * nm_c,
-        stall_cycles=groups * int((slots - phase_cycles).sum()),
-        sb_reads=sb_read_count(spec),
-        total_terms=width * geo.num_pairs(spec),
-        effectual_terms=view.effectual_terms,
-    )
-    return EngineResult(output=view.output, report=report, engine="pragmatic",
-                        variant=cfg.variant_name())
 
 
 # --- per-column synchronization simulator ---
@@ -551,63 +469,58 @@ def simulate_column_sync(
     )
 
 
-def prag_layer_column(
-    input: Tensor3,
-    filters: FilterSet,
-    spec: LayerSpec,
-    profile: Precision | None,
-    cfg: PragConfig,
-    width: int = 16,
-    out_shift: int = 0,
-    lowered: LayerLowering | None = None,
+def pragmatic_layer(
+    lowered: LayerLowering, profile: Precision | None, cfg: PragConfig
 ) -> EngineResult:
-    """Essential-bit engine under per-column synchronization.
+    """Run the essential-bit engine on one layer's lowering.
 
-    Timing comes from :func:`simulate_column_sync` on the per-step column
-    costs; the filter groups repeat the identical schedule. The SSR
-    policy reads each synapse set exactly once per phase, which the
-    simulation cross-checks against the shared SB-read count.
+    ``cfg.trim == "profile"`` reads the input trimmed to ``profile``,
+    ``"none"`` the raw input. Column costs are computed once per (view,
+    ``l_bits``) of the lowering.
+
+    Pallet sync: a phase retires when its slowest column does; the next
+    pallet fetch overlaps processing, so each phase occupies
+    ``max(NM_C, P_C)`` cycles and ``(NM_C - P_C)+`` of that is fetch
+    stall.
+
+    Column sync: timing comes from :func:`simulate_column_sync` on the
+    per-step column costs; the filter groups repeat the identical
+    schedule. The SSR policy reads each synapse set exactly once per
+    phase, which the simulation cross-checks against the shared SB-read
+    count.
     """
-    if cfg.sync != "column":
-        raise ValueError("prag_layer_column needs cfg.sync == 'column'")
-    view, costs, nm_c = _lower(
-        input, filters, spec, profile, cfg, width, out_shift, lowered
+    spec = lowered.spec
+    view = lowered.trimmed(profile) if cfg.trim == "profile" else lowered.view(None)
+    costs = view.cached(
+        ("costs", cfg.l_bits),
+        lambda: _checked_costs(view, lowered.filters, spec, cfg.l_bits),
     )
+    nm_c = fetch_cycles(lowered)
     n_steps = costs.shape[0] * costs.shape[1]
-    flat = costs.reshape(n_steps, PALLET)
-    sched = simulate_column_sync(flat, nm_c, cfg.ssr_count, cfg.effective_buffer)
-    if sched.sb_reads != n_steps:
-        raise AssertionError(
-            f"SSR policy must read each set once: {sched.sb_reads} != {n_steps}"
+    if cfg.sync == "pallet":
+        phase_cycles = costs.max(axis=2)  # slowest column per phase
+        slots = np.maximum(phase_cycles, nm_c)
+        cycles = int(slots.sum())
+        stall = int((slots - phase_cycles).sum())
+    else:
+        sched = simulate_column_sync(
+            costs.reshape(n_steps, PALLET), nm_c, cfg.ssr_count, cfg.effective_buffer
         )
+        if sched.sb_reads != n_steps:
+            raise AssertionError(
+                f"SSR policy must read each set once: {sched.sb_reads} != {n_steps}"
+            )
+        cycles = sched.total_cycles
+        stall = cycles - max(sched.column_busy)
 
     groups = geo.filter_groups(spec)
-    critical = max(sched.column_busy)
     report = CycleReport(
-        compute_cycles=groups * sched.total_cycles,
+        compute_cycles=groups * cycles,
         nm_fetch_cycles=groups * n_steps * nm_c,
-        stall_cycles=groups * (sched.total_cycles - critical),
-        sb_reads=groups * sched.sb_reads,
-        total_terms=width * geo.num_pairs(spec),
+        stall_cycles=groups * stall,
+        sb_reads=sb_read_count(spec),
+        total_terms=lowered.width * geo.num_pairs(spec),
         effectual_terms=view.effectual_terms,
     )
     return EngineResult(output=view.output, report=report, engine="pragmatic",
                         variant=cfg.variant_name())
-
-
-def pragmatic_layer(
-    input: Tensor3,
-    filters: FilterSet,
-    spec: LayerSpec,
-    profile: Precision | None,
-    cfg: PragConfig,
-    width: int = 16,
-    out_shift: int = 0,
-    lowered: LayerLowering | None = None,
-) -> EngineResult:
-    """Run the essential-bit engine with either synchronization mode.
-
-    ``lowered`` is the layer's shared lowering, if the caller holds one.
-    """
-    runner = prag_layer_pallet if cfg.sync == "pallet" else prag_layer_column
-    return runner(input, filters, spec, profile, cfg, width, out_shift, lowered)

@@ -14,8 +14,8 @@ and the sign handling the lowered product skips.
 
 A :class:`LayerLowering` holds one layer's input views (raw, or
 window-trimmed), each lowered on first use to its im2col matrix, exact
-output and effectual term count. Every engine variant that reads a view
-shares that lowering, so a sweep of variants lowers each view once.
+output and effectual term count. It is every engine's one input, so a
+sweep of variants over one lowering lowers each view once.
 
 The baseline ("dadn") models a chip of 16 tiles x 16 filters that
 broadcasts one 16-neuron brick per cycle: its cycle count is a pure
@@ -31,7 +31,7 @@ import numpy as np
 from . import geometry as geo
 from .encoding import essential_counts
 from .geometry import FilterSet, LayerSpec, Tensor3, output_dims
-from .numerics import Precision, activate, trim_tensor
+from .numerics import MissingProfile, Precision, activate, full_precision, trim_tensor
 
 
 class ShapeMismatch(ValueError):
@@ -153,26 +153,18 @@ def sb_read_count(spec: LayerSpec) -> int:
     return geo.filter_groups(spec) * geo.num_pallets(spec) * geo.num_brick_steps(spec)
 
 
-def dadn_layer(
-    input: Tensor3,
-    filters: FilterSet,
-    spec: LayerSpec,
-    width: int = 16,
-    out_shift: int = 0,
-    lowered: LayerLowering | None = None,
-) -> EngineResult:
-    """Run the bit-parallel baseline: exact output, value-blind timing.
-
-    ``lowered`` is the layer's shared lowering, if the caller holds one.
-    """
-    view = layer_lowering(lowered, input, filters, spec, width, out_shift).view(None)
+def dadn_layer(lowered: LayerLowering) -> EngineResult:
+    """Run the bit-parallel baseline on a layer's lowering: exact output,
+    value-blind timing."""
+    spec = lowered.spec
+    view = lowered.view(None)
     cycles = dadn_cycles(spec)
     report = CycleReport(
         compute_cycles=cycles,
         nm_fetch_cycles=cycles,  # one brick broadcast per cycle
         stall_cycles=0,
         sb_reads=sb_read_count(spec),
-        total_terms=dadn_terms(spec, width),
+        total_terms=dadn_terms(spec, lowered.width),
         effectual_terms=view.effectual_terms,
     )
     return EngineResult(output=view.output, report=report, engine="dadn")
@@ -333,11 +325,6 @@ class LayerLowering(_Cached):
         self.width, self.out_shift = width, out_shift
         self._views: dict[Precision | None, ViewLowering] = {}
 
-    def reads(self, input, filters, spec, width, out_shift) -> bool:
-        """Whether this lowering was built from exactly these arguments."""
-        return (self.input is input and self.filters is filters and self.spec == spec
-                and (self.width, self.out_shift) == (width, out_shift))
-
     def view(self, profile: Precision | None) -> ViewLowering:
         if profile not in self._views:
             data = self.input.data
@@ -347,18 +334,14 @@ class LayerLowering(_Cached):
             )
         return self._views[profile]
 
+    def trimmed(self, profile: Precision | None) -> ViewLowering:
+        """The view trimmed to the layer's window ``profile``.
 
-def layer_lowering(
-    lowered: LayerLowering | None,
-    input: Tensor3,
-    filters: FilterSet,
-    spec: LayerSpec,
-    width: int,
-    out_shift: int,
-) -> LayerLowering:
-    """The caller's shared lowering of this layer, or a new one."""
-    if lowered is None:
-        return LayerLowering(input, filters, spec, width, out_shift)
-    if not lowered.reads(input, filters, spec, width, out_shift):
-        raise ValueError("the shared lowering was built from other layer inputs")
-    return lowered
+        Raises :class:`MissingProfile` without a window and ValueError for
+        a window wider than the container.
+        """
+        if profile is None:
+            raise MissingProfile("a trimmed view needs the layer's precision window")
+        if profile.msb > full_precision(self.width).msb:
+            raise ValueError(f"profile {profile} exceeds container width {self.width}")
+        return self.view(profile)

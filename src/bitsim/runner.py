@@ -86,18 +86,19 @@ def run_engine(
     layer: LayerConfig,
     width: int,
     out_shift: int,
-    lowered: LayerLowering | None = None,
 ) -> EngineResult:
-    """One engine variant on one layer; ``lowered`` is the layer's shared
-    lowering, or None for the engine to lower its own input."""
+    """One engine variant on one layer, on a lowering of its own."""
+    return _run(sel, layer, LayerLowering(input, filters, layer.spec, width, out_shift))
+
+
+def _run(sel: EngineSelector, layer: LayerConfig, lowered: LayerLowering) -> EngineResult:
+    """One engine variant on the layer's lowering."""
     if sel.engine == "dadn":
-        return dadn_layer(input, filters, layer.spec, width, out_shift, lowered=lowered)
+        return dadn_layer(lowered)
     if sel.engine == "stripes":
-        return stripes_layer(input, filters, layer.spec, layer.precision, width,
-                             out_shift, lowered=lowered)
+        return stripes_layer(lowered, layer.precision)
     if sel.engine == "pragmatic":
-        return pragmatic_layer(input, filters, layer.spec, layer.precision, sel.prag,
-                               width, out_shift, lowered=lowered)
+        return pragmatic_layer(lowered, layer.precision, sel.prag)
     raise ValueError(f"unknown engine {sel.engine!r}")
 
 
@@ -122,7 +123,7 @@ def run_layer(
     oracles: dict[bool, Tensor3] = {}
     results = []
     for sel in cfg.engines:
-        result = run_engine(sel, input, filters, layer, cfg.width, cfg.out_shift, lowered)
+        result = _run(sel, layer, lowered)
         trimmed = _reads_trimmed(sel)
         if trimmed not in oracles:
             # built apart from the engines' lowering, so a wrong view shows

@@ -15,15 +15,14 @@ schedule degenerates to the bit-parallel baseline's.
 from __future__ import annotations
 
 from . import geometry as geo
-from .geometry import FilterSet, LayerSpec, Tensor3
-from .numerics import MissingProfile, Precision, full_precision
+from .geometry import FilterSet
+from .numerics import Precision
 from .reference import (
     CycleReport,
     EngineResult,
     LayerLowering,
     ScalarModelMismatch,
     ViewLowering,
-    layer_lowering,
     sampled_bricks,
     sb_read_count,
 )
@@ -79,16 +78,8 @@ def _check_sip(view: ViewLowering, filters: FilterSet, profile: Precision):
     return stream
 
 
-def stripes_layer(
-    input: Tensor3,
-    filters: FilterSet,
-    spec: LayerSpec,
-    profile: Precision | None,
-    width: int = 16,
-    out_shift: int = 0,
-    lowered: LayerLowering | None = None,
-) -> EngineResult:
-    """Run the precision-serial engine on one layer.
+def stripes_layer(lowered: LayerLowering, profile: Precision | None) -> EngineResult:
+    """Run the precision-serial engine on one layer's lowering.
 
     The input is trimmed to the profile window first (the previous
     layer's output stage would have done this in hardware). Layers that
@@ -99,24 +90,18 @@ def stripes_layer(
 
     The output is the shared exact lowered product; a fixed sample of
     bricks goes through :func:`sip_inner` over the streamed planes, once
-    per view of a shared lowering, and any disagreement raises
+    per view of the lowering, and any disagreement raises
     :class:`ScalarModelMismatch`.
 
     Cycles per phase are ``max(NM_C, p)``: the dispatcher fetch model is
     shared with the essential-bit engine, and equals the pure ``p``
     closed form whenever the fetch keeps up (``NM_C <= p``).
     """
-    if profile is None:
-        raise MissingProfile("the precision-serial engine needs a per-layer window")
-    lowered = layer_lowering(lowered, input, filters, spec, width, out_shift)
-    container = full_precision(width)
-    if profile.msb > container.msb:
-        raise ValueError(f"profile {profile} exceeds container width {width}")
-
-    view = lowered.view(profile)
-    stream = view.cached("sip", lambda: _check_sip(view, filters, profile))
+    view = lowered.trimmed(profile)
+    stream = view.cached("sip", lambda: _check_sip(view, lowered.filters, profile))
 
     p_eff = stream.width
+    spec = lowered.spec
     groups = geo.filter_groups(spec)
     phases = geo.num_pallets(spec) * geo.num_brick_steps(spec)
     nm_c = fetch_cycles(lowered)
@@ -131,7 +116,3 @@ def stripes_layer(
     return EngineResult(output=view.output, report=report, engine="stripes",
                         variant=f"p{profile.width}")
 
-
-def stripes_cycles(spec: LayerSpec, p: int) -> int:
-    """Closed-form cycles at precision ``p`` when the fetch keeps up."""
-    return geo.filter_groups(spec) * geo.num_pallets(spec) * geo.num_brick_steps(spec) * p

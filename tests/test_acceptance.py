@@ -9,22 +9,27 @@ import time
 import numpy as np
 import pytest
 
-from bitsim.analysis import count_terms, pair_term_counts
+from bitsim.analysis import count_terms
 from bitsim.encoding import encode, stats
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
-from bitsim.numerics import Precision, QuantParams, dequantize8, quantize8, trim_tensor
+from bitsim.numerics import Precision, QuantParams, quantize8, trim_tensor
 from bitsim.pragmatic import (
     PragConfig,
     pip_inner,
     pip_schedule,
-    prag_layer_column,
-    prag_layer_pallet,
     pragmatic_layer,
 )
 from bitsim.encoding import OneffsetStream
-from bitsim.reference import conv_oracle, dadn_cycles, dadn_layer, sb_read_count
+from bitsim.reference import (
+    LayerLowering,
+    conv_oracle,
+    dadn_cycles,
+    dadn_layer,
+    sb_read_count,
+)
 from bitsim.stripes import sip_inner, stripes_layer
 from bitsim.traces import generate_trace
+from scalar_forms import dequantize8, pair_term_counts
 
 
 def emit(number: int, name: str, ok: bool, extra: str = ""):
@@ -74,7 +79,7 @@ def test_criterion_01_oracle_equivalence_randomized():
         trimmed = Tensor3(trim_tensor(t.data, profile))
         oracle = conv_oracle(trimmed, f, spec)
 
-        res_s = stripes_layer(t, f, spec, profile)
+        res_s = stripes_layer(LayerLowering(t, f, spec), profile)
         ok = res_s.output == oracle
 
         cfg = PragConfig(
@@ -82,7 +87,7 @@ def test_criterion_01_oracle_equivalence_randomized():
             sync="pallet" if k % 2 == 0 else "column",
             ssr_count=ssr_grid[k % 4],
         )
-        res_p = pragmatic_layer(t, f, spec, profile, cfg)
+        res_p = pragmatic_layer(LayerLowering(t, f, spec), profile, cfg)
         ok = ok and res_p.output == oracle
         if not ok:
             emit(1, "oracle equivalence on randomized layers", False,
@@ -133,9 +138,11 @@ def test_criterion_04_worst_case_guarantee():
     ok = True
     for l_bits in range(5):
         cfg = PragConfig(l_bits=l_bits, sync="pallet", trim="none")
-        got = prag_layer_pallet(t, f, spec, None, cfg).report.compute_cycles
+        got = pragmatic_layer(LayerLowering(t, f, spec), None, cfg).report.compute_cycles
         ok = ok and got == base
-    stri = stripes_layer(t, f, spec, Precision(15, 0)).report.compute_cycles
+    stri = stripes_layer(
+        LayerLowering(t, f, spec), Precision(15, 0)
+    ).report.compute_cycles
     ok = ok and stri == base
     emit(4, "worst-case cycles equal the bit-parallel baseline", ok,
          f"baseline {base}")
@@ -152,7 +159,9 @@ def test_criterion_05_precision_speedup_law():
     base = dadn_cycles(spec)
     ok = True
     for p in range(1, 17):
-        got = stripes_layer(t, f, spec, Precision(p - 1, 0)).report.compute_cycles
+        got = stripes_layer(
+            LayerLowering(t, f, spec), Precision(p - 1, 0)
+        ).report.compute_cycles
         ok = ok and got * 16 == base * p
     emit(5, "cycles scale as p/16 across p in 1..16", ok, f"baseline {base}")
 
@@ -168,7 +177,9 @@ def test_criterion_06_monotonicity_suites():
         profile = Precision(msb, int(rng.integers(0, 3)))
 
         pallet = [
-            prag_layer_pallet(t, f, spec, profile, PragConfig(l_bits=l)).report
+            pragmatic_layer(
+                LayerLowering(t, f, spec), profile, PragConfig(l_bits=l)
+            ).report
             for l in range(5)
         ]
         cyc = [r.compute_cycles for r in pallet]
@@ -179,14 +190,16 @@ def test_criterion_06_monotonicity_suites():
         for ssrs in (1, 2, 4, None):
             cfg = PragConfig(l_bits=2, sync="column", ssr_count=ssrs)
             col_cycles.append(
-                prag_layer_column(t, f, spec, profile, cfg).report.compute_cycles
+                pragmatic_layer(
+                    LayerLowering(t, f, spec), profile, cfg
+                ).report.compute_cycles
             )
         if not all(b <= a for a, b in zip(col_cycles, col_cycles[1:])):
             failures.append((k, "ssr", col_cycles))
         if not col_cycles[0] <= cyc[2]:
             failures.append((k, "column<=pallet", (col_cycles[0], cyc[2])))
 
-        stri = stripes_layer(t, f, spec, profile).report.compute_cycles
+        stri = stripes_layer(LayerLowering(t, f, spec), profile).report.compute_cycles
         if not cyc[0] <= stri:
             failures.append((k, "L0<=stripes", (cyc[0], stri)))
     emit(6, "monotonicity in L, SSRs, sync mode, and vs precision-serial",
@@ -203,14 +216,16 @@ def test_criterion_07_sb_read_conservation():
         profile = Precision(9, 0)
         expected = sb_read_count(spec)
         reads = [
-            dadn_layer(t, f, spec).report.sb_reads,
-            stripes_layer(t, f, spec, profile).report.sb_reads,
-            prag_layer_pallet(t, f, spec, profile, PragConfig()).report.sb_reads,
-            prag_layer_column(
-                t, f, spec, profile, PragConfig(sync="column", ssr_count=1)
+            dadn_layer(LayerLowering(t, f, spec)).report.sb_reads,
+            stripes_layer(LayerLowering(t, f, spec), profile).report.sb_reads,
+            pragmatic_layer(
+                LayerLowering(t, f, spec), profile, PragConfig()
             ).report.sb_reads,
-            prag_layer_column(
-                t, f, spec, profile, PragConfig(sync="column", ssr_count=None)
+            pragmatic_layer(
+                LayerLowering(t, f, spec), profile, PragConfig(sync="column", ssr_count=1)
+            ).report.sb_reads,
+            pragmatic_layer(
+                LayerLowering(t, f, spec), profile, PragConfig(sync="column", ssr_count=None)
             ).report.sb_reads,
         ]
         ok = ok and all(r == expected for r in reads)
@@ -260,9 +275,11 @@ def test_criterion_10_quantized_mode():
         f = FilterSet(rng.integers(0, 256, size=(spec.n, spec.fy, spec.fx, spec.i)))
         profile = Precision(7, 0)
         oracle = conv_oracle(t, f, spec)
-        ok = ok and stripes_layer(t, f, spec, profile, width=8).output == oracle
+        ok = ok and stripes_layer(
+            LayerLowering(t, f, spec, width=8), profile
+        ).output == oracle
         cfg = PragConfig(l_bits=k % 5, sync="column" if k % 2 else "pallet")
-        res = pragmatic_layer(t, f, spec, profile, cfg, width=8)
+        res = pragmatic_layer(LayerLowering(t, f, spec, width=8), profile, cfg)
         ok = ok and res.output == oracle
         pairs = res.report.total_terms // 8
         ok = ok and res.report.effectual_terms <= 8 * pairs

@@ -6,13 +6,13 @@ from bitsim.analysis import (
     LayerRow,
     ReportDocument,
     count_terms,
-    pair_term_counts,
     report,
 )
 from bitsim.encoding import essential_count
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
 from bitsim.numerics import MissingProfile, Precision, trim
 from bitsim.reference import CycleReport, EngineResult, dadn_layer
+from scalar_forms import pair_term_counts
 
 
 class TestPairTerms:

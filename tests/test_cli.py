@@ -12,7 +12,7 @@ import bitsim.stripes as stripes_mod
 from bitsim.cli import main
 from bitsim.config import ConfigError, parse_config
 from bitsim.geometry import Tensor3
-from bitsim.traces import DTYPE_I16, read_trace, write_trace
+from bitsim.traces import DTYPE_I16, DTYPE_U8, read_trace, write_trace
 from test_config import _slots
 
 
@@ -144,8 +144,8 @@ class TestSimulateCommand:
         # corrupt one engine's output: the runner must abort with code 3
         real = runner_mod.dadn_layer
 
-        def broken(input, filters, spec, width=16, out_shift=0, lowered=None):
-            res = real(input, filters, spec, width, out_shift, lowered)
+        def broken(lowered):
+            res = real(lowered)
             data = res.output.data.copy()
             data[0, 0, 0] += 1
             res.output = Tensor3(data)
@@ -302,10 +302,11 @@ def assert_clean_exit(r, code=None):
 
 
 class TestNoTraceback:
-    def _file_config(self, tmp_path, data, width=16):
-        """A one-layer config that reads ``data`` from an i16 trace file."""
+    def _file_config(self, tmp_path, data, width=16, dtype=DTYPE_I16):
+        """A one-layer config that reads ``data`` from a trace file stored
+        as ``dtype``."""
         trace_path = tmp_path / "conv1.prgt"
-        write_trace(trace_path, Tensor3(data), DTYPE_I16)
+        write_trace(trace_path, Tensor3(data), dtype)
         cfg = base_config(width=width, trace={"kind": "file", "path": str(trace_path)})
         if width == 8:
             cfg["layers"][0]["quant"] = {"vmin": 0.0, "vmax": 500.0}
@@ -330,6 +331,22 @@ class TestNoTraceback:
         assert_clean_exit(r, code)
         if code:
             assert "8-bit container" in r.output
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_trace_dtype_need_not_match_width(self, tmp_path, command):
+        # values are range-checked against the config's container, not
+        # against the dtype the trace stores them in
+        data = np.random.default_rng(5).integers(0, 256, size=(8, 8, 16))
+        csv = {}
+        for width, dtype in ((16, DTYPE_U8), (8, DTYPE_U8), (8, DTYPE_I16)):
+            run = tmp_path / f"w{width}-d{dtype}"
+            run.mkdir()
+            out = run / "out.csv"
+            path = self._file_config(run, data, width, dtype)
+            r = CliRunner().invoke(main, [command, str(path), "--out", str(out)])
+            assert_clean_exit(r, 0)
+            csv[width, dtype] = out.read_bytes()
+        assert csv[8, DTYPE_I16] == csv[8, DTYPE_U8]
 
     @pytest.mark.parametrize("shift, code", [(10**30, 1), (64, 1), (63, 0)])
     def test_out_shift_is_bounded_at_load(self, tmp_path, shift, code):

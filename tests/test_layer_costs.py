@@ -13,7 +13,7 @@ import bitsim.pragmatic as pragmatic
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
 from bitsim.numerics import Precision, trim_tensor
 from bitsim.pragmatic import PragConfig, pragmatic_layer
-from bitsim.reference import ScalarModelMismatch
+from bitsim.reference import LayerLowering, ScalarModelMismatch
 from costs_reference import reference_costs
 
 
@@ -73,4 +73,4 @@ def test_wrong_index_map_fails_the_sampled_check(monkeypatch):
     for sync in ("pallet", "column"):
         cfg = PragConfig(l_bits=2, sync=sync, trim="none")
         with pytest.raises(ScalarModelMismatch):
-            pragmatic_layer(t, f, spec, None, cfg)
+            pragmatic_layer(LayerLowering(t, f, spec), None, cfg)

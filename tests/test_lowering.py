@@ -80,13 +80,17 @@ def test_every_engine_equals_both_oracles(layer):
     assert conv_oracle(t, f, spec, out_shift) == raw_ref
     assert conv_oracle(trimmed, f, spec, out_shift) == trimmed_ref
 
-    assert dadn_layer(t, f, spec, width, out_shift).output == raw_ref
-    assert stripes_layer(t, f, spec, profile, width, out_shift).output == trimmed_ref
+    assert dadn_layer(LayerLowering(t, f, spec, width, out_shift)).output == raw_ref
+    assert stripes_layer(
+        LayerLowering(t, f, spec, width, out_shift), profile
+    ).output == trimmed_ref
     for l_bits in range(5):
         for sync in ("pallet", "column"):
             for trim, want in (("profile", trimmed_ref), ("none", raw_ref)):
                 cfg = PragConfig(l_bits=l_bits, sync=sync, trim=trim)
-                res = pragmatic_layer(t, f, spec, profile, cfg, width, out_shift)
+                res = pragmatic_layer(
+                    LayerLowering(t, f, spec, width, out_shift), profile, cfg
+                )
                 assert res.output == want, cfg.variant_name()
 
 
@@ -189,7 +193,7 @@ def test_shared_lowering_is_read_only():
     for trim in ("profile", "none"):
         for sync in ("pallet", "column"):
             cfg = PragConfig(l_bits=2, sync=sync, trim=trim)
-            pragmatic_layer(t, f, spec, profile, cfg, lowered=lowered)
+            pragmatic_layer(lowered, profile, cfg)
     for view in (lowered.view(profile), lowered.view(None)):
         costs = view.cached(("costs", 2), lambda: pytest.fail("costs were not shared"))
         for shared in (costs, view.values, view.x, view.output.data):
@@ -199,14 +203,24 @@ def test_shared_lowering_is_read_only():
     assert t.data.flags.writeable  # the caller's input keeps its flags
 
 
-def test_a_lowering_of_other_inputs_is_refused():
-    spec, t, f, profile = small_layer()
-    lowered = LayerLowering(t, f, spec)
-    other = Tensor3(t.data.copy())
-    with pytest.raises(ValueError, match="other layer inputs"):
-        dadn_layer(other, f, spec, lowered=lowered)
-    with pytest.raises(ValueError, match="other layer inputs"):
-        stripes_layer(t, f, spec, profile, out_shift=1, lowered=lowered)
+@pytest.mark.parametrize("engine", ["stripes", "pragmatic"])
+def test_a_window_wider_than_the_container_is_refused(engine):
+    spec, t, f, _ = small_layer()
+    lowered = LayerLowering(Tensor3(t.data % 256), f, spec, width=8)
+    with pytest.raises(ValueError, match="exceeds container width 8"):
+        if engine == "stripes":
+            stripes_layer(lowered, Precision(8, 0))
+        else:
+            pragmatic_layer(lowered, Precision(8, 0), PragConfig(trim="profile"))
+
+
+@pytest.mark.parametrize("profile", [None, Precision(8, 0)])
+def test_an_untrimmed_run_reads_no_window(profile):
+    spec, t, f, _ = small_layer()
+    t = Tensor3(t.data % 256)
+    lowered = LayerLowering(t, f, spec, width=8)
+    res = pragmatic_layer(lowered, profile, PragConfig(trim="none"))
+    assert res.output == conv_oracle(t, f, spec)
 
 
 def test_each_window_has_its_own_view():
@@ -214,10 +228,10 @@ def test_each_window_has_its_own_view():
     lowered = LayerLowering(t, f, spec)
     for window in (profile, Precision(5, 1), profile):
         for cfg in (PragConfig(l_bits=1), PragConfig(l_bits=1, sync="column")):
-            shared = pragmatic_layer(t, f, spec, window, cfg, lowered=lowered)
-            assert shared == pragmatic_layer(t, f, spec, window, cfg)
-        assert stripes_layer(t, f, spec, window, lowered=lowered) == stripes_layer(
-            t, f, spec, window
+            shared = pragmatic_layer(lowered, window, cfg)
+            assert shared == pragmatic_layer(LayerLowering(t, f, spec), window, cfg)
+        assert stripes_layer(lowered, window) == stripes_layer(
+            LayerLowering(t, f, spec), window
         )
 
 

@@ -8,11 +8,11 @@ from bitsim.numerics import (
     Precision,
     QuantParams,
     activate,
-    dequantize8,
     quantize8,
     trim,
     trim_tensor,
 )
+from scalar_forms import dequantize8
 
 
 class TestPrecision:

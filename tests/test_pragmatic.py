@@ -12,13 +12,11 @@ from bitsim.pragmatic import (
     pallet_fetch_rows,
     pip_inner,
     pip_schedule,
-    prag_layer_column,
-    prag_layer_pallet,
     pragmatic_layer,
     simulate_column_sync,
     two_stage_step,
 )
-from bitsim.reference import conv_oracle, dadn_cycles, sb_read_count
+from bitsim.reference import LayerLowering, conv_oracle, dadn_cycles, sb_read_count
 from bitsim.stripes import stripes_layer
 from bricks import pallet_phase_cycles
 
@@ -165,7 +163,7 @@ class TestPalletSyncLayer:
         f = FilterSet(rng.integers(-9, 9, size=(16, 3, 3, 16)))
         for l_bits in range(5):
             cfg = PragConfig(l_bits=l_bits, sync="pallet", trim="none")
-            res = prag_layer_pallet(t, f, spec, None, cfg)
+            res = pragmatic_layer(LayerLowering(t, f, spec), None, cfg)
             assert res.report.compute_cycles == dadn_cycles(spec)
             assert res.output == conv_oracle(t, f, spec)
 
@@ -177,22 +175,22 @@ class TestPalletSyncLayer:
         f = FilterSet(rng.integers(-9, 9, size=(8, 1, 1, 16)))
         profile = Precision(4, 0)
         phases = 4  # one pallet per row, one brick step
-        prag = prag_layer_pallet(t, f, spec, profile, PragConfig(l_bits=4))
+        prag = pragmatic_layer(LayerLowering(t, f, spec), profile, PragConfig(l_bits=4))
         assert prag.report.compute_cycles == 2 * phases
-        stri = stripes_layer(t, f, spec, profile)
+        stri = stripes_layer(LayerLowering(t, f, spec), profile)
         assert stri.report.compute_cycles == 5 * phases
 
     def test_requires_profile_in_trim_mode(self):
         spec, t, f = layer_fixture(2)
         with pytest.raises(MissingProfile):
-            prag_layer_pallet(t, f, spec, None, PragConfig(trim="profile"))
+            pragmatic_layer(LayerLowering(t, f, spec), None, PragConfig(trim="profile"))
 
     @pytest.mark.parametrize("l_bits", range(5))
     def test_oracle_equivalence_every_l(self, l_bits):
         spec, t, f = layer_fixture(3, neg=True, pad=1)
         profile = Precision(8, 1)
         cfg = PragConfig(l_bits=l_bits, sync="pallet")
-        res = prag_layer_pallet(t, f, spec, profile, cfg)
+        res = pragmatic_layer(LayerLowering(t, f, spec), profile, cfg)
         trimmed = Tensor3(trim_tensor(t.data, profile))
         assert res.output == conv_oracle(trimmed, f, spec)
 
@@ -203,7 +201,7 @@ class TestPalletSyncLayer:
         t = Tensor3(rng.integers(0, 2, size=(4, 47, 16)))  # 1-bit values
         f = FilterSet(rng.integers(-9, 9, size=(4, 1, 2, 16)))
         cfg = PragConfig(l_bits=4, sync="pallet")
-        res = prag_layer_pallet(t, f, spec, Precision(0, 0), cfg)
+        res = pragmatic_layer(LayerLowering(t, f, spec), Precision(0, 0), cfg)
         nm = dispatcher_fetch_cycles(spec)
         assert nm > 1
         assert res.report.stall_cycles > 0
@@ -217,8 +215,10 @@ class TestColumnSyncLayer:
         rng = np.random.default_rng(5)
         f = FilterSet(rng.integers(-9, 9, size=(8, 1, 1, 16)))
         p = Precision(7, 0)
-        col = prag_layer_column(t, f, spec, p, PragConfig(sync="column", ssr_count=1))
-        pal = prag_layer_pallet(t, f, spec, p, PragConfig(sync="pallet"))
+        col = pragmatic_layer(
+            LayerLowering(t, f, spec), p, PragConfig(sync="column", ssr_count=1)
+        )
+        pal = pragmatic_layer(LayerLowering(t, f, spec), p, PragConfig(sync="pallet"))
         assert col.report.compute_cycles == pal.report.compute_cycles
 
     @pytest.mark.parametrize("ssrs", [1, 2, 4, None])
@@ -226,7 +226,7 @@ class TestColumnSyncLayer:
         spec, t, f = layer_fixture(6, neg=True)
         profile = Precision(9, 0)
         cfg = PragConfig(l_bits=2, sync="column", ssr_count=ssrs)
-        res = prag_layer_column(t, f, spec, profile, cfg)
+        res = pragmatic_layer(LayerLowering(t, f, spec), profile, cfg)
         trimmed = Tensor3(trim_tensor(t.data, profile))
         assert res.output == conv_oracle(trimmed, f, spec)
         assert res.report.sb_reads == sb_read_count(spec)
@@ -234,11 +234,13 @@ class TestColumnSyncLayer:
     def test_monotone_in_ssrs_and_bounded_by_pallet(self):
         spec, t, f = layer_fixture(7)
         profile = Precision(11, 0)
-        pal = prag_layer_pallet(t, f, spec, profile, PragConfig(l_bits=2))
+        pal = pragmatic_layer(LayerLowering(t, f, spec), profile, PragConfig(l_bits=2))
         prev = None
         for ssrs in (1, 2, 4, None):
             cfg = PragConfig(l_bits=2, sync="column", ssr_count=ssrs)
-            c = prag_layer_column(t, f, spec, profile, cfg).report.compute_cycles
+            c = pragmatic_layer(
+                LayerLowering(t, f, spec), profile, cfg
+            ).report.compute_cycles
             assert c <= pal.report.compute_cycles
             if prev is not None:
                 assert c <= prev
@@ -251,7 +253,9 @@ class TestColumnSyncLayer:
             prev = None
             for l_bits in (4, 3, 2, 1, 0):
                 cfg = PragConfig(l_bits=l_bits, sync=sync, ssr_count=ssr)
-                c = pragmatic_layer(t, f, spec, profile, cfg).report.compute_cycles
+                c = pragmatic_layer(
+                    LayerLowering(t, f, spec), profile, cfg
+                ).report.compute_cycles
                 if prev is not None:
                     assert prev <= c  # fewer shifter bits never run faster
                 prev = c
@@ -260,8 +264,8 @@ class TestColumnSyncLayer:
         for seed in range(5):
             spec, t, f = layer_fixture(20 + seed, neg=(seed % 2 == 0))
             profile = Precision(10, 2)
-            prag = prag_layer_pallet(t, f, spec, profile, PragConfig(l_bits=0))
-            stri = stripes_layer(t, f, spec, profile)
+            prag = pragmatic_layer(LayerLowering(t, f, spec), profile, PragConfig(l_bits=0))
+            stri = stripes_layer(LayerLowering(t, f, spec), profile)
             assert prag.report.compute_cycles <= stri.report.compute_cycles
 
 
@@ -315,7 +319,7 @@ def test_layer_equals_brick_by_brick_pip_sums():
     f = FilterSet(rng.integers(-11, 11, size=(3, 2, 2, 32)))
     profile = Precision(9, 0)
     cfg = PragConfig(l_bits=2, sync="pallet")
-    res = prag_layer_pallet(t, f, spec, profile, cfg)
+    res = pragmatic_layer(LayerLowering(t, f, spec), profile, cfg)
 
     trimmed = Tensor3(trim_tensor(t.data, profile))
     ox, oy, _ = output_dims(spec)
@@ -351,8 +355,8 @@ def test_filter_groups_scale_cycles_linearly():
     fb = FilterSet(rng.integers(-9, 9, size=(512, 2, 2, 16)))
     p = Precision(9, 0)
     for cfg in (PragConfig(l_bits=2), PragConfig(l_bits=2, sync="column")):
-        one = pragmatic_layer(t, fs, small, p, cfg).report
-        two = pragmatic_layer(t, fb, big, p, cfg).report
+        one = pragmatic_layer(LayerLowering(t, fs, small), p, cfg).report
+        two = pragmatic_layer(LayerLowering(t, fb, big), p, cfg).report
         assert two.compute_cycles == 2 * one.compute_cycles
         assert two.sb_reads == 2 * one.sb_reads
 
@@ -362,12 +366,14 @@ class TestRawMode:
         spec, t, f = layer_fixture(10, neg=True)
         for sync in ("pallet", "column"):
             cfg = PragConfig(l_bits=3, sync=sync, trim="none")
-            res = pragmatic_layer(t, f, spec, None, cfg)
+            res = pragmatic_layer(LayerLowering(t, f, spec), None, cfg)
             assert res.output == conv_oracle(t, f, spec)
 
     def test_trim_reduces_cycles(self):
         spec, t, f = layer_fixture(11)
         profile = Precision(6, 0)
-        raw = pragmatic_layer(t, f, spec, None, PragConfig(l_bits=2, trim="none"))
-        red = pragmatic_layer(t, f, spec, profile, PragConfig(l_bits=2))
+        raw = pragmatic_layer(
+            LayerLowering(t, f, spec), None, PragConfig(l_bits=2, trim="none")
+        )
+        red = pragmatic_layer(LayerLowering(t, f, spec), profile, PragConfig(l_bits=2))
         assert red.report.compute_cycles <= raw.report.compute_cycles

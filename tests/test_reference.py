@@ -4,6 +4,7 @@ import pytest
 from bitsim.geometry import BRICK, FilterSet, LayerSpec, Tensor3, output_dims, pad_depth
 from bitsim.reference import (
     CycleReport,
+    LayerLowering,
     ShapeMismatch,
     conv_oracle,
     dadn_cycles,
@@ -129,8 +130,8 @@ class TestDadnCycles:
         rng = np.random.default_rng(5)
         spec, t, f = random_layer(rng)
         zeros = Tensor3(np.zeros_like(t.data))
-        assert dadn_layer(t, f, spec).report.compute_cycles == \
-            dadn_layer(zeros, f, spec).report.compute_cycles
+        assert dadn_layer(LayerLowering(t, f, spec)).report.compute_cycles == \
+            dadn_layer(LayerLowering(zeros, f, spec)).report.compute_cycles
 
 
 class TestDadnTerms:
@@ -151,7 +152,7 @@ class TestDadnTerms:
 def test_dadn_layer_output_and_report():
     rng = np.random.default_rng(6)
     spec, t, f = random_layer(rng, act="relu")
-    res = dadn_layer(t, f, spec)
+    res = dadn_layer(LayerLowering(t, f, spec))
     assert res.output == conv_oracle(t, f, spec)
     assert res.report.compute_cycles == dadn_cycles(spec)
     assert res.report.sb_reads == sb_read_count(spec)

@@ -3,8 +3,9 @@ import pytest
 
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
 from bitsim.numerics import MissingProfile, Precision, trim_tensor
-from bitsim.reference import conv_oracle, dadn_cycles
-from bitsim.stripes import sip_inner, stripes_cycles, stripes_layer
+from bitsim.reference import LayerLowering, conv_oracle, dadn_cycles
+from bitsim.stripes import sip_inner, stripes_layer
+from scalar_forms import stripes_cycles
 
 
 class TestSipInner:
@@ -53,19 +54,21 @@ class TestStripesLayer:
         rng = np.random.default_rng(0)
         spec, t, f = relu_layer(rng)
         with pytest.raises(MissingProfile):
-            stripes_layer(t, f, spec, None)
+            stripes_layer(LayerLowering(t, f, spec), None)
 
     def test_p16_matches_baseline_on_full_pallets(self):
         rng = np.random.default_rng(1)
         spec, t, f = relu_layer(rng)  # ox = 16
-        res = stripes_layer(t, f, spec, Precision(15, 0))
+        res = stripes_layer(LayerLowering(t, f, spec), Precision(15, 0))
         assert res.report.compute_cycles == dadn_cycles(spec)
 
     def test_p8_is_half_of_p16(self):
         rng = np.random.default_rng(2)
         spec, t, f = relu_layer(rng, p_bits=8)
-        c8 = stripes_layer(t, f, spec, Precision(7, 0)).report.compute_cycles
-        c16 = stripes_layer(t, f, spec, Precision(15, 0)).report.compute_cycles
+        c8 = stripes_layer(LayerLowering(t, f, spec), Precision(7, 0)).report.compute_cycles
+        c16 = stripes_layer(
+            LayerLowering(t, f, spec), Precision(15, 0)
+        ).report.compute_cycles
         assert 2 * c8 == c16
 
     @pytest.mark.parametrize("p", range(1, 17))
@@ -73,7 +76,7 @@ class TestStripesLayer:
         # row-aligned mapping so the fetch never bounds even p=1
         rng = np.random.default_rng(3)
         spec, t, f = relu_layer(rng, p_bits=1, nx=16, fx=1, fy=1)
-        res = stripes_layer(t, f, spec, Precision(p - 1, 0))
+        res = stripes_layer(LayerLowering(t, f, spec), Precision(p - 1, 0))
         assert res.report.compute_cycles * 16 == dadn_cycles(spec) * p
         assert res.report.compute_cycles == stripes_cycles(spec, p)
         assert res.report.stall_cycles == 0
@@ -96,7 +99,7 @@ class TestStripesLayer:
         t = Tensor3(rng.integers(-500, 500, size=(spec.ny, spec.nx, spec.i)))
         f = FilterSet(rng.integers(-15, 15, size=(spec.n, spec.fy, spec.fx, spec.i)))
         profile = Precision(int(rng.integers(4, 16)), int(rng.integers(0, 3)))
-        res = stripes_layer(t, f, spec, profile)
+        res = stripes_layer(LayerLowering(t, f, spec), profile)
         trimmed = Tensor3(trim_tensor(t.data, profile))
         assert res.output == conv_oracle(trimmed, f, spec)
 
@@ -106,7 +109,7 @@ class TestStripesLayer:
         rng = np.random.default_rng(4)
         t = Tensor3(rng.integers(0, 16, size=(2, 2, 16)))
         f = FilterSet(rng.integers(-8, 8, size=(2, 1, 1, 16)))
-        res = stripes_layer(t, f, spec, Precision(3, 0))
+        res = stripes_layer(LayerLowering(t, f, spec), Precision(3, 0))
         assert res.output == conv_oracle(t, f, spec)
 
     def test_content_blind_cycles(self):
@@ -115,8 +118,8 @@ class TestStripesLayer:
         other = Tensor3(np.zeros_like(t.data))
         p = Precision(9, 0)
         assert (
-            stripes_layer(t, f, spec, p).report.compute_cycles
-            == stripes_layer(other, f, spec, p).report.compute_cycles
+            stripes_layer(LayerLowering(t, f, spec), p).report.compute_cycles
+            == stripes_layer(LayerLowering(other, f, spec), p).report.compute_cycles
         )
 
     def test_signed_layer_streams_full_twos_complement(self):
@@ -126,7 +129,7 @@ class TestStripesLayer:
         t = Tensor3(rng.integers(-2000, 2000, size=(4, 4, 16)))
         f = FilterSet(rng.integers(-12, 12, size=(3, 2, 2, 16)))
         profile = Precision(10, 1)
-        res = stripes_layer(t, f, spec, profile)
+        res = stripes_layer(LayerLowering(t, f, spec), profile)
         trimmed = Tensor3(trim_tensor(t.data, profile))
         assert res.output == conv_oracle(trimmed, f, spec)
         # serial cost reflects the widened stream: 16 - lsb planes
@@ -144,7 +147,7 @@ class TestStripesLayer:
         t = Tensor3(rng.integers(0, 800, size=(4, 5, 32)))
         f = FilterSet(rng.integers(-11, 11, size=(3, 2, 2, 32)))
         profile = Precision(8, 0)
-        res = stripes_layer(t, f, spec, profile)
+        res = stripes_layer(LayerLowering(t, f, spec), profile)
 
         trimmed = Tensor3(trim_tensor(t.data, profile))
         ox, oy, _ = output_dims(spec)
@@ -161,7 +164,7 @@ class TestStripesLayer:
     def test_terms_count_profile_width_per_pair(self):
         rng = np.random.default_rng(7)
         spec, t, f = relu_layer(rng, p_bits=5)
-        res = stripes_layer(t, f, spec, Precision(4, 0))
+        res = stripes_layer(LayerLowering(t, f, spec), Precision(4, 0))
         ox, oy = 16, 2
         pairs = spec.n * ox * oy * spec.fx * spec.fy * spec.i
         assert res.report.total_terms == 5 * pairs
