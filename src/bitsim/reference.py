@@ -1,10 +1,12 @@
 """Brute-force convolution oracle, the bit-parallel baseline model, and
 the lowering every engine shares.
 
-The oracle walks windows one at a time and reduces each against all
-filters with an int64 multiply-accumulate over the window volume — no
-im2col, no float path, no bricks, pallets or bit decomposition — so it
-shares nothing with the engines it is used to check.
+The oracle is a direct convolution by filter tap: one float64 BLAS
+product per tap over an explicitly zero-padded copy of the input, exact
+per tap because each reduces over the channels alone, with the taps
+summed in int64. It builds no im2col and calls no lowering helper, and
+keeps its own exactness bound, so it shares nothing with the engines it
+is used to check but numpy's BLAS.
 
 Every engine computes its output one way, :func:`lowered_output`: the
 im2col matrix times the filter matrix, exact on the float64 BLAS path.
@@ -100,36 +102,48 @@ def check_shapes(input: Tensor3, filters: FilterSet, spec: LayerSpec):
         )
 
 
+# Every integer of magnitude below 2^53 is exact in float64. The oracle
+# keeps this bound of its own, so no change to the engines' product can
+# reach it.
+TAP_EXACT_LIMIT = 1 << 53
+
+
 def conv_oracle(
     input: Tensor3,
     filters: FilterSet,
     spec: LayerSpec,
     out_shift: int = 0,
 ) -> Tensor3:
-    """Ground-truth convolution: direct window loop, wide accumulators.
+    """Ground-truth convolution: a direct loop over the filter taps.
 
     o(k,l,f) = act( sum_{y,x,i} s_f(y,x,i) * n(y + l*s - pad, x + k*s - pad, i) )
 
-    Each clipped window is reduced against every filter at once in int64.
+    The input is copied into an explicitly zero-padded float64 array. For
+    each tap ``(by, bx)``, the strided slice of that array that tap reads
+    in every window is multiplied by the tap's ``(i, n)`` synapses on the
+    float64 BLAS path, and each tap's product is added in int64. A tap
+    reduces over the ``i`` channels alone, so its float sums are exact
+    integers while ``i * max|input| * max|synapse|`` stays below
+    :data:`TAP_EXACT_LIMIT`; past that, the channels are split into runs
+    that meet it.
     """
     check_shapes(input, filters, spec)
     ox, oy, _ = output_dims(spec)
-    data = input.data.astype(np.int64)
-    w = filters.data.astype(np.int64)
-    acc = np.zeros((oy, ox, spec.n), dtype=np.int64)
-    for l in range(oy):
-        for k in range(ox):
-            x0 = k * spec.s - spec.pad
-            y0 = l * spec.s - spec.pad
-            # Clip the window against the virtual zero border.
-            ylo, yhi = max(0, y0), min(spec.ny, y0 + spec.fy)
-            xlo, xhi = max(0, x0), min(spec.nx, x0 + spec.fx)
-            if ylo >= yhi or xlo >= xhi:
-                continue
-            window = data[ylo:yhi, xlo:xhi, :]
-            wslice = w[:, ylo - y0 : yhi - y0, xlo - x0 : xhi - x0, :]
-            acc[l, k, :] = np.tensordot(wslice, window, axes=3)
-    return Tensor3(activate(acc, spec.act, out_shift))
+    s, p = spec.s, spec.pad
+    padded = np.zeros((spec.ny + 2 * p, spec.nx + 2 * p, spec.i))
+    padded[p : p + spec.ny, p : p + spec.nx] = input.data
+    taps = filters.data.astype(np.float64)
+    peak = int(np.abs(input.data).max()) * int(np.abs(filters.data).max())
+    run = spec.i if peak == 0 else max(1, min(spec.i, (TAP_EXACT_LIMIT - 1) // peak))
+    acc = np.zeros((oy * ox, spec.n), dtype=np.int64)
+    for by in range(spec.fy):
+        for bx in range(spec.fx):
+            reads = padded[by : by + (oy - 1) * s + 1 : s, bx : bx + (ox - 1) * s + 1 : s]
+            reads = reads.reshape(oy * ox, spec.i)
+            synapses = taps[:, by, bx, :].T
+            for c in range(0, spec.i, run):
+                acc += (reads[:, c : c + run] @ synapses[c : c + run]).astype(np.int64)
+    return Tensor3(activate(acc.reshape(oy, ox, spec.n), spec.act, out_shift))
 
 
 def dadn_cycles(spec: LayerSpec) -> int:
@@ -199,6 +213,11 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
+# Rows of ``x`` cast to float64 at a time: a float copy of a block, not of
+# the whole im2col matrix, is live during the product.
+EXACT_BLOCK_ROWS = 4096
+
+
 def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w.T`` of integer matrices, exact in int64, on the float64 BLAS path.
 
@@ -206,15 +225,18 @@ def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     of ``K`` products is exact in any order while ``K * max|x| * max|w|``
     stays below that. The reduction axis is cut into chunks that meet the
     bound for the actual maxima, and the chunk sums are added in int64.
+    ``x`` is cast and multiplied ``EXACT_BLOCK_ROWS`` rows at a time.
     """
     k = x.shape[1]
     peak = _abs_max(x) * _abs_max(w)
     chunk = k if peak == 0 else max(1, min(k, (EXACT_FLOAT_LIMIT - 1) // peak))
-    xf = x.astype(np.float64)
     wf = w.T.astype(np.float64)
     acc = np.zeros((x.shape[0], w.shape[0]), dtype=np.int64)
-    for lo in range(0, k, chunk):
-        acc += (xf[:, lo : lo + chunk] @ wf[lo : lo + chunk]).astype(np.int64)
+    for top in range(0, x.shape[0], EXACT_BLOCK_ROWS):
+        xf = x[top : top + EXACT_BLOCK_ROWS].astype(np.float64)
+        block = acc[top : top + EXACT_BLOCK_ROWS]
+        for lo in range(0, k, chunk):
+            block += (xf[:, lo : lo + chunk] @ wf[lo : lo + chunk]).astype(np.int64)
     return acc
 
 

@@ -7,11 +7,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import bitsim.pragmatic as pragmatic_mod
+import bitsim.reference as reference_mod
 import bitsim.runner as runner_mod
 import bitsim.stripes as stripes_mod
 from bitsim.cli import main
 from bitsim.config import ConfigError, parse_config
-from bitsim.geometry import Tensor3
+from bitsim.geometry import Tensor3, output_dims
 from bitsim.traces import DTYPE_I16, DTYPE_U8, read_trace, write_trace
 from test_config import _slots
 
@@ -44,6 +45,35 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def im2col_mutant(pad_offset=0, row_stride=True):
+    """``reference.im2col`` with its padding offset off by ``pad_offset``,
+    or with the stride dropped from the row index."""
+    def im2col(input, spec):
+        ox, oy, _ = output_dims(spec)
+        cols = np.zeros((oy, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
+        for by in range(spec.fy):
+            for bx in range(spec.fx):
+                for l in range(oy):
+                    y = l * (spec.s if row_stride else 1) + by - spec.pad + pad_offset
+                    if not 0 <= y < spec.ny:
+                        continue
+                    xs = np.arange(ox) * spec.s + bx - spec.pad + pad_offset
+                    ok = (xs >= 0) & (xs < spec.nx)
+                    cols[l, ok, by, bx, :] = input.data[y, xs[ok], :]
+        return cols.reshape(oy * ox, -1)
+    return im2col
+
+
+def exact_matmul_without_last_chunk(x, w):
+    """``reference.exact_matmul`` that drops the last chunk of its reduction."""
+    peak = int(np.abs(x).max()) * int(np.abs(w).max())
+    chunk = max(1, (reference_mod.EXACT_FLOAT_LIMIT - 1) // max(peak, 1))
+    acc = np.zeros((x.shape[0], w.shape[0]), dtype=np.int64)
+    for lo in range(0, x.shape[1], chunk)[:-1]:
+        acc += x[:, lo : lo + chunk].astype(np.int64) @ w[:, lo : lo + chunk].T
+    return acc
 
 
 class TestConfigParsing:
@@ -155,6 +185,27 @@ class TestSimulateCommand:
         path = write_config(tmp_path, base_config())
         r = CliRunner().invoke(main, ["simulate", str(path)])
         assert r.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "name, broken",
+        [
+            ("im2col", im2col_mutant(pad_offset=1)),
+            ("im2col", im2col_mutant(row_stride=False)),
+            ("exact_matmul", exact_matmul_without_last_chunk),
+        ],
+        ids=["im2col-pad-offset", "im2col-row-stride", "exact-matmul-last-chunk"],
+    )
+    def test_engine_path_mutant_exit_code(self, tmp_path, monkeypatch, name, broken):
+        # a fault in the engines' output path must abort the run with code 3:
+        # the oracle shares none of that path, so it does not repeat the fault
+        monkeypatch.setattr(reference_mod, name, broken)
+        # several reduction chunks on the engines' path; the oracle keeps its own bound
+        monkeypatch.setattr(reference_mod, "EXACT_FLOAT_LIMIT", 1 << 20)
+        cfg = base_config()
+        cfg["layers"].append(dict(cfg["layers"][0], name="conv2", nx=9, ny=9, s=2))
+        r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg))])
+        assert_clean_exit(r, 3)
+        assert "oracle mismatch" in r.output
 
     @pytest.mark.parametrize(
         "module, name, broken",

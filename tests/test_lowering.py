@@ -1,8 +1,8 @@
-"""The per-window oracle, the one exact output path, the shared lowering
-and the use-count helper.
+"""The tap oracle, the one exact output path, the shared lowering and
+the use-count helper.
 
-The oracle is compared with the per-(window, filter) loop it replaced,
-every engine variant with both, the chunked float64 product with int64
+The oracle is compared with the per-(window, filter) loop, every engine
+variant with both, the chunked and blocked float64 product with int64
 matmul, the variants that share a layer's lowering with the same
 variants lowered alone, and ``window_sum`` with sums over the im2col
 matrix.
@@ -106,6 +106,26 @@ def test_chunked_exact_product_at_extreme_values(monkeypatch, limit_bits):
     w[0] = 32767
     w[1] = np.where(np.arange(576) % 2, 32767, -32767)
     assert np.array_equal(exact_matmul(x, w), x @ w.T)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("limit_bits", [36, 53])
+def test_blocked_product_equals_unblocked(monkeypatch, rows, limit_bits):
+    # Blocks of 8 rows: row counts inside one block, at one and two block
+    # edges and past them, with and without a chunked reduction, at the
+    # extreme values of the chunked product above.
+    monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", 1 << limit_bits)
+    rng = np.random.default_rng(rows)
+    x = rng.choice([0, 1, 65535, 65534], size=(rows, 576)).astype(np.int64)
+    x[0] = 65535
+    w = rng.choice([-32767, 32767, -1, 0], size=(5, 576)).astype(np.int64)
+    w[0] = 32767
+    w[1] = np.where(np.arange(576) % 2, 32767, -32767)
+    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", rows)
+    unblocked = exact_matmul(x, w)
+    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", 8)
+    assert np.array_equal(exact_matmul(x, w), unblocked)
+    assert np.array_equal(unblocked, x @ w.T)
 
 
 def test_unchunked_product_is_exact_at_extreme_values():

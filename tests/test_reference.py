@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bitsim.reference as reference
 from bitsim.geometry import BRICK, FilterSet, LayerSpec, Tensor3, output_dims, pad_depth
 from bitsim.reference import (
     CycleReport,
@@ -11,8 +15,11 @@ from bitsim.reference import (
     dadn_layer,
     dadn_terms,
     im2col,
+    lowered_output,
     sb_read_count,
 )
+from bitsim.traces import generate_synapses, generate_trace
+from oracle_reference import window_oracle
 
 
 def conv_loops_swapped(input: Tensor3, filters: FilterSet, spec: LayerSpec):
@@ -95,6 +102,77 @@ def test_oracle_linear_in_input():
     lhs = conv_oracle(ab, f, spec).data
     rhs = conv_oracle(a, f, spec).data + conv_oracle(b, f, spec).data
     assert (lhs == rhs).all()
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small layer at the container extremes, an output shift, and the
+    channel run the tap oracle's float sums are cut into: one channel, a
+    few, or all of them.
+
+    Covers strides 1-3, padding up to the filter size (so whole windows
+    can fall in the border) and non-square filters.
+    """
+    fx, fy = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    s = draw(st.integers(1, 3))
+    pad = draw(st.integers(0, max(fx, fy)))
+    nx = draw(st.integers(0, 3)) * s + fx - 2 * pad
+    ny = draw(st.integers(0, 3)) * s + fy - 2 * pad
+    # whole strides more, until the input is at least 1 wide
+    while nx < 1:
+        nx += s
+    while ny < 1:
+        ny += s
+    i = draw(st.sampled_from([16, 32, 48]))
+    n = draw(st.integers(1, 5))
+    act = draw(st.sampled_from(["identity", "relu"]))
+    spec = LayerSpec(nx=nx, ny=ny, i=i, n=n, fx=fx, fy=fy, s=s, pad=pad, act=act)
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(-32768, 65536, size=(ny, nx, i))
+    pick = rng.random(values.shape)
+    values[pick < 0.2] = 65535
+    values[(pick >= 0.2) & (pick < 0.4)] = -32768
+    values[(pick >= 0.4) & (pick < 0.5)] = 0
+    synapses = rng.integers(-32768, 32768, size=(n, fy, fx, i))
+    pick = rng.random(synapses.shape)
+    synapses[pick < 0.25] = 32767
+    synapses[(pick >= 0.25) & (pick < 0.5)] = -32768
+    synapses[(pick >= 0.5) & (pick < 0.6)] = -32767
+    run = draw(st.sampled_from([1, 2, 3, 5, i]))
+    return spec, Tensor3(values), FilterSet(synapses), draw(st.integers(0, 20)), run
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_cases())
+def test_tap_oracle_equals_the_window_walk(case):
+    spec, t, f, out_shift, run = case
+    peak = int(np.abs(t.data).max()) * int(np.abs(f.data).max())
+    # the oracle's bound, lowered so that its sums cover `run` channels
+    with mock.patch.object(reference, "TAP_EXACT_LIMIT", peak * run + 1):
+        got = conv_oracle(t, f, spec, out_shift)
+    assert got == window_oracle(t, f, spec, out_shift)
+
+
+def test_oracle_uses_no_engine_lowering(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the engines' lowering")
+
+    for name in ("im2col", "exact_matmul", "lowered_output", "LayerLowering"):
+        monkeypatch.setattr(reference, name, refuse)
+    # any arithmetic on the engines' float bound raises TypeError
+    monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", None)
+    rng = np.random.default_rng(8)
+    spec, t, f = random_layer(rng, nx=9, ny=9, s=2, pad=1, act="relu")
+    assert conv_oracle(t, f, spec, 2) == window_oracle(t, f, spec, 2)
+
+
+def test_oracle_equals_the_lowered_product_at_vgg_conv1_2_size():
+    # VGG-16 conv1_2 whole: 224 x 224 x 64, 64 3x3 filters
+    spec = LayerSpec(nx=224, ny=224, i=64, n=64, fx=3, fy=3, s=1, pad=1, act="relu")
+    t = generate_trace(spec, 900.0, True, seed=1)
+    f = FilterSet(generate_synapses(spec, 10.0, seed=1))
+    assert conv_oracle(t, f, spec) == lowered_output(im2col(t, spec), f, spec)
 
 
 def count_dadn_events(spec):
