@@ -45,7 +45,7 @@ class AllDone(RuntimeError):
 
 
 class DeadlockDetected(RuntimeError):
-    """Column-sync arbitration stopped making progress (must never fire)."""
+    """Column sync cannot start: no SSR slot or no pallet buffer slot."""
 
 
 @dataclass(frozen=True)
@@ -321,6 +321,9 @@ class ColumnSchedule:
     grants: list[tuple[int, int, int]] = field(default_factory=list)  # (t, step, col)
 
 
+SCAN_WINDOW = 128  # steps per max-plus scan, so temporaries stay this size
+
+
 def simulate_column_sync(
     costs: np.ndarray,
     nm_cycles: int,
@@ -328,7 +331,7 @@ def simulate_column_sync(
     pallet_buffer: int | None,
     record: bool = False,
 ) -> ColumnSchedule:
-    """Cycle-accurate arbitration of independently advancing PIP columns.
+    """Cycle-accurate schedule of independently advancing PIP columns.
 
     ``costs[g, w]`` is column ``w``'s compute cycles for global
     brick-step ``g``. Rules: a column starts step ``g`` once (1) the
@@ -339,134 +342,144 @@ def simulate_column_sync(
     free SSR slot required). A set frees once all columns copied it;
     reads and copies may land in the same cycle a slot frees.
 
-    Within a cycle, idle columns are tried in index order, and the sweep
-    repeats while starts keep unblocking columns. The arbiter is
-    event-driven: a blocked column waits on the one event that can lift
-    its block (its pallet's arrival, a rise of the oldest in-use pallet,
-    a freed SSR slot, or the next cycle's SB port), and only cycles with
-    a finish, an arrival or a fresh SB port after a grant are visited.
-    A start of cost >= 1 leaves the starter's in-use pallet unchanged,
-    so only finishes and 0-cost starts move the oldest one.
+    The rules are those of a cycle-by-cycle arbiter; only the method
+    differs. They pin down each set's read cycle ``R[g]`` and every
+    start ``S[g, w]`` (``F = S + costs``, ``k = ssr_count``,
+    ``B = pallet_buffer``)::
+
+        R[g]    = max(R[g-1] + 1, g * nm_cycles, min_w F[g-1, w],
+                      max_w F[g-1-k, w], max_w F[g-B, w])
+        S[g, w] = max(F[g-1, w], R[g])
+
+    Sets are read in step order, one per cycle; the first requester of
+    set ``g`` is the column that finishes step ``g-1`` first; set
+    ``g-k`` frees its slot once every column has started it, that is
+    finished step ``g-1-k``; and the buffer holds pallet ``g`` once
+    every column has finished step ``g-B``. Given ``R``, each column's
+    starts are one max-plus prefix scan down the steps. Every term is
+    nondecreasing in ``R``, so scanning from a lower bound and raising
+    ``R`` to the terms again rises monotonically to the least solution,
+    which is the schedule; the first step whose bound rose is exact, and
+    the scan resumes there. Steps go in windows of ``SCAN_WINDOW``.
+
+    Only ``ssr_count < 1`` or ``pallet_buffer < 1`` can stall a column
+    forever, so those raise :class:`DeadlockDetected` up front. With
+    ``record``, ``start_cycles`` holds ``S`` and ``grants`` names the
+    column granted each read (:func:`_grants`).
     """
-    costs = np.asarray(costs)
+    costs = np.asarray(costs).astype(np.int64, copy=False)
     n_steps, n_cols = costs.shape
-    rows = costs.astype(np.int64, copy=False).tolist()  # whole cycles
-    # Unbounded limits become ones that never bind: no column runs
-    # n_steps ahead of the oldest pallet, and a step that is not resident
-    # leaves fewer than n_steps sets resident.
-    buffer = n_steps if pallet_buffer is None else pallet_buffer
-    slots = n_steps if ssr_count is None else ssr_count
-
-    frontier = [0] * n_cols          # next step each column will start
-    busy_until = [0] * n_cols
-    copies_left = [0] * n_steps      # resident set -> copies still to make
-    slots_used = 0
-    sb_reads = 0
-    grants: list[tuple[int, int, int]] = []
-    starts = np.full((n_steps, n_cols), -1, dtype=np.int64) if record else None
-
-    # The oldest in-use pallet is the lowest step that some column has not
-    # finished; the -1 after the last step stops the scan for it.
-    finished = [0] * n_steps + [-1]
-    oldest = 0
-
-    # Column sets are bitmasks over column indices. ``ready`` columns are
-    # tried at the next sweep; every other idle column waits on one event.
-    ready = (1 << n_cols) - 1 if n_steps else 0
-    port_wait = 0                    # lost the SB port: retry next cycle
-    ssr_wait = 0                     # every SSR slot held: retry on a free
-    buffer_wait: dict[int, int] = {}  # retry once oldest reaches the key
-    due: dict[int, list[int]] = {}   # cycle -> columns finishing or fed then
-
-    t = 0
-    while True:
-        for w in due.pop(t, ()):
-            if busy_until[w] == t:   # a finish; else the column's pallet arrived
-                g = frontier[w]
-                finished[g - 1] += 1
-                if g == n_steps:
-                    continue
-            ready |= 1 << w
-        while finished[oldest] == n_cols:
-            oldest += 1
-            ready |= buffer_wait.pop(oldest, 0)
-        reach = oldest + buffer      # the buffer holds pallets oldest..reach-1
-
-        granted = False
-        while ready:
-            pending, ready = ready, 0
-            while pending:
-                bit = pending & -pending
-                pending ^= bit
-                w = bit.bit_length() - 1
-                g = frontier[w]
-                # pallet g arrives at g * nm_cycles; pallet 0 overlaps
-                # startup, as in pallet sync
-                if g * nm_cycles > t:
-                    due.setdefault(g * nm_cycles, []).append(w)
-                    continue
-                if g >= reach:
-                    key = g - buffer + 1
-                    buffer_wait[key] = buffer_wait.get(key, 0) | bit
-                    continue
-                left = copies_left[g]
-                if left:
-                    copies_left[g] = left - 1
-                    if left == 1:    # the set frees its SSR slot
-                        slots_used -= 1
-                        # later columns join this sweep, earlier ones the next
-                        pending |= ssr_wait & -(bit << 1)
-                        ready |= ssr_wait & (bit - 1)
-                        ssr_wait = 0
-                elif granted:
-                    port_wait |= bit
-                    continue
-                elif slots_used >= slots:
-                    ssr_wait |= bit
-                    continue
-                else:
-                    granted = True
-                    sb_reads += 1
-                    grants.append((t, g, w))
-                    if n_cols > 1:
-                        copies_left[g] = n_cols - 1
-                        slots_used += 1
-                end = t + rows[g][w]
-                busy_until[w] = end
-                frontier[w] = g + 1
-                if record:
-                    starts[g, w] = t
-                if end > t:
-                    due.setdefault(end, []).append(w)
-                    continue
-                # a 0-cost start finishes at once, idle on the next step
-                finished[g] += 1
-                if g + 1 < n_steps:
-                    ready |= bit
-                while finished[oldest] == n_cols:
-                    oldest += 1
-                    reach = oldest + buffer
-                    woken = buffer_wait.pop(oldest, 0)
-                    pending |= woken & -(bit << 1)
-                    ready |= woken & (bit - 1)
-
-        if granted:
-            t += 1
-            ready, port_wait = port_wait, 0
-        elif due:
-            t = min(due)
-        elif any(g < n_steps for g in frontier):
-            raise DeadlockDetected("no runnable column and no pending event")
-        else:
-            break
-
+    busy = [int(b) for b in costs.sum(axis=0)]
+    if not n_steps or not n_cols:
+        return ColumnSchedule(
+            total_cycles=0, sb_reads=0, column_busy=busy,
+            start_cycles=np.full((n_steps, n_cols), -1, dtype=np.int64) if record else None,
+        )
+    if (ssr_count is not None and ssr_count < 1) or (
+        pallet_buffer is not None and pallet_buffer < 1
+    ):
+        raise DeadlockDetected(
+            f"no column can start with {ssr_count} SSRs and a buffer of {pallet_buffer}"
+        )
+    # Unbounded limits become ones that never bind: no step lies n_steps
+    # behind another.
+    lag = min(n_steps if ssr_count is None else ssr_count + 1,
+              n_steps if pallet_buffer is None else pallet_buffer)
+    finish, reads, starts = _least_schedule(costs, nm_cycles, lag, record)
     return ColumnSchedule(
-        total_cycles=max(busy_until) if busy_until else 0,
-        sb_reads=sb_reads,
-        column_busy=[int(costs[:, w].sum()) for w in range(n_cols)],
+        total_cycles=int(finish.max()),
+        sb_reads=n_steps,
+        column_busy=busy,
         start_cycles=starts,
-        grants=grants,
+        grants=_grants(starts, reads, ssr_count) if record else [],
     )
+
+
+def _least_schedule(costs: np.ndarray, nm_cycles: int, lag: int, record: bool):
+    """Least ``R``/``S`` solution of the column-sync rules, window by window.
+
+    Returns the last step's finishes, and with ``record`` the read
+    cycles and the starts; else ``None`` for those two.
+    """
+    n_steps, n_cols = costs.shape
+    # last_finish[lag + g] = max_w F[g, w]; the first lag entries stand
+    # for the steps before 0, which bind nothing.
+    last_finish = np.zeros(lag + n_steps, dtype=np.int64)
+    reads = np.empty(n_steps, dtype=np.int64) if record else None
+    starts = np.empty((n_steps, n_cols), dtype=np.int64) if record else None
+    ramp = np.arange(1, SCAN_WINDOW + 1)
+    finish = np.zeros(n_cols, dtype=np.int64)  # F of the last exact step
+    read = -1                                  # R of the last exact step
+    for w0 in range(0, n_steps, SCAN_WINDOW):
+        cost = costs[w0:w0 + SCAN_WINDOW]
+        size = len(cost)
+        done = np.cumsum(cost, axis=0)         # each column's cost to step end
+        ahead = done - cost                    # ... and to step start
+        arrive = np.arange(w0, w0 + size) * nm_cycles
+        bound = np.maximum(arrive, read + ramp[:size])
+        j = 0                                  # steps before w0 + j are exact
+        while True:
+            # S = ahead + max-prefix of (R - ahead), from the last exact F
+            scan = bound[j:, None] - ahead[j:]
+            np.maximum(scan[0], finish - ahead[j], out=scan[0])
+            np.maximum.accumulate(scan, axis=0, out=scan)
+            fin = scan + done[j:]
+            last_finish[lag + w0 + j:lag + w0 + size] = fin.max(axis=1)
+            # R's other terms: arrival, the lagged step's last finish (SSR
+            # slot or buffer) and the previous step's first finish
+            want = np.maximum(arrive[j:], last_finish[w0 + j:w0 + size])
+            want[0] = max(want[0], finish.min())
+            np.maximum(want[1:], fin[:-1].min(axis=1), out=want[1:])
+            # R[g] = max(R[g-1] + 1, want[g]) from the last exact R
+            want -= ramp[:size - j]
+            np.maximum(want, read, out=want)
+            new = np.maximum.accumulate(want) + ramp[:size - j]
+            rose = new > bound[j:]
+            exact = int(rose.argmax()) if rose.any() else size - j
+            if exact:
+                if record:
+                    reads[w0 + j:w0 + j + exact] = new[:exact]
+                    starts[w0 + j:w0 + j + exact] = scan[:exact] + ahead[j:j + exact]
+                finish = fin[exact - 1]
+                read = int(new[exact - 1])
+            j += exact
+            if j == size:
+                break
+            bound[j:] = new[exact:]
+    return finish, reads, starts
+
+
+def _grants(starts: np.ndarray, reads: np.ndarray, ssr_count: int | None):
+    """``(R[g], g, column)`` of each read: the arbiter's sweep, in closed form.
+
+    Within a cycle the arbiter tries idle columns in index order and
+    sweeps again while starts keep unblocking columns; a column that
+    starts a 0-cost step tries its next one a sweep later. So a column
+    that starts steps ``h0..g`` in cycle ``R[g]`` tries set ``g`` in
+    sweep ``g - h0``, and the read goes to the first try in sweep order.
+    The pallet buffer holds no try back before the read: a pallet still
+    in use as the cycle begins is one that a 0-cost chain of starts
+    finishes, and that chain is shorter, in sweeps, than the chain of any
+    column that waits on it. So only a full set of SSRs refuses a try.
+    Then the slot frees at the last copy of the oldest resident set. Every
+    column that copies that set in this cycle starts there, in sweep 0,
+    so the highest of them frees it; a column below it that tried first
+    tries again in the next sweep.
+    """
+    n_steps, n_cols = starts.shape
+    steps = np.arange(n_steps)[:, None]
+    cols = np.arange(n_cols)
+    # the first step each column starts in each read cycle
+    first = np.stack([np.searchsorted(starts[:, w], reads) for w in range(n_cols)], axis=1)
+    order = (steps - first) * n_cols + cols        # sweep order of every start
+    tries = np.where(starts == reads[:, None], order, np.iinfo(np.int64).max)
+    if ssr_count is not None and n_cols > 1:
+        oldest = np.searchsorted(starts.max(axis=1), reads)  # oldest resident set
+        full = np.flatnonzero(steps[:, 0] - oldest >= ssr_count)
+        last_copy = np.where(starts[oldest[full]] == reads[full, None], cols, -1).max(axis=1)
+        early = tries[full]
+        tries[full] = np.where(early <= last_copy[:, None], early + n_cols, early)
+    return list(zip(reads.tolist(), range(n_steps), tries.argmin(axis=1).tolist()))
 
 
 def pragmatic_layer(
@@ -486,8 +499,7 @@ def pragmatic_layer(
     Column sync: timing comes from :func:`simulate_column_sync` on the
     per-step column costs; the filter groups repeat the identical
     schedule. The SSR policy reads each synapse set exactly once per
-    phase, which the simulation cross-checks against the shared SB-read
-    count.
+    phase: the schedule has one read cycle per set.
     """
     spec = lowered.spec
     view = lowered.trimmed(profile) if cfg.trim == "profile" else lowered.view(None)
@@ -506,10 +518,6 @@ def pragmatic_layer(
         sched = simulate_column_sync(
             costs.reshape(n_steps, PALLET), nm_c, cfg.ssr_count, cfg.effective_buffer
         )
-        if sched.sb_reads != n_steps:
-            raise AssertionError(
-                f"SSR policy must read each set once: {sched.sb_reads} != {n_steps}"
-            )
         cycles = sched.total_cycles
         stall = cycles - max(sched.column_busy)
 

@@ -107,6 +107,11 @@ def check_shapes(input: Tensor3, filters: FilterSet, spec: LayerSpec):
 # reach it.
 TAP_EXACT_LIMIT = 1 << 53
 
+# Windows per band of the oracle's tap loop, so that one tap's reads and
+# products stay this many rows tall. Like the bound above, the oracle
+# keeps it apart from the engines' row blocks.
+ORACLE_BAND_WINDOWS = 4096
+
 
 def conv_oracle(
     input: Tensor3,
@@ -125,7 +130,9 @@ def conv_oracle(
     reduces over the ``i`` channels alone, so its float sums are exact
     integers while ``i * max|input| * max|synapse|`` stays below
     :data:`TAP_EXACT_LIMIT`; past that, the channels are split into runs
-    that meet it.
+    that meet it. The taps run over bands of whole output rows, about
+    :data:`ORACLE_BAND_WINDOWS` windows each, so that one tap's reads
+    and products are band-sized.
     """
     check_shapes(input, filters, spec)
     ox, oy, _ = output_dims(spec)
@@ -135,15 +142,21 @@ def conv_oracle(
     taps = filters.data.astype(np.float64)
     peak = int(np.abs(input.data).max()) * int(np.abs(filters.data).max())
     run = spec.i if peak == 0 else max(1, min(spec.i, (TAP_EXACT_LIMIT - 1) // peak))
-    acc = np.zeros((oy * ox, spec.n), dtype=np.int64)
-    for by in range(spec.fy):
-        for bx in range(spec.fx):
-            reads = padded[by : by + (oy - 1) * s + 1 : s, bx : bx + (ox - 1) * s + 1 : s]
-            reads = reads.reshape(oy * ox, spec.i)
-            synapses = taps[:, by, bx, :].T
-            for c in range(0, spec.i, run):
-                acc += (reads[:, c : c + run] @ synapses[c : c + run]).astype(np.int64)
-    return Tensor3(activate(acc.reshape(oy, ox, spec.n), spec.act, out_shift))
+    band = max(1, ORACLE_BAND_WINDOWS // ox)
+    out = np.zeros((oy, ox, spec.n), dtype=np.int64)
+    for top in range(0, oy, band):
+        rows = min(band, oy - top)
+        acc = out[top : top + rows].reshape(rows * ox, spec.n)  # a view
+        for by in range(spec.fy):
+            y0 = top * s + by
+            for bx in range(spec.fx):
+                reads = padded[y0 : y0 + (rows - 1) * s + 1 : s,
+                               bx : bx + (ox - 1) * s + 1 : s]
+                reads = reads.reshape(rows * ox, spec.i)
+                synapses = taps[:, by, bx, :].T
+                for c in range(0, spec.i, run):
+                    acc += (reads[:, c : c + run] @ synapses[c : c + run]).astype(np.int64)
+    return Tensor3(activate(out, spec.act, out_shift))
 
 
 def dadn_cycles(spec: LayerSpec) -> int:

@@ -1,4 +1,4 @@
-"""The event-driven column-sync arbiter against the cycle-by-cycle reference."""
+"""The max-plus column-sync solver against the two arbiter references."""
 
 from pathlib import Path
 
@@ -8,9 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import bitsim.pragmatic as pragmatic
 from bitsim.config import load_config
-from bitsim.pragmatic import DeadlockDetected, simulate_column_sync
+from bitsim.geometry import FilterSet, LayerSpec
+from bitsim.numerics import Precision
+from bitsim.pragmatic import DeadlockDetected, PragConfig, pragmatic_layer, simulate_column_sync
+from bitsim.reference import LayerLowering
 from bitsim.runner import simulate
-from column_sync_reference import reference_column_sync
+from bitsim.traces import generate_synapses, generate_trace
+from column_sync_reference import event_column_sync, reference_column_sync
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.json"
 
@@ -49,7 +53,8 @@ def test_matches_reference_schedule(costs, nm_cycles, ssr_count, buffer):
     assert_same_schedule(got, want)
 
 
-def test_matches_reference_on_example_config(monkeypatch):
+def spy_on_column_sync(monkeypatch) -> list:
+    """Record the arguments of every column-sync call the engine makes."""
     seen = []
 
     def spy(costs, nm_cycles, ssr_count, pallet_buffer, record=False):
@@ -57,6 +62,11 @@ def test_matches_reference_on_example_config(monkeypatch):
         return simulate_column_sync(costs, nm_cycles, ssr_count, pallet_buffer, record)
 
     monkeypatch.setattr(pragmatic, "simulate_column_sync", spy)
+    return seen
+
+
+def test_matches_reference_on_example_config(monkeypatch):
+    seen = spy_on_column_sync(monkeypatch)
     simulate(load_config(EXAMPLE))
     # two layers, each with 1, 4 and unbounded SSRs
     assert len(seen) == 6
@@ -82,6 +92,27 @@ def test_valid_inputs_never_deadlock(n_steps, n_cols, seed, nm_cycles, ssr_count
     sched = simulate_column_sync(costs, nm_cycles, ssr_count, buffer)
     assert sched.sb_reads == costs.shape[0]
     assert sched.total_cycles >= max(sched.column_busy)
+    assert_same_schedule(
+        simulate_column_sync(costs, nm_cycles, ssr_count, buffer, record=True),
+        event_column_sync(costs, nm_cycles, ssr_count, buffer, record=True),
+    )
+
+
+def test_matches_event_reference_on_a_whole_vgg_conv3_1_view(monkeypatch):
+    # VGG-16 conv3_1 whole: 56 x 56 x 128, so 16,128 steps of 16 columns
+    spec = LayerSpec(nx=56, ny=56, i=128, n=256, fx=3, fy=3, s=1, pad=1, act="relu")
+    lowered = LayerLowering(generate_trace(spec, 900.0, True, seed=1),
+                            FilterSet(generate_synapses(spec, 10.0, seed=1)), spec)
+    seen = spy_on_column_sync(monkeypatch)
+    for ssr_count in (1, 4, None):
+        pragmatic_layer(lowered, Precision(9, 0),
+                        PragConfig(l_bits=2, sync="column", ssr_count=ssr_count))
+    assert [(c.shape, s) for c, _, s, _ in seen] == [((16128, 16), s) for s in (1, 4, None)]
+    for costs, nm_cycles, ssr_count, buffer in seen:
+        assert_same_schedule(
+            simulate_column_sync(costs, nm_cycles, ssr_count, buffer, record=True),
+            event_column_sync(costs, nm_cycles, ssr_count, buffer, record=True),
+        )
 
 
 @pytest.mark.parametrize("arbiter", [simulate_column_sync, reference_column_sync])
@@ -89,3 +120,23 @@ def test_zero_ssrs_deadlock(arbiter):
     costs = np.array([[1, 2], [3, 1]])
     with pytest.raises(DeadlockDetected):
         arbiter(costs, nm_cycles=1, ssr_count=0, pallet_buffer=None)
+
+
+@pytest.mark.parametrize(
+    "arbiter", [simulate_column_sync, event_column_sync, reference_column_sync]
+)
+@pytest.mark.parametrize("ssr_count", [1, None])
+def test_zero_buffer_deadlock(arbiter, ssr_count):
+    costs = np.array([[1, 2], [3, 1]])
+    with pytest.raises(DeadlockDetected):
+        arbiter(costs, nm_cycles=1, ssr_count=ssr_count, pallet_buffer=0)
+
+
+def test_no_steps_schedule_nothing():
+    # nothing to start, so no limit can deadlock
+    for ssr_count, buffer in ((0, None), (1, 0), (None, None)):
+        for arbiter in (simulate_column_sync, event_column_sync, reference_column_sync):
+            sched = arbiter(np.zeros((0, 3), dtype=np.int64), 1, ssr_count, buffer,
+                            record=True)
+            assert (sched.total_cycles, sched.sb_reads, sched.grants) == (0, 0, [])
+            assert sched.start_cycles.shape == (0, 3)

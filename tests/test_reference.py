@@ -154,6 +154,20 @@ def test_tap_oracle_equals_the_window_walk(case):
     assert got == window_oracle(t, f, spec, out_shift)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 8])
+@pytest.mark.parametrize("s, pad", [(1, 1), (2, 0), (3, 2)])
+def test_banded_oracle_equals_the_window_walk(monkeypatch, rows, s, pad):
+    # 5 x 17 windows, so bands of 7 and 8 rows end in a shorter one
+    rng = np.random.default_rng(11 + rows + s)
+    spec, t, f = random_layer(rng, nx=4 * s + 3 - 2 * pad, ny=16 * s + 3 - 2 * pad,
+                              s=s, pad=pad, act="relu")
+    ox, oy, _ = output_dims(spec)
+    assert (ox, oy) == (5, 17)
+    # `rows` output rows to a band, one window short of one more row
+    monkeypatch.setattr(reference, "ORACLE_BAND_WINDOWS", rows * ox + ox - 1)
+    assert conv_oracle(t, f, spec, 1) == window_oracle(t, f, spec, 1)
+
+
 def test_oracle_uses_no_engine_lowering(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the engines' lowering")
