@@ -381,9 +381,13 @@ def simulate_column_sync(
         raise DeadlockDetected(
             f"no column can start with {ssr_count} SSRs and a buffer of {pallet_buffer}"
         )
-    # Unbounded limits become ones that never bind: no step lies n_steps
-    # behind another.
-    lag = min(n_steps if ssr_count is None else ssr_count + 1,
+    # No step lies n_steps behind another, so a limit of n_steps or more
+    # never binds: it is the same as an unbounded one, and clamping it
+    # keeps the arrays below step-sized.
+    if ssr_count is not None and ssr_count >= n_steps:
+        ssr_count = None
+    lag = min(n_steps,
+              n_steps if ssr_count is None else ssr_count + 1,
               n_steps if pallet_buffer is None else pallet_buffer)
     finish, reads, starts = _least_schedule(costs, nm_cycles, lag, record)
     return ColumnSchedule(

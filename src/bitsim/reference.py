@@ -108,8 +108,9 @@ def check_shapes(input: Tensor3, filters: FilterSet, spec: LayerSpec):
 TAP_EXACT_LIMIT = 1 << 53
 
 # Windows per band of the oracle's tap loop, so that one tap's reads and
-# products stay this many rows tall. Like the bound above, the oracle
-# keeps it apart from the engines' row blocks.
+# products stay this many rows tall on whole (paper-scale) layers; a
+# smaller layer is one band. Like the bound above, the oracle keeps it
+# apart from the engines' row blocks.
 ORACLE_BAND_WINDOWS = 4096
 
 
@@ -132,7 +133,10 @@ def conv_oracle(
     :data:`TAP_EXACT_LIMIT`; past that, the channels are split into runs
     that meet it. The taps run over bands of whole output rows, about
     :data:`ORACLE_BAND_WINDOWS` windows each, so that one tap's reads
-    and products are band-sized.
+    and products are band-sized. The bands serve whole-layer inputs,
+    such as a full VGG-16 view; a layer of fewer windows is one band.
+    The padded input and the whole output stay live through
+    :func:`activate`.
     """
     check_shapes(input, filters, spec)
     ox, oy, _ = output_dims(spec)

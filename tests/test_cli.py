@@ -407,6 +407,22 @@ class TestNoTraceback:
         if code:
             assert "out_shift" in r.output
 
+    @pytest.mark.parametrize("ssrs", [10**12, 2**63, 10**30])
+    def test_huge_ssr_counts_run_as_unbounded(self, tmp_path, ssrs):
+        # pallet_buffer null sizes the buffer to ssrs + 1, just as large
+        csv = {}
+        for value in (ssrs, "inf"):
+            run = tmp_path / str(value)
+            run.mkdir()
+            out = run / "out.csv"
+            cfg = base_config(engines=[{"engine": "pragmatic", "sync": "column",
+                                        "ssrs": value}])
+            r = CliRunner().invoke(main, ["simulate", str(write_config(run, cfg)),
+                                          "--out", str(out)])
+            assert_clean_exit(r, 0)
+            csv[value] = out.read_text().replace(f"-{ssrs}R", "-infR")
+        assert csv[ssrs] == csv["inf"]
+
     @pytest.mark.parametrize("command, overrides, code", [
         ("simulate", {"output": {"csv": "a\x00b"}}, 2),
         ("analyze", {"output": {"csv": "a\x00b"}}, 0),  # analyze writes no csv

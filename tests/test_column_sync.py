@@ -115,6 +115,22 @@ def test_matches_event_reference_on_a_whole_vgg_conv3_1_view(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("limit", [60, 10**18, 2**63, 10**30])
+def test_limits_past_the_steps_are_unbounded(limit):
+    # no step lies 60 behind another, so these limits never bind; they
+    # must not size any array either
+    costs = np.random.default_rng(3).integers(0, 10, size=(60, 5))
+    unbounded = simulate_column_sync(costs, 2, None, None, record=True)
+    assert_same_schedule(unbounded, event_column_sync(costs, 2, None, None, record=True))
+    for ssr_count, buffer in ((limit, limit), (limit, None), (None, limit)):
+        assert_same_schedule(
+            simulate_column_sync(costs, 2, ssr_count, buffer, record=True), unbounded
+        )
+        assert_same_schedule(
+            event_column_sync(costs, 2, ssr_count, buffer, record=True), unbounded
+        )
+
+
 @pytest.mark.parametrize("arbiter", [simulate_column_sync, reference_column_sync])
 def test_zero_ssrs_deadlock(arbiter):
     costs = np.array([[1, 2], [3, 1]])
