@@ -9,6 +9,7 @@ from .geometry import (
     FilterSet,
     LayerSpec,
     Tensor3,
+    dispatcher_fetch_cycles,
     output_dims,
 )
 from .numerics import (
@@ -33,7 +34,6 @@ from .reference import (
 from .stripes import sip_inner, stripes_layer
 from .pragmatic import (
     PragConfig,
-    dispatcher_fetch_cycles,
     pip_inner,
     pragmatic_layer,
     two_stage_step,

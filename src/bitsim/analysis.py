@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import BitStats, essential_counts
+from .encoding import BitStats
 from .geometry import LayerSpec, Tensor3, num_pairs, window_sum
 from .numerics import MissingProfile, Precision, trim_tensor
-from .reference import EngineResult
+from .reference import EngineResult, dadn_terms, effectual_terms
 
 ENGINE_TAGS = ("dadn", "zn", "cvn", "str", "pra_fp16", "pra_red")
 
@@ -61,16 +61,13 @@ def count_terms(
     uses = pairs // spec.n  # neuron uses before filter reuse
 
     nonzero = window_sum(values != 0, spec)
-    raw_essential = window_sum(essential_counts(values, width), spec)
-    trimmed_essential = window_sum(essential_counts(trim_tensor(values, profile), width), spec)
-
     totals = {
-        "dadn": width * pairs,
+        "dadn": dadn_terms(spec, width),
         "zn": width * nonzero * spec.n,
         "cvn": width * (uses if first_layer else nonzero) * spec.n,
         "str": profile.width * pairs,
-        "pra_fp16": raw_essential * spec.n,
-        "pra_red": trimmed_essential * spec.n,
+        "pra_fp16": effectual_terms(values, spec, width),
+        "pra_red": effectual_terms(trim_tensor(values, profile), spec, width),
     }
     return TermCounts(totals=totals, pairs=pairs)
 

@@ -9,6 +9,7 @@ the lowered layer — an engine bug, never a user error).
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -33,10 +34,32 @@ def _load(config_path, seed):
     return cfg
 
 
-def _out_of_memory(e: MemoryError):
-    click.echo(f"resource error: out of memory ({str(e) or 'allocation failed'})",
-               err=True)
-    sys.exit(EXIT_IO)
+def _exit_codes(command):
+    """Run ``command`` and end it in its documented exit code: every
+    failure the model raises maps to its message and code here, for
+    every command alike."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except ConfigError as e:
+            code, message = EXIT_CONFIG, f"config error: {e}"
+        except TraceIOError as e:
+            code, message = EXIT_IO, f"i/o error: {e}"
+        except MemoryError as e:
+            detail = str(e) or "allocation failed"
+            code, message = EXIT_IO, f"resource error: out of memory ({detail})"
+        except OracleMismatch as e:
+            code, message = EXIT_MISMATCH, f"oracle mismatch: {e}"
+        except ScalarModelMismatch as e:
+            code, message = EXIT_MISMATCH, f"scalar model mismatch: {e}"
+        else:
+            sys.exit(EXIT_OK)
+        click.echo(message, err=True)
+        sys.exit(code)
+
+    return run
 
 
 def _write_lines(path, lines):
@@ -57,54 +80,30 @@ def main():
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None,
               help="CSV path (overrides output.csv from the config).")
+@_exit_codes
 def simulate_cmd(config, seed, out):
     """Run every layer x engine variant and write the cycle report."""
-    try:
-        cfg = _load(config, seed)
-        doc = simulate(cfg)
-        csv_path = out or cfg.csv_path
-        if csv_path:
-            _write_lines(csv_path, doc.csv_lines())
-        click.echo(doc.table())
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except TraceIOError as e:
-        click.echo(f"i/o error: {e}", err=True)
-        sys.exit(EXIT_IO)
-    except MemoryError as e:
-        _out_of_memory(e)
-    except OracleMismatch as e:
-        click.echo(f"oracle mismatch: {e}", err=True)
-        sys.exit(EXIT_MISMATCH)
-    except ScalarModelMismatch as e:
-        click.echo(f"scalar model mismatch: {e}", err=True)
-        sys.exit(EXIT_MISMATCH)
-    sys.exit(EXIT_OK)
+    cfg = _load(config, seed)
+    doc = simulate(cfg)
+    csv_path = out or cfg.csv_path
+    if csv_path:
+        _write_lines(csv_path, doc.csv_lines())
+    click.echo(doc.table())
 
 
 @main.command("analyze")
 @click.argument("config", type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="CSV path.")
+@_exit_codes
 def analyze_cmd(config, seed, out):
     """Term counts and essential-bit statistics only (no timing)."""
-    try:
-        cfg = _load(config, seed)
-        terms, bits = analyze(cfg)
-        lines = analyze_csv_lines(cfg, terms, bits)
-        if out:
-            _write_lines(out, lines)
-        click.echo("\n".join(lines))
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except TraceIOError as e:
-        click.echo(f"i/o error: {e}", err=True)
-        sys.exit(EXIT_IO)
-    except MemoryError as e:
-        _out_of_memory(e)
-    sys.exit(EXIT_OK)
+    cfg = _load(config, seed)
+    terms, bits = analyze(cfg)
+    lines = analyze_csv_lines(cfg, terms, bits)
+    if out:
+        _write_lines(out, lines)
+    click.echo("\n".join(lines))
 
 
 @main.command("gen-trace")
@@ -112,41 +111,28 @@ def analyze_cmd(config, seed, out):
 @click.option("-o", "--out", type=click.Path(), required=True, help="Trace file path.")
 @click.option("--layer", type=int, default=0, help="Layer index to generate for.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
+@_exit_codes
 def gen_trace_cmd(config, out, layer, seed):
     """Generate one layer's synthetic input tensor as a trace file."""
-    try:
-        cfg = _load(config, seed)
-        if not 0 <= layer < len(cfg.layers):
-            raise ConfigError(f"layer index {layer} out of range")
-        tensor = build_layer_input(cfg, cfg.layers[layer], layer)
-        dtype = DTYPE_U8 if cfg.width == 8 else DTYPE_I16
-        write_trace(out, tensor, dtype)
-        click.echo(f"wrote {out}: dims {tensor.dims}, width {cfg.width}")
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except (TraceIOError, ValueError) as e:
-        click.echo(f"i/o error: {e}", err=True)
-        sys.exit(EXIT_IO)
-    except MemoryError as e:
-        _out_of_memory(e)
-    sys.exit(EXIT_OK)
+    cfg = _load(config, seed)
+    if not 0 <= layer < len(cfg.layers):
+        raise ConfigError(f"layer index {layer} out of range")
+    tensor = build_layer_input(cfg, cfg.layers[layer], layer)
+    dtype = DTYPE_U8 if cfg.width == 8 else DTYPE_I16
+    write_trace(out, tensor, dtype)
+    click.echo(f"wrote {out}: dims {tensor.dims}, width {cfg.width}")
 
 
 @main.command("validate")
 @click.argument("config", type=click.Path())
+@_exit_codes
 def validate_cmd(config):
     """Parse the config and dry-run its consistency checks."""
-    try:
-        cfg = load_config(config)
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = load_config(config)
     click.echo(
         f"ok: {len(cfg.layers)} layer(s), {len(cfg.engines)} engine variant(s), "
         f"width {cfg.width}, seed {cfg.seed}"
     )
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -190,26 +190,6 @@ class FilterSet:
         return (self.n, self.fy, self.fx, self.i) == (spec.n, spec.fy, spec.fx, spec.i)
 
 
-def brick_steps(spec: LayerSpec):
-    """Iterate the ``(by, bx, i0)`` brick offsets that tile one window."""
-    for by in range(spec.fy):
-        for bx in range(spec.fx):
-            for i0 in range(0, spec.i, BRICK):
-                yield by, bx, i0
-
-
-def pallet_bases(spec: LayerSpec):
-    """Iterate ``(base_wx, wy)`` pallet anchors, row by row.
-
-    Pallets never cross an output row; a row's last pallet may have idle
-    lanes.
-    """
-    ox, oy, _ = output_dims(spec)
-    for wy in range(oy):
-        for base in range(0, ox, PALLET):
-            yield base, wy
-
-
 def num_pallets(spec: LayerSpec) -> int:
     ox, oy, _ = output_dims(spec)
     return _ceil_div(ox, PALLET) * oy
@@ -217,6 +197,42 @@ def num_pallets(spec: LayerSpec) -> int:
 
 def num_brick_steps(spec: LayerSpec) -> int:
     return spec.fy * spec.fx * (spec.i // BRICK)
+
+
+def dispatcher_fetch_cycles(spec: LayerSpec) -> int:
+    """Per-layer pallet fetch cost ``NM_C``: neuron-memory rows the worst
+    pallet fetch of the layer reads, at one row per cycle.
+
+    Bricks are laid out ``(y, depth slice, x)`` with ``x`` fastest, 16 to
+    a row. The bricks of one fetch share ``y`` and the depth slice, and
+    their ``x`` form one run of step ``s``, clipped to the input: ``c``
+    bricks from ``x0`` to ``x1``. With ``a`` the address of ``x = 0`` in
+    that ``(y, slice)`` row of the map, they span the rows
+    ``(a + x0) // 16`` to ``(a + x1) // 16``, and touch each of them
+    while ``s <= 16``; wider strides put each brick in a row of its own.
+    So a fetch reads ``min(c, span)`` rows. Only ``a mod 16`` moves the
+    span, so the worst fetch is a max over the offsets the map holds,
+    the pallets of one output row and ``fx``. A layer whose fetches all
+    read the zero border costs 1.
+    """
+    ox, oy, _ = output_dims(spec)
+    s, pad, slices = spec.s, spec.pad, spec.i // BRICK
+    ys = ((np.arange(oy) * s)[:, None] + np.arange(spec.fy) - pad).ravel()
+    ys = ys[(ys >= 0) & (ys < spec.ny)]  # input rows some fetch reads
+    held = np.zeros(PALLET, dtype=bool)  # address offsets mod 16 of those rows
+    held[(ys[:, None] * slices + np.arange(slices)) * spec.nx % PALLET] = True
+    # per (pallet of a row, bx): the first and last window whose brick x
+    # lies in the input
+    base = np.arange(0, ox, PALLET)[:, None]
+    bx = np.arange(spec.fx)
+    first = np.maximum(base, -((bx - pad) // s))
+    last = np.minimum(np.minimum(base + PALLET, ox) - 1, (spec.nx - 1 + pad - bx) // s)
+    some = last >= first
+    c = (last - first + 1)[some]
+    x0, x1 = (first * s + bx - pad)[some], (last * s + bx - pad)[some]
+    a = np.flatnonzero(held)[:, None]
+    rows = np.minimum(c, (a + x1) // PALLET - (a + x0) // PALLET + 1)
+    return max(1, int(rows.max(initial=0)))
 
 
 def num_pairs(spec: LayerSpec) -> int:

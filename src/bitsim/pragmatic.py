@@ -1,5 +1,5 @@
 """Essential-bit-serial engine: PIP units, two-stage shift scheduling,
-pallet- and per-column synchronization, and the dispatcher fetch model.
+and pallet- and per-column synchronization.
 
 A PIP column holds 16 neuron lanes that share one brick. Every cycle the
 column's control picks the minimum live oneffset ``c`` (the second-stage
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import geometry as geo
 from .encoding import encode
-from .geometry import BRICK, PALLET, FilterSet, LayerSpec, output_dims
+# dispatcher_fetch_cycles (NM_C) is also public under this module's name
+from .geometry import BRICK, PALLET, FilterSet, LayerSpec, dispatcher_fetch_cycles, output_dims
 from .numerics import Precision
 from .reference import (
     CycleReport,
@@ -89,6 +90,8 @@ class PragConfig:
         tag = f"{self.l_bits}b-{self.sync}"
         if self.sync == "column":
             tag += f"-{'inf' if self.ssr_count is None else self.ssr_count}R"
+            if self.pallet_buffer is not None:
+                tag += f"-{self.pallet_buffer}B"
         tag += "-raw" if self.trim == "none" else "-red"
         return tag
 
@@ -197,64 +200,6 @@ def column_costs(masks: np.ndarray, l_bits: int) -> np.ndarray:
         m = np.where(adv, m & (m - 1), m)
         cycles += active
     return np.maximum(cycles, 1)
-
-
-# --- dispatcher: neuron memory mapping and fetch cost ---
-
-
-def _nm_row(spec: LayerSpec, x: int, y: int, i0: int) -> int:
-    """NM row of a brick, one row holding 256 neurons (16 bricks).
-
-    Bricks are laid out (y, i0, x) with x fastest, so a pallet's 16
-    stride-adjacent bricks are s bricks apart regardless of the layer
-    depth: unit-stride pallets land on one row (two when straddling a
-    boundary) and stride-s pallets spread over at most min(s+1, 16)
-    rows. Bricks never span a row.
-    """
-    depth_slices = spec.i // BRICK
-    addr = (y * depth_slices + i0 // BRICK) * spec.nx + x
-    return addr // PALLET
-
-
-def pallet_fetch_rows(
-    spec: LayerSpec, base_wx: int, wy: int, bx: int, by: int, i0: int
-) -> int:
-    """Distinct NM rows one pallet fetch touches (0 if all-padding)."""
-    ox, _, _ = output_dims(spec)
-    y = wy * spec.s + by - spec.pad
-    if not 0 <= y < spec.ny:
-        return 0
-    rows = set()
-    for w in range(PALLET):
-        wx = base_wx + w
-        if wx >= ox:
-            continue
-        x = wx * spec.s + bx - spec.pad
-        if 0 <= x < spec.nx:
-            rows.add(_nm_row(spec, x, y, i0))
-    return len(rows)
-
-
-def dispatcher_fetch_cycles(spec: LayerSpec) -> int:
-    """Per-layer pallet fetch cost ``NM_C`` (one row read per cycle).
-
-    Derived from the actual memory mapping: the worst pallet of the
-    layer. With unit stride this is 1 when the 16 bricks share a row and
-    2 when they straddle a boundary; with stride S the bricks spread over
-    up to min(S+1, 16) rows.
-    """
-    worst = 1
-    for base_wx, wy in geo.pallet_bases(spec):
-        for by, bx, i0 in geo.brick_steps(spec):
-            worst = max(worst, pallet_fetch_rows(spec, base_wx, wy, bx, by, i0))
-            if worst >= min(spec.s + 1, PALLET):
-                return worst  # already at the mapping's ceiling
-    return worst
-
-
-def fetch_cycles(lowered: LayerLowering) -> int:
-    """:func:`dispatcher_fetch_cycles` of the layer, once per shared lowering."""
-    return lowered.cached("fetch", lambda: dispatcher_fetch_cycles(lowered.spec))
 
 
 # --- layer lowering shared by both sync modes ---
@@ -511,7 +456,7 @@ def pragmatic_layer(
         ("costs", cfg.l_bits),
         lambda: _checked_costs(view, lowered.filters, spec, cfg.l_bits),
     )
-    nm_c = fetch_cycles(lowered)
+    nm_c = lowered.nm_cycles
     n_steps = costs.shape[0] * costs.shape[1]
     if cfg.sync == "pallet":
         phase_cycles = costs.max(axis=2)  # slowest column per phase

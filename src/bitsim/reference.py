@@ -32,7 +32,7 @@ import numpy as np
 
 from . import geometry as geo
 from .encoding import essential_counts
-from .geometry import FilterSet, LayerSpec, Tensor3, output_dims
+from .geometry import FilterSet, LayerSpec, Tensor3, dispatcher_fetch_cycles, output_dims
 from .numerics import MissingProfile, Precision, activate, full_precision, trim_tensor
 
 
@@ -317,11 +317,21 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-class _Cached:
-    """Values derived once per key and handed to every later reader."""
+class ViewLowering:
+    """One input view of a layer, lowered once: its values, im2col matrix,
+    exact output and effectual term count, all read-only, so no engine
+    variant can change what a later one reads. :meth:`cached` keeps what
+    engines derive from the view (column costs with their sampled checks).
+    """
 
-    def __init__(self):
+    def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,
+                 width: int, out_shift: int):
         self._memo: dict = {}
+        self.values = read_only(values)
+        self.x = read_only(im2col(Tensor3(values), spec))
+        self.output = lowered_output(self.x, filters, spec, out_shift)
+        self.output.data.setflags(write=False)
+        self.effectual_terms = effectual_terms(values, spec, width)
 
     def cached(self, key, make):
         """``make()`` on the first call with ``key``, the same value after."""
@@ -330,38 +340,23 @@ class _Cached:
         return self._memo[key]
 
 
-class ViewLowering(_Cached):
-    """One input view of a layer, lowered once: its values, im2col matrix,
-    exact output and effectual term count, all read-only, so no engine
-    variant can change what a later one reads. :meth:`cached` keeps what
-    engines derive from the view (sampled checks, column costs).
-    """
-
-    def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,
-                 width: int, out_shift: int):
-        super().__init__()
-        self.values = read_only(values)
-        self.x = read_only(im2col(Tensor3(values), spec))
-        self.output = lowered_output(self.x, filters, spec, out_shift)
-        self.output.data.setflags(write=False)
-        self.effectual_terms = effectual_terms(values, spec, width)
-
-
-class LayerLowering(_Cached):
+class LayerLowering:
     """A layer's inputs, each input view lowered on first use.
 
     A view is keyed by its precision window: ``None`` is the raw input, a
     :class:`Precision` the input trimmed to that window. Every engine
     variant on the layer reads the same :class:`ViewLowering` of its
-    view, and :meth:`cached` keeps what depends on the layer alone.
+    view. ``nm_cycles`` is the layer's dispatcher fetch cost ``NM_C``
+    (:func:`~bitsim.geometry.dispatcher_fetch_cycles`), which both
+    serial engines read.
     """
 
     def __init__(self, input: Tensor3, filters: FilterSet, spec: LayerSpec,
                  width: int = 16, out_shift: int = 0):
-        super().__init__()
         check_shapes(input, filters, spec)
         self.input, self.filters, self.spec = input, filters, spec
         self.width, self.out_shift = width, out_shift
+        self.nm_cycles = dispatcher_fetch_cycles(spec)
         self._views: dict[Precision | None, ViewLowering] = {}
 
     def view(self, profile: Precision | None) -> ViewLowering:

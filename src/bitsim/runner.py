@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import ReportDocument, TermCounts, count_terms, report
 from .config import EngineSelector, ExperimentConfig, LayerConfig
-from .encoding import stats
+from .encoding import BitStats, stats
 from .geometry import FilterSet, Tensor3, container_bounds
 from .numerics import trim_tensor
 from .pragmatic import pragmatic_layer
@@ -138,6 +138,13 @@ def run_layer(
     return results
 
 
+def _layer_terms(cfg: ExperimentConfig, layer: LayerConfig,
+                 input: Tensor3) -> tuple[TermCounts, BitStats]:
+    """The layer's term counts and essential-bit statistics."""
+    terms = count_terms(input, layer.spec, layer.precision, cfg.width, layer.first_layer)
+    return terms, stats(input.data, cfg.width)
+
+
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
 
@@ -152,10 +159,7 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
         baseline = dadn_cycles(layer.spec)
         for result in run_layer(cfg, layer, input, filters):
             rows.append((layer.spec.name, result, baseline))
-        terms[layer.spec.name] = count_terms(
-            input, layer.spec, layer.precision, cfg.width, layer.first_layer
-        )
-        bits[layer.spec.name] = stats(input.data, cfg.width)
+        terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
     return report(rows, terms, bits, cfg.width)
 
 
@@ -165,10 +169,7 @@ def analyze(cfg: ExperimentConfig) -> tuple[dict[str, TermCounts], dict]:
     bits = {}
     for index, layer in enumerate(cfg.layers):
         input = build_layer_input(cfg, layer, index)
-        terms[layer.spec.name] = count_terms(
-            input, layer.spec, layer.precision, cfg.width, layer.first_layer
-        )
-        bits[layer.spec.name] = stats(input.data, cfg.width)
+        terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
     return terms, bits
 
 

@@ -26,7 +26,6 @@ from .reference import (
     sampled_bricks,
     sb_read_count,
 )
-from .pragmatic import fetch_cycles
 
 
 def _check_window(n: int, p: Precision, signed: bool):
@@ -63,11 +62,9 @@ def sip_inner(neurons, synapses, p: Precision, signed: bool | None = None) -> in
     return acc
 
 
-def _check_sip(view: ViewLowering, filters: FilterSet, profile: Precision):
-    """The streamed window of a view, after the sampled :func:`sip_inner`
-    bricks matched the lowered layer."""
-    signed = bool((view.values < 0).any())
-    stream = Precision(15 if signed else profile.msb, profile.lsb)
+def _check_sip(view: ViewLowering, filters: FilterSet, stream: Precision, signed: bool):
+    """Raise :class:`ScalarModelMismatch` unless the sampled
+    :func:`sip_inner` bricks over ``stream`` match the lowered layer."""
     for window, step, neurons, synapses, dot in sampled_bricks(view.x, filters):
         value = sip_inner(neurons, synapses, stream, signed)
         if value != dot:
@@ -75,7 +72,6 @@ def _check_sip(view: ViewLowering, filters: FilterSet, profile: Precision):
                 f"sip_inner gives {value} on window {window}, brick step {step}; "
                 f"the lowered layer gives {dot}"
             )
-    return stream
 
 
 def stripes_layer(lowered: LayerLowering, profile: Precision | None) -> EngineResult:
@@ -89,22 +85,23 @@ def stripes_layer(lowered: LayerLowering, profile: Precision | None) -> EngineRe
     no exact two's-complement transmission.
 
     The output is the shared exact lowered product; a fixed sample of
-    bricks goes through :func:`sip_inner` over the streamed planes, once
-    per view of the lowering, and any disagreement raises
-    :class:`ScalarModelMismatch`.
+    bricks goes through :func:`sip_inner` over the streamed planes on
+    every call, and any disagreement raises :class:`ScalarModelMismatch`.
 
-    Cycles per phase are ``max(NM_C, p)``: the dispatcher fetch model is
-    shared with the essential-bit engine, and equals the pure ``p``
-    closed form whenever the fetch keeps up (``NM_C <= p``).
+    Cycles per phase are ``max(NM_C, p)``: the dispatcher fetch cost is
+    the lowering's, shared with the essential-bit engine, and equals the
+    pure ``p`` closed form whenever the fetch keeps up (``NM_C <= p``).
     """
     view = lowered.trimmed(profile)
-    stream = view.cached("sip", lambda: _check_sip(view, lowered.filters, profile))
+    signed = bool((view.values < 0).any())
+    stream = Precision(15 if signed else profile.msb, profile.lsb)
+    _check_sip(view, lowered.filters, stream, signed)
 
     p_eff = stream.width
     spec = lowered.spec
     groups = geo.filter_groups(spec)
     phases = geo.num_pallets(spec) * geo.num_brick_steps(spec)
-    nm_c = fetch_cycles(lowered)
+    nm_c = lowered.nm_cycles
     report = CycleReport(
         compute_cycles=groups * phases * max(nm_c, p_eff),
         nm_fetch_cycles=groups * phases * nm_c,

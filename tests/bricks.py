@@ -2,8 +2,9 @@
 
 Tests walk the datapath schedule one brick at a time with these, to
 check the vectorized engines against the scalar unit models at the
-opposite granularity. Padding is virtual: reads that fall into the zero
-border return zeros.
+opposite granularity, and walk every pallet fetch of a layer to check
+the closed-form dispatcher fetch cost. Padding is virtual: reads that
+fall into the zero border return zeros.
 """
 
 from __future__ import annotations
@@ -14,6 +15,68 @@ import numpy as np
 
 from bitsim.geometry import BRICK, PALLET, LayerSpec, Tensor3, output_dims
 from bitsim.pragmatic import pip_schedule
+
+
+def brick_steps(spec: LayerSpec):
+    """Iterate the ``(by, bx, i0)`` brick offsets that tile one window."""
+    for by in range(spec.fy):
+        for bx in range(spec.fx):
+            for i0 in range(0, spec.i, BRICK):
+                yield by, bx, i0
+
+
+def pallet_bases(spec: LayerSpec):
+    """Iterate ``(base_wx, wy)`` pallet anchors, row by row.
+
+    Pallets never cross an output row; a row's last pallet may have idle
+    lanes.
+    """
+    ox, oy, _ = output_dims(spec)
+    for wy in range(oy):
+        for base in range(0, ox, PALLET):
+            yield base, wy
+
+
+def nm_row(spec: LayerSpec, x: int, y: int, i0: int) -> int:
+    """NM row of a brick, one row holding 256 neurons (16 bricks).
+
+    Bricks are laid out (y, i0, x) with x fastest, so a pallet's 16
+    stride-adjacent bricks are s bricks apart regardless of the layer
+    depth. Bricks never span a row.
+    """
+    depth_slices = spec.i // BRICK
+    addr = (y * depth_slices + i0 // BRICK) * spec.nx + x
+    return addr // PALLET
+
+
+def pallet_fetch_rows(
+    spec: LayerSpec, base_wx: int, wy: int, bx: int, by: int, i0: int
+) -> int:
+    """Distinct NM rows one pallet fetch touches (0 if all-padding)."""
+    ox, _, _ = output_dims(spec)
+    y = wy * spec.s + by - spec.pad
+    if not 0 <= y < spec.ny:
+        return 0
+    rows = set()
+    for w in range(PALLET):
+        wx = base_wx + w
+        if wx >= ox:
+            continue
+        x = wx * spec.s + bx - spec.pad
+        if 0 <= x < spec.nx:
+            rows.add(nm_row(spec, x, y, i0))
+    return len(rows)
+
+
+def walked_fetch_cycles(spec: LayerSpec) -> int:
+    """``NM_C`` by walking every pallet fetch of the layer: the most rows
+    any fetch reads, and 1 when every fetch reads the zero border."""
+    fetches = (
+        pallet_fetch_rows(spec, base_wx, wy, bx, by, i0)
+        for base_wx, wy in pallet_bases(spec)
+        for by, bx, i0 in brick_steps(spec)
+    )
+    return max(1, max(fetches))
 
 
 class OutOfRange(IndexError):

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import bitsim.cli as cli_mod
 import bitsim.pragmatic as pragmatic_mod
 import bitsim.reference as reference_mod
 import bitsim.runner as runner_mod
@@ -140,6 +141,19 @@ class TestSimulateCommand:
         runner.invoke(main, ["simulate", str(path), "--out", str(out1)])
         runner.invoke(main, ["simulate", str(path), "--seed", "99", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_pallet_buffers_name_their_variants(self, tmp_path):
+        column = {"engine": "pragmatic", "sync": "column", "ssrs": 4}
+        cfg = base_config(engines=[column, {**column, "pallet_buffer": 1}])
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg)),
+                                      "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["2b-column-4R-red", "2b-column-4R-1B-red"]
+        assert rows[0][4] != rows[1][4]  # the two designs take different cycles
+        assert "pragmatic:2b-column-4R-red " in r.output
+        assert "pragmatic:2b-column-4R-1B-red " in r.output
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -441,6 +455,20 @@ class TestNoTraceback:
         r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg))])
         assert_clean_exit(r, 1)
         assert "more than 2147483647" in r.output
+
+    @pytest.mark.parametrize("command", ["validate", "analyze", "gen-trace"])
+    def test_out_of_memory_while_loading_is_a_resource_error(self, tmp_path, monkeypatch,
+                                                             command):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "load_config", no_memory)
+        args = [command, str(write_config(tmp_path, base_config()))]
+        if command == "gen-trace":
+            args += ["-o", str(tmp_path / "t.prgt")]
+        r = CliRunner().invoke(main, args)
+        assert_clean_exit(r, 2)
+        assert "out of memory (allocation failed)" in r.output
 
     @pytest.mark.parametrize("command", ["simulate", "analyze", "gen-trace"])
     def test_out_of_memory_is_a_resource_error(self, tmp_path, monkeypatch, command):

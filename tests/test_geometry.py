@@ -8,11 +8,10 @@ from bitsim.geometry import (
     LayerSpec,
     NonIntegralDims,
     Tensor3,
-    brick_steps,
     output_dims,
     pad_depth,
 )
-from bricks import OutOfRange, build_pallet, window_brick
+from bricks import OutOfRange, brick_steps, build_pallet, window_brick
 
 
 def enumerate_windows(nx, ny, fx, fy, s, pad):

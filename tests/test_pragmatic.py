@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitsim.encoding import OneffsetStream, encode
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
@@ -9,7 +10,6 @@ from bitsim.pragmatic import (
     PragConfig,
     column_costs,
     dispatcher_fetch_cycles,
-    pallet_fetch_rows,
     pip_inner,
     pip_schedule,
     pragmatic_layer,
@@ -18,7 +18,7 @@ from bitsim.pragmatic import (
 )
 from bitsim.reference import LayerLowering, conv_oracle, dadn_cycles, sb_read_count
 from bitsim.stripes import stripes_layer
-from bricks import pallet_phase_cycles
+from bricks import pallet_fetch_rows, pallet_phase_cycles, walked_fetch_cycles
 
 
 class TestTwoStageStep:
@@ -142,6 +142,26 @@ class TestDispatcherFetch:
     def test_never_exceeds_sixteen(self):
         spec = LayerSpec(nx=241, ny=1, i=16, n=1, fx=1, fy=1, s=16)
         assert dispatcher_fetch_cycles(spec) <= 16
+
+
+@st.composite
+def fetch_geometries(draw):
+    """Valid layers built from their output size: the input is as wide as
+    ``ox`` windows of stride ``s`` need, less the padding. Strides above
+    16 put every brick of a fetch in a row of its own."""
+    ox, oy = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    s = draw(st.integers(1, 20) | st.integers(17, 300))
+    fx, fy = draw(st.integers(1, 11)), draw(st.integers(1, 3))
+    pad = draw(st.integers(0, min(5, ((ox - 1) * s + fx - 1) // 2,
+                                  ((oy - 1) * s + fy - 1) // 2)))
+    return LayerSpec(nx=(ox - 1) * s + fx - 2 * pad, ny=(oy - 1) * s + fy - 2 * pad,
+                     i=16 * draw(st.integers(1, 5)), n=1, fx=fx, fy=fy, s=s, pad=pad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fetch_geometries())
+def test_fetch_cost_closed_form_equals_the_pallet_walk(spec):
+    assert dispatcher_fetch_cycles(spec) == walked_fetch_cycles(spec)
 
 
 def layer_fixture(seed, neg=False, **overrides):
@@ -309,8 +329,8 @@ def test_layer_equals_brick_by_brick_pip_sums():
     # the vectorized layer path must agree with pip_inner over the brick
     # schedule, and the pallet phase costs with the unit scheduler
     from bitsim.encoding import encode
-    from bitsim.geometry import brick_steps, output_dims, pallet_bases
-    from bricks import build_pallet, window_brick
+    from bitsim.geometry import output_dims
+    from bricks import brick_steps, build_pallet, pallet_bases, window_brick
     from bitsim.numerics import activate
 
     spec = LayerSpec(nx=5, ny=4, i=32, n=3, fx=2, fy=2, s=1, pad=1, act="identity")

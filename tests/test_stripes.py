@@ -138,8 +138,8 @@ class TestStripesLayer:
     def test_layer_equals_brick_by_brick_unit_sums(self):
         # the layer engine must agree with summing sip_inner over the
         # brick schedule: same arithmetic, opposite granularity
-        from bitsim.geometry import brick_steps, output_dims
-        from bricks import window_brick
+        from bitsim.geometry import output_dims
+        from bricks import brick_steps, window_brick
         from bitsim.numerics import activate
 
         spec = LayerSpec(nx=5, ny=4, i=32, n=3, fx=2, fy=2, s=1, pad=1, act="relu")
