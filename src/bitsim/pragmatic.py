@@ -172,34 +172,42 @@ def pip_inner(neuron_streams, synapses, l_bits: int = 4) -> tuple[int, int]:
 
 # --- vectorized column costs (the same scheduler on magnitude bitmasks) ---
 
-_LOWBIT = np.full(1 << 16, 64, dtype=np.int64)
-for _k in range(16):
-    _LOWBIT[1 << _k] = _k
-
 
 def column_costs(masks: np.ndarray, l_bits: int) -> np.ndarray:
     """Scheduler cycle counts for batches of 16-lane magnitude masks.
 
     ``masks[..., lane]`` holds the essential-bit set of each lane as a
-    bitmask; the returned array drops the lane axis. Exactly matches
-    :func:`pip_schedule` length, vectorized: each iteration consumes the
-    head (lowest set bit) of every lane within first-stage reach of the
-    batch minimum.
+    bitmask in ``[0, 2^16)``; the returned uint8 array drops the lane
+    axis. Exactly matches :func:`pip_schedule` length, vectorized: the
+    shift ``c`` is the lowest set bit of the OR of the lanes' masks, and
+    each iteration consumes the head (lowest set bit) of every lane
+    below ``c + 2^L``. Every lane whose head is ``c`` advances, so ``c``
+    rises each cycle and a brick takes at most 16 cycles.
+
+    Raises ValueError for a mask outside ``[0, 2^16)``, which no cast
+    may wrap.
     """
-    m = np.asarray(masks, dtype=np.int64).copy()
-    cycles = np.zeros(m.shape[:-1], dtype=np.int64)
-    span = 1 << l_bits
-    while True:
-        live = m != 0
-        active = live.any(axis=-1)
-        if not active.any():
-            break
-        heads = _LOWBIT[m & -m]
-        c = heads.min(axis=-1)
-        adv = live & ((heads - c[..., None]) < span)
-        m = np.where(adv, m & (m - 1), m)
-        cycles += active
-    return np.maximum(cycles, 1)
+    masks = np.asarray(masks)
+    if masks.dtype != np.uint16 and masks.size and (
+        masks.min() < 0 or masks.max() >= 1 << 16
+    ):
+        raise ValueError("column_costs masks must lie in [0, 2^16)")
+    # lane-major and C-ordered, so the OR over lanes runs along whole rows
+    m = masks.reshape(-1, masks.shape[-1]).T.astype(np.uint16, order="C")
+    head = np.empty_like(m)
+    cycles = np.zeros(m.shape[1], dtype=np.uint8)
+    reach = (1 << (1 << l_bits)) - 1  # 2^L ones; times the low bit: c .. c + 2^L - 1
+    union = np.bitwise_or.reduce(m, axis=0)
+    while union.any():
+        cycles += union != 0
+        union &= -union
+        union *= reach  # wraps above bit 15, where no head lies
+        np.negative(m, out=head)
+        head &= m
+        head &= union
+        m ^= head
+        np.bitwise_or.reduce(m, axis=0, out=union)
+    return np.maximum(cycles, 1).reshape(masks.shape[:-1])
 
 
 # --- layer lowering shared by both sync modes ---
@@ -216,7 +224,7 @@ def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray
     ox, oy, _ = output_dims(spec)
     nb = -(-ox // PALLET)
     s, pad = spec.s, spec.pad
-    mags = np.abs(values).reshape(spec.ny, spec.nx, spec.i // BRICK, BRICK)
+    mags = np.abs(values).astype(np.uint16).reshape(spec.ny, spec.nx, spec.i // BRICK, BRICK)
     per_brick = column_costs(mags, l_bits)
     # One more column of ones past the border stands in for idle lanes.
     per_brick = np.pad(per_brick, ((pad, pad), (pad, pad + 1), (0, 0)), constant_values=1)
@@ -226,7 +234,7 @@ def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray
     depth = np.arange(spec.i // BRICK)[:, None]
     # (wy, nb, by, bx, d, window) -> (pallet, step, window)
     costs = per_brick[rows[:, None, :, None, None, None], cols[None, :, None, :, None, :], depth]
-    return costs.reshape(oy * nb, geo.num_brick_steps(spec), PALLET)
+    return costs.reshape(oy * nb, geo.num_brick_steps(spec), PALLET).astype(np.int64)
 
 
 def _checked_costs(view: ViewLowering, filters: FilterSet, spec: LayerSpec,

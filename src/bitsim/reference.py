@@ -204,21 +204,30 @@ def dadn_layer(lowered: LayerLowering) -> EngineResult:
 # --- shared lowering helpers (used by the engine models, not the oracle) ---
 
 
+def _clipped(offset: int, s: int, count: int, n: int) -> tuple[slice, slice]:
+    """Slices of the outputs ``k < count`` whose read ``k*s + offset`` lies
+    in ``[0, n)``, and of those reads."""
+    first = max(0, -(offset // s))
+    stop = max(first, min(count, (n - 1 - offset) // s + 1))
+    start = first * s + offset  # >= 0, so neither slice wraps
+    return slice(first, stop), slice(start, start + (stop - first) * s, s)
+
+
 def im2col(input: Tensor3, spec: LayerSpec) -> np.ndarray:
     """Window matrix ``(oy*ox, fy*fx*i)`` with virtual zero padding, in
-    the int32 of :class:`Tensor3`."""
+    the int32 of :class:`Tensor3`.
+
+    One copy per filter tap: the windows whose reads of that tap fall in
+    the input take one strided 2-D slice of it; the rest stay zero. No
+    padded copy of the input is made.
+    """
     ox, oy, _ = output_dims(spec)
-    data = input.data
     cols = np.zeros((oy, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
     for by in range(spec.fy):
+        out_y, in_y = _clipped(by - spec.pad, spec.s, oy, spec.ny)
         for bx in range(spec.fx):
-            for l in range(oy):
-                y = l * spec.s + by - spec.pad
-                if not 0 <= y < spec.ny:
-                    continue
-                xs = np.arange(ox) * spec.s + bx - spec.pad
-                ok = (xs >= 0) & (xs < spec.nx)
-                cols[l, ok, by, bx, :] = data[y, xs[ok], :]
+            out_x, in_x = _clipped(bx - spec.pad, spec.s, ox, spec.nx)
+            cols[out_y, out_x, by, bx] = input.data[in_y, in_x]
     return cols.reshape(oy * ox, spec.fy * spec.fx * spec.i)
 
 

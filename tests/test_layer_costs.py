@@ -1,8 +1,10 @@
-"""Per-brick column costs gathered per window equal the im2col reference.
+"""Column costs: the uint16 scheduler and the per-brick gather.
 
-The engine schedules each input brick once and gathers the costs into
-the (pallet, brick-step, window) layout; ``costs_reference`` schedules
-every im2col entry, as the engine did before.
+``column_costs`` equals the int64 table loop it replaced and the length
+of the scalar :func:`pip_schedule`. The engine schedules each input
+brick once and gathers the costs into the (pallet, brick-step, window)
+layout; ``costs_reference`` schedules every im2col entry with the old
+loop on the old row-loop im2col, as the engine did before.
 """
 
 import numpy as np
@@ -10,11 +12,51 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bitsim.pragmatic as pragmatic
+from bitsim.encoding import encode
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
 from bitsim.numerics import Precision, trim_tensor
-from bitsim.pragmatic import PragConfig, pragmatic_layer
+from bitsim.pragmatic import PragConfig, column_costs, pip_schedule, pragmatic_layer
 from bitsim.reference import LayerLowering, ScalarModelMismatch
-from costs_reference import reference_costs
+from costs_reference import loop_column_costs, reference_costs
+
+# a lane's mask: empty, one bit, bit 15 set, or any 16-bit set
+LANE_MASKS = st.one_of(
+    st.just(0),
+    st.integers(0, 15).map(lambda k: 1 << k),
+    st.integers(0x8000, 0xFFFF),
+    st.integers(0, 0xFFFF),
+)
+
+
+@st.composite
+def brick_batches(draw):
+    """A batch of 1-6 bricks of one lane count (1-16), as a nested list."""
+    lanes = draw(st.integers(1, 16))
+    bricks = draw(st.integers(1, 6))
+    brick = st.lists(LANE_MASKS, min_size=lanes, max_size=lanes)
+    return draw(st.lists(brick, min_size=bricks, max_size=bricks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(brick_batches(), st.integers(0, 4), st.sampled_from([np.uint16, np.int64]))
+def test_column_costs_equal_table_loop_and_pip_schedule(batch, l_bits, dtype):
+    masks = np.array(batch, dtype=dtype)
+    got = column_costs(masks, l_bits)
+    assert got.dtype == np.uint8
+    assert got.shape == masks.shape[:-1]
+    assert got.tolist() == loop_column_costs(masks, l_bits).tolist()
+    for brick, cost in zip(batch, got.tolist()):
+        assert cost == len(pip_schedule([encode(v) for v in brick], l_bits))
+        assert cost <= 16
+    assert masks.tolist() == batch  # scheduled on a copy
+
+
+@pytest.mark.parametrize("bad", [1 << 16, -1])
+def test_column_costs_reject_masks_outside_16_bits(bad):
+    masks = np.zeros((3, 16), dtype=np.int64)
+    masks[1, 5] = bad
+    with pytest.raises(ValueError, match=r"\[0, 2\^16\)"):
+        column_costs(masks, 2)
 
 
 @st.composite

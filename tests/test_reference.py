@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bitsim.reference as reference
 from bitsim.geometry import BRICK, FilterSet, LayerSpec, Tensor3, output_dims, pad_depth
@@ -19,6 +19,7 @@ from bitsim.reference import (
     sb_read_count,
 )
 from bitsim.traces import generate_synapses, generate_trace
+from costs_reference import row_loop_im2col
 from oracle_reference import window_oracle
 
 
@@ -268,6 +269,36 @@ def test_im2col_matches_window_extraction():
             else:
                 gathered.extend([0] * spec.i)
     assert x[l * ox + k].tolist() == gathered
+
+
+def _input_size(o: int, f: int, s: int, pad: int) -> int:
+    """The input size giving ``o`` outputs, or more outputs while ``o``
+    would need an input below 1."""
+    n = (o - 1) * s + f - 2 * pad
+    return n + s * -(-(1 - n) // s) if n < 1 else n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9), st.integers(1, 9), st.sampled_from([16, 32]),
+    st.integers(1, 7), st.integers(1, 7), st.integers(1, 9), st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+# a 7-wide filter on a 3-wide input with pad 2: tap 0 reads left of the input
+@example(ox=1, oy=1, i=16, fx=7, fy=7, s=1, pad=2, seed=0)
+def test_im2col_equals_the_row_loop(ox, oy, i, fx, fy, s, pad, seed):
+    # strides past the filter (s > fx) skip input columns; pads at or past
+    # the filter (pad >= fx) give windows that read only the zero border,
+    # and a filter wider than the input and one pad gives taps that no
+    # window reads inside the input
+    nx, ny = _input_size(ox, fx, s, pad), _input_size(oy, fy, s, pad)
+    spec = LayerSpec(nx=nx, ny=ny, i=i, n=1, fx=fx, fy=fy, s=s, pad=pad)
+    rng = np.random.default_rng(seed)
+    t = Tensor3(rng.integers(-32768, 32768, size=(ny, nx, i)))
+    got = im2col(t, spec)
+    want = row_loop_im2col(t, spec)
+    assert got.dtype == want.dtype == np.int32
+    assert np.array_equal(got, want)
 
 
 def test_cycle_report_invariants():
