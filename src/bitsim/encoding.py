@@ -91,7 +91,8 @@ def essential_count(v: int, width: int = 16) -> int:
 
 def essential_counts(values: np.ndarray, width: int = 16) -> np.ndarray:
     """Vectorized :func:`essential_count` over an integer array."""
-    mags = np.abs(np.asarray(values, dtype=np.int64)) & ((1 << width) - 1)
+    mags = np.abs(np.asarray(values), dtype=np.int64)  # no int64 copy of int32 input
+    mags &= (1 << width) - 1
     return np.bitwise_count(mags)
 
 

@@ -99,9 +99,16 @@ def trim(v: int, p: Precision, mode: str = "sign_magnitude") -> int:
 
 
 def trim_tensor(values: np.ndarray, p: Precision) -> np.ndarray:
-    """Vectorized :func:`trim` (sign-magnitude) over an integer array."""
+    """Vectorized :func:`trim` (sign-magnitude) over an integer array.
+
+    Returns int32: the magnitude is masked to ``p`` before the cast, so
+    it lies below 2^16 and no cast wraps it.
+    """
     a = np.asarray(values)
-    return np.sign(a) * (np.abs(a.astype(np.int64)) & p.mask)
+    mag = np.abs(a, dtype=np.int64)
+    mag &= p.mask
+    mag = mag.astype(np.int32)
+    return np.where(a < 0, -mag, mag)
 
 
 def quantize8(x, q: QuantParams):

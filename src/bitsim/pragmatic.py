@@ -21,6 +21,7 @@ Synchronization:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -102,17 +103,18 @@ def two_stage_step(heads, l_bits: int):
     ``heads`` holds one optional offset per lane (None = exhausted).
     Returns ``(c, advance, done)``: the shared second-stage shift, the
     per-lane advance mask, and whether every live head was consumed
-    (no lane left stalled). Raises :class:`AllDone` with no live lane.
+    (no lane left stalled). A head advances when it lies below
+    ``c + 2^L``, so every live head did when the highest one does.
+    Raises :class:`AllDone` with no live lane.
     """
     heads = list(heads)
     live = [h for h in heads if h is not None]
     if not live:
         raise AllDone("no live lanes to schedule")
     c = 0 if l_bits >= 4 else min(live)
-    span = 1 << l_bits
-    advance = tuple(h is not None and h - c < span for h in heads)
-    done = all(h is None or adv for h, adv in zip(heads, advance))
-    return c, advance, done
+    reach = c + (1 << l_bits)
+    advance = tuple(h is not None and h < reach for h in heads)
+    return c, advance, max(live) < reach
 
 
 @dataclass(frozen=True)
@@ -124,20 +126,25 @@ class ScheduleStep:
 def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     """Cycle-by-cycle schedule of one PIP column (16 lanes max).
 
-    All-empty lanes still take one cycle: the end-of-neuron marker has to
-    be consumed.
+    Each cycle asks :func:`two_stage_step` which lanes advance, then
+    moves only those lanes' heads to their next offset, and counts down
+    the live lanes. All-empty lanes still take one cycle: the
+    end-of-neuron marker has to be consumed.
     """
     offsets = [s.offsets for s in streams]
     if len(offsets) > BRICK:
         raise ValueError(f"a PIP column has at most {BRICK} lanes")
-    pos = [0] * len(offsets)  # each lane's next offset
+    rest = [iter(o) for o in offsets]  # each lane's offsets after its head
+    heads = [next(r, None) for r in rest]
+    live = len(heads) - heads.count(None)
+    lanes = range(len(heads))
     steps: list[ScheduleStep] = []
-    while any(p < len(o) for p, o in zip(pos, offsets)):
-        heads = [o[p] if p < len(o) else None for p, o in zip(pos, offsets)]
+    while live:
         c, advance, _ = two_stage_step(heads, l_bits)
-        advanced = tuple(idx for idx, adv in enumerate(advance) if adv)
+        advanced = tuple(compress(lanes, advance))
         for idx in advanced:
-            pos[idx] += 1
+            heads[idx] = head = next(rest[idx], None)
+            live -= head is None
         steps.append(ScheduleStep(common_shift=c, advanced=advanced))
     if not steps:
         steps.append(ScheduleStep(common_shift=0, advanced=()))
@@ -158,14 +165,12 @@ def pip_inner(neuron_streams, synapses, l_bits: int = 4) -> tuple[int, int]:
         raise ValueError("need one synapse per neuron stream")
     signed = [-s if stream.neg else s for stream, s in zip(streams, synapses)]
     steps = pip_schedule(streams, l_bits)
-    pos = [0] * len(streams)  # each lane's next offset
+    rest = [iter(stream.offsets) for stream in streams]  # consumed in step order
     acc = 0
     for step in steps:
         first_stage = 0
         for idx in step.advanced:
-            f = streams[idx].offsets[pos[idx]]
-            pos[idx] += 1
-            first_stage += signed[idx] << (f - step.common_shift)
+            first_stage += signed[idx] << (next(rest[idx]) - step.common_shift)
         acc += first_stage << step.common_shift
     return acc, len(steps)
 
@@ -237,19 +242,30 @@ def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray
     return costs.reshape(oy * nb, geo.num_brick_steps(spec), PALLET).astype(np.int64)
 
 
+def _sampled_streams(view: ViewLowering, filters: FilterSet):
+    """The view's :func:`sampled_bricks`, each lane encoded once as its
+    oneffset stream: ``(window, step, streams, synapses, dot)``."""
+    return tuple(
+        (window, step, tuple(encode(v) for v in neurons), synapses, dot)
+        for window, step, neurons, synapses, dot in sampled_bricks(view.x, filters)
+    )
+
+
 def _checked_costs(view: ViewLowering, filters: FilterSet, spec: LayerSpec,
                    l_bits: int) -> np.ndarray:
     """The view's column costs ``(pallet, step, window)`` at ``l_bits``.
 
     A fixed sample of bricks goes through :func:`pip_inner`, whose value
     must equal the brick's dot product and whose cycles must equal the
-    brick's column cost.
+    brick's column cost. The sample and its encoded lanes depend on the
+    view alone, so the view keeps them for every ``l_bits``.
     """
     costs = _layer_costs(view.values, spec, l_bits)
     ox, _, _ = output_dims(spec)
     row_pallets = -(-ox // PALLET)
-    for window, step, neurons, synapses, dot in sampled_bricks(view.x, filters):
-        value, cycles = pip_inner([encode(v) for v in neurons], synapses, l_bits)
+    sample = view.cached("pip_sample", lambda: _sampled_streams(view, filters))
+    for window, step, streams, synapses, dot in sample:
+        value, cycles = pip_inner(streams, synapses, l_bits)
         wy, wx = divmod(window, ox)
         cost = int(costs[wy * row_pallets + wx // PALLET, step, wx % PALLET])
         if (value, cycles) != (dot, cost):

@@ -330,7 +330,8 @@ class ViewLowering:
     """One input view of a layer, lowered once: its values, im2col matrix,
     exact output and effectual term count, all read-only, so no engine
     variant can change what a later one reads. :meth:`cached` keeps what
-    engines derive from the view (column costs with their sampled checks).
+    engines derive from the view: column costs with their sampled checks,
+    and the checks' encoded sample.
     """
 
     def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,

@@ -1,5 +1,5 @@
-"""Per-value and closed-form counterparts of the library's layer-wide
-functions, kept for the tests that check one against the other."""
+"""Per-value, closed-form and earlier counterparts of library functions,
+kept for the tests that check one against the other."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import numpy as np
 
 from bitsim import geometry as geo
 from bitsim.encoding import essential_counts
-from bitsim.geometry import LayerSpec
+from bitsim.geometry import BRICK, LayerSpec
 from bitsim.numerics import Precision, QuantParams, trim_tensor
+from bitsim.pragmatic import ScheduleStep, two_stage_step
 
 
 def pair_term_counts(
@@ -43,3 +44,24 @@ def dequantize8(code, q: QuantParams):
     if np.ndim(code) == 0:
         return float(out)
     return out
+
+
+def rebuilt_heads_schedule(streams, l_bits: int) -> list[ScheduleStep]:
+    """:func:`bitsim.pragmatic.pip_schedule` as it was first written: every
+    cycle rebuilds each lane's head from its position and rescans the
+    lanes for one still live."""
+    offsets = [s.offsets for s in streams]
+    if len(offsets) > BRICK:
+        raise ValueError(f"a PIP column has at most {BRICK} lanes")
+    pos = [0] * len(offsets)  # each lane's next offset
+    steps: list[ScheduleStep] = []
+    while any(p < len(o) for p, o in zip(pos, offsets)):
+        heads = [o[p] if p < len(o) else None for p, o in zip(pos, offsets)]
+        c, advance, _ = two_stage_step(heads, l_bits)
+        advanced = tuple(idx for idx, adv in enumerate(advance) if adv)
+        for idx in advanced:
+            pos[idx] += 1
+        steps.append(ScheduleStep(common_shift=c, advanced=advanced))
+    if not steps:
+        steps.append(ScheduleStep(common_shift=0, advanced=()))
+    return steps

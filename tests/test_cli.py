@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ def im2col_mutant(pad_offset=0, row_stride=True):
                     cols[l, ok, by, bx, :] = input.data[y, xs[ok], :]
         return cols.reshape(oy * ox, -1)
     return im2col
+
+
+def two_stage_step_reaching_one_further(real):
+    """``two_stage_step`` whose first stage also takes a head at ``c + 2^L``."""
+    def two_stage_step(heads, l_bits):
+        heads = list(heads)
+        c, _, done = real(heads, l_bits)
+        return c, tuple(h is not None and h <= c + (1 << l_bits) for h in heads), done
+    return two_stage_step
 
 
 def exact_matmul_without_last_chunk(x, w):
@@ -222,19 +232,29 @@ class TestSimulateCommand:
         assert "oracle mismatch" in r.output
 
     @pytest.mark.parametrize(
-        "module, name, broken",
+        "module, name, broken, relu",
         [
-            (pragmatic_mod, "pip_inner", lambda real: lambda *a: (real(*a)[0] + 1, real(*a)[1])),
-            (pragmatic_mod, "pip_inner", lambda real: lambda *a: (real(*a)[0], real(*a)[1] + 1)),
-            (stripes_mod, "sip_inner", lambda real: lambda *a: real(*a) + 1),
+            (pragmatic_mod, "pip_inner", lambda real: lambda *a: (real(*a)[0] + 1, real(*a)[1]),
+             True),
+            (pragmatic_mod, "pip_inner", lambda real: lambda *a: (real(*a)[0], real(*a)[1] + 1),
+             True),
+            (stripes_mod, "sip_inner", lambda real: lambda *a: real(*a) + 1, True),
+            (pragmatic_mod, "encode",
+             lambda real: lambda v: replace(real(v), offsets=real(v).offsets[:-1]), True),
+            # the sign is lost only on negative neurons: a trace without ReLU
+            (pragmatic_mod, "encode", lambda real: lambda v: replace(real(v), neg=False), False),
+            (pragmatic_mod, "two_stage_step", two_stage_step_reaching_one_further, True),
         ],
-        ids=["pip-value", "pip-cycles", "sip-value"],
+        ids=["pip-value", "pip-cycles", "sip-value", "encode-top-offset", "encode-sign",
+             "two-stage-reach"],
     )
     def test_scalar_model_mismatch_exit_code(self, tmp_path, monkeypatch, module, name,
-                                             broken):
-        # an off-by-one scalar unit model must abort the run with code 3
+                                             broken, relu):
+        # an off-by-one scalar unit model must abort the run with code 3,
+        # also where its fault lies in the sample the view encodes once
         monkeypatch.setattr(module, name, broken(getattr(module, name)))
-        path = write_config(tmp_path, base_config())
+        cfg = base_config(trace={"kind": "synthetic", "sigma": 120.0, "relu": relu})
+        path = write_config(tmp_path, cfg)
         r = CliRunner().invoke(main, ["simulate", str(path)])
         assert isinstance(r.exception, SystemExit)  # no traceback
         assert r.exit_code == 3

@@ -271,7 +271,7 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
 
     for name in ("im2col", "dispatcher_fetch_cycles"):
         counted(reference, name)
-    for name in ("column_costs", "pip_inner"):
+    for name in ("column_costs", "pip_inner", "encode"):
         counted(pragmatic, name)
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name in ("example.json", "quantized.json"):
@@ -280,5 +280,7 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
         "im2col": 6,
         "column_costs": 8,
         "pip_inner": 8 * reference.SAMPLED_BRICKS,
+        # the sample's lanes are encoded once per trimmed view, not per l_bits
+        "encode": 3 * reference.SAMPLED_BRICKS * 16,
         "dispatcher_fetch_cycles": 3,
     }

@@ -71,6 +71,22 @@ class TestTrim:
         out = trim_tensor(vals, p)
         assert [trim(int(v), p) for v in vals] == out.tolist()
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_tensor_variant_is_int32_at_the_container_ends(self, dtype):
+        vals = np.array([-32768, 32767, -1, 0], dtype=dtype)
+        for p in (Precision(15, 0), Precision(14, 0), Precision(15, 1)):
+            out = trim_tensor(vals, p)
+            assert out.dtype == np.int32
+            assert out.tolist() == [trim(int(v), p) for v in vals.tolist()]
+
+    def test_tensor_variant_masks_int64_before_the_cast(self):
+        # magnitudes past 32 bits keep only the window's bits, not a wrapped cast
+        vals = np.array([(1 << 31) + 0x1234, -((1 << 31) + 5), (1 << 40) + 7, -(1 << 63)],
+                        dtype=np.int64)
+        out = trim_tensor(vals, Precision(15, 0))
+        assert out.dtype == np.int32
+        assert out.tolist() == [0x1234, -5, 7, 0]
+
 
 class TestQuantize:
     Q = QuantParams(-2.0, 6.0)

@@ -19,6 +19,7 @@ from bitsim.pragmatic import (
 from bitsim.reference import LayerLowering, conv_oracle, dadn_cycles, sb_read_count
 from bitsim.stripes import stripes_layer
 from bricks import pallet_fetch_rows, pallet_phase_cycles, walked_fetch_cycles
+from scalar_forms import rebuilt_heads_schedule
 
 
 class TestTwoStageStep:
@@ -44,6 +45,27 @@ class TestTwoStageStep:
     def test_all_done_raises(self):
         with pytest.raises(AllDone):
             two_stage_step([None, None], l_bits=2)
+
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 15)), min_size=1, max_size=16)
+           .filter(lambda heads: any(h is not None for h in heads)),
+           st.integers(0, 4))
+    def test_done_when_no_live_head_stalls(self, heads, l_bits):
+        _, advance, done = two_stage_step(heads, l_bits)
+        assert done == all(adv for h, adv in zip(heads, advance) if h is not None)
+        assert not any(adv for h, adv in zip(heads, advance) if h is None)
+
+
+# one lane's essential bits: none, or any ascending offsets in [0, 16)
+LANE_STREAMS = st.one_of(
+    st.just(OneffsetStream(())),
+    st.sets(st.integers(0, 15)).map(lambda bits: OneffsetStream(tuple(sorted(bits)))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LANE_STREAMS, max_size=16), st.integers(0, 4))
+def test_pip_schedule_equals_the_rebuilt_heads_loop(streams, l_bits):
+    assert pip_schedule(streams, l_bits) == rebuilt_heads_schedule(streams, l_bits)
 
 
 class TestPipInner:
