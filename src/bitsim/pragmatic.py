@@ -28,7 +28,7 @@ import numpy as np
 from . import geometry as geo
 from .encoding import encode
 # dispatcher_fetch_cycles (NM_C) is also public under this module's name
-from .geometry import BRICK, PALLET, FilterSet, LayerSpec, dispatcher_fetch_cycles, output_dims
+from .geometry import BRICK, PALLET, LayerSpec, dispatcher_fetch_cycles, output_dims
 from .numerics import Precision
 from .reference import (
     CycleReport,
@@ -37,7 +37,6 @@ from .reference import (
     ScalarModelMismatch,
     ViewLowering,
     read_only,
-    sampled_bricks,
     sb_read_count,
 )
 
@@ -129,7 +128,9 @@ def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     Each cycle asks :func:`two_stage_step` which lanes advance, then
     moves only those lanes' heads to their next offset, and counts down
     the live lanes. All-empty lanes still take one cycle: the
-    end-of-neuron marker has to be consumed.
+    end-of-neuron marker has to be consumed. A valid rule advances the
+    lane at ``c``, so a cycle that advances no lane would repeat forever;
+    it raises :class:`ScalarModelMismatch` instead.
     """
     offsets = [s.offsets for s in streams]
     if len(offsets) > BRICK:
@@ -142,6 +143,8 @@ def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     while live:
         c, advance, _ = two_stage_step(heads, l_bits)
         advanced = tuple(compress(lanes, advance))
+        if not advanced:
+            raise ScalarModelMismatch(f"the schedule advances no lane at shift {c}")
         for idx in advanced:
             heads[idx] = head = next(rest[idx], None)
             live -= head is None
@@ -242,17 +245,16 @@ def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray
     return costs.reshape(oy * nb, geo.num_brick_steps(spec), PALLET).astype(np.int64)
 
 
-def _sampled_streams(view: ViewLowering, filters: FilterSet):
-    """The view's :func:`sampled_bricks`, each lane encoded once as its
+def _sampled_streams(view: ViewLowering):
+    """The view's sampled bricks, each lane encoded once as its
     oneffset stream: ``(window, step, streams, synapses, dot)``."""
     return tuple(
         (window, step, tuple(encode(v) for v in neurons), synapses, dot)
-        for window, step, neurons, synapses, dot in sampled_bricks(view.x, filters)
+        for window, step, neurons, synapses, dot in view.sample
     )
 
 
-def _checked_costs(view: ViewLowering, filters: FilterSet, spec: LayerSpec,
-                   l_bits: int) -> np.ndarray:
+def _checked_costs(view: ViewLowering, spec: LayerSpec, l_bits: int) -> np.ndarray:
     """The view's column costs ``(pallet, step, window)`` at ``l_bits``.
 
     A fixed sample of bricks goes through :func:`pip_inner`, whose value
@@ -263,7 +265,7 @@ def _checked_costs(view: ViewLowering, filters: FilterSet, spec: LayerSpec,
     costs = _layer_costs(view.values, spec, l_bits)
     ox, _, _ = output_dims(spec)
     row_pallets = -(-ox // PALLET)
-    sample = view.cached("pip_sample", lambda: _sampled_streams(view, filters))
+    sample = view.cached("pip_sample", lambda: _sampled_streams(view))
     for window, step, streams, synapses, dot in sample:
         value, cycles = pip_inner(streams, synapses, l_bits)
         wy, wx = divmod(window, ox)
@@ -478,7 +480,7 @@ def pragmatic_layer(
     view = lowered.trimmed(profile) if cfg.trim == "profile" else lowered.view(None)
     costs = view.cached(
         ("costs", cfg.l_bits),
-        lambda: _checked_costs(view, lowered.filters, spec, cfg.l_bits),
+        lambda: _checked_costs(view, spec, cfg.l_bits),
     )
     nm_c = lowered.nm_cycles
     n_steps = costs.shape[0] * costs.shape[1]

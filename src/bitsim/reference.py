@@ -15,9 +15,9 @@ scalar unit models (:func:`sampled_bricks`), which model the shifters
 and the sign handling the lowered product skips.
 
 A :class:`LayerLowering` holds one layer's input views (raw, or
-window-trimmed), each lowered on first use to its im2col matrix, exact
-output and effectual term count. It is every engine's one input, so a
-sweep of variants over one lowering lowers each view once.
+window-trimmed), each lowered once to its exact output, sampled bricks
+and effectual term count; no im2col matrix is kept. It is every engine's
+one input, so a sweep of variants over one lowering lowers each view once.
 
 The baseline ("dadn") models a chip of 16 tiles x 16 filters that
 broadcasts one 16-neuron brick per cycle: its cycle count is a pure
@@ -296,7 +296,7 @@ SAMPLED_BRICKS = 8
 def sampled_bricks(x: np.ndarray, filters: FilterSet):
     """Yield ``(window, step, neurons, synapses, dot)`` for a fixed sample
     of ``SAMPLED_BRICKS`` bricks: the 16 lanes of one im2col row at one
-    brick step, against one filter, with their exact dot product.
+    brick step and one filter, as tuples, with their exact dot product.
 
     The picks come from a constant seed, so they depend on the layer's
     shape only, never on the run's seed.
@@ -310,8 +310,8 @@ def sampled_bricks(x: np.ndarray, filters: FilterSet):
     )
     for window, step, f in picks:
         lanes = slice(step * geo.BRICK, (step + 1) * geo.BRICK)
-        neurons = x[window, lanes].tolist()
-        synapses = w[f, lanes].tolist()
+        neurons = tuple(x[window, lanes].tolist())
+        synapses = tuple(w[f, lanes].tolist())
         dot = sum(n * s for n, s in zip(neurons, synapses))
         yield int(window), int(step), neurons, synapses, dot
 
@@ -327,20 +327,21 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 class ViewLowering:
-    """One input view of a layer, lowered once: its values, im2col matrix,
-    exact output and effectual term count, all read-only, so no engine
-    variant can change what a later one reads. :meth:`cached` keeps what
-    engines derive from the view: column costs with their sampled checks,
-    and the checks' encoded sample.
+    """One input view of a layer, lowered once: its values, exact output,
+    :func:`sampled_bricks` and effectual term count, none writable, so no
+    engine variant can change what a later one reads. The im2col matrix
+    is not kept. :meth:`cached` keeps what engines derive from the view:
+    column costs with their sampled checks, and the sample's encoded lanes.
     """
 
     def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,
                  width: int, out_shift: int):
         self._memo: dict = {}
         self.values = read_only(values)
-        self.x = read_only(im2col(Tensor3(values), spec))
-        self.output = lowered_output(self.x, filters, spec, out_shift)
+        x = im2col(Tensor3(values), spec)
+        self.output = lowered_output(x, filters, spec, out_shift)
         self.output.data.setflags(write=False)
+        self.sample = tuple(sampled_bricks(x, filters))
         self.effectual_terms = effectual_terms(values, spec, width)
 
     def cached(self, key, make):

@@ -15,7 +15,6 @@ schedule degenerates to the bit-parallel baseline's.
 from __future__ import annotations
 
 from . import geometry as geo
-from .geometry import FilterSet
 from .numerics import Precision
 from .reference import (
     CycleReport,
@@ -23,7 +22,6 @@ from .reference import (
     LayerLowering,
     ScalarModelMismatch,
     ViewLowering,
-    sampled_bricks,
     sb_read_count,
 )
 
@@ -62,10 +60,10 @@ def sip_inner(neurons, synapses, p: Precision, signed: bool | None = None) -> in
     return acc
 
 
-def _check_sip(view: ViewLowering, filters: FilterSet, stream: Precision, signed: bool):
-    """Raise :class:`ScalarModelMismatch` unless the sampled
-    :func:`sip_inner` bricks over ``stream`` match the lowered layer."""
-    for window, step, neurons, synapses, dot in sampled_bricks(view.x, filters):
+def _check_sip(view: ViewLowering, stream: Precision, signed: bool):
+    """Raise :class:`ScalarModelMismatch` unless :func:`sip_inner` over
+    ``stream`` matches the lowered layer on the view's sampled bricks."""
+    for window, step, neurons, synapses, dot in view.sample:
         value = sip_inner(neurons, synapses, stream, signed)
         if value != dot:
             raise ScalarModelMismatch(
@@ -84,8 +82,8 @@ def stripes_layer(lowered: LayerLowering, profile: Precision | None) -> EngineRe
     negated), since a magnitude window narrower than the container has
     no exact two's-complement transmission.
 
-    The output is the shared exact lowered product; a fixed sample of
-    bricks goes through :func:`sip_inner` over the streamed planes on
+    The output is the shared exact lowered product; the view's sampled
+    bricks go through :func:`sip_inner` over the streamed planes on
     every call, and any disagreement raises :class:`ScalarModelMismatch`.
 
     Cycles per phase are ``max(NM_C, p)``: the dispatcher fetch cost is
@@ -95,7 +93,7 @@ def stripes_layer(lowered: LayerLowering, profile: Precision | None) -> EngineRe
     view = lowered.trimmed(profile)
     signed = bool((view.values < 0).any())
     stream = Precision(15 if signed else profile.msb, profile.lsb)
-    _check_sip(view, lowered.filters, stream, signed)
+    _check_sip(view, stream, signed)
 
     p_eff = stream.width
     spec = lowered.spec

@@ -77,6 +77,14 @@ def two_stage_step_reaching_one_further(real):
     return two_stage_step
 
 
+def two_stage_step_advancing_nothing(real):
+    """``two_stage_step`` whose first stage takes no head, not even at ``c``."""
+    def two_stage_step(heads, l_bits):
+        c, advance, done = real(heads, l_bits)
+        return c, (False,) * len(advance), done
+    return two_stage_step
+
+
 def exact_matmul_without_last_chunk(x, w):
     """``reference.exact_matmul`` that drops the last chunk of its reduction."""
     peak = int(np.abs(x).max()) * int(np.abs(w).max())
@@ -244,9 +252,11 @@ class TestSimulateCommand:
             # the sign is lost only on negative neurons: a trace without ReLU
             (pragmatic_mod, "encode", lambda real: lambda v: replace(real(v), neg=False), False),
             (pragmatic_mod, "two_stage_step", two_stage_step_reaching_one_further, True),
+            # a rule that advances no lane must not hang the scheduler
+            (pragmatic_mod, "two_stage_step", two_stage_step_advancing_nothing, True),
         ],
         ids=["pip-value", "pip-cycles", "sip-value", "encode-top-offset", "encode-sign",
-             "two-stage-reach"],
+             "two-stage-reach", "two-stage-stuck"],
     )
     def test_scalar_model_mismatch_exit_code(self, tmp_path, monkeypatch, module, name,
                                              broken, relu):

@@ -28,6 +28,7 @@ from bitsim.reference import (
     exact_matmul,
     im2col,
     lowered_output,
+    sampled_bricks,
 )
 from bitsim.runner import run_engine, run_layer, simulate
 from bitsim.stripes import stripes_layer
@@ -214,13 +215,54 @@ def test_shared_lowering_is_read_only():
         for sync in ("pallet", "column"):
             cfg = PragConfig(l_bits=2, sync=sync, trim=trim)
             pragmatic_layer(lowered, profile, cfg)
+    stripes_layer(lowered, profile)
     for view in (lowered.view(profile), lowered.view(None)):
         costs = view.cached(("costs", 2), lambda: pytest.fail("costs were not shared"))
-        for shared in (costs, view.values, view.x, view.output.data):
+        for shared in (costs, view.values, view.output.data):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared.flat[0] = 1
+        # the sample is a tuple of tuples, so no variant can change it
+        assert isinstance(view.sample, tuple)
+        assert len(view.sample) == reference.SAMPLED_BRICKS
+        for brick in view.sample:
+            assert isinstance(brick, tuple)
+            assert all(isinstance(lanes, tuple) for lanes in brick[2:4])
+        assert view.sample == tuple(sampled_bricks(im2col(Tensor3(view.values), spec), f))
     assert t.data.flags.writeable  # the caller's input keeps its flags
+
+
+def held_arrays(obj):
+    """Every numpy array reachable from ``obj`` through attributes,
+    dicts, tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from held_arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from held_arrays(value)
+    elif hasattr(obj, "__dict__"):
+        yield from held_arrays(vars(obj))
+
+
+def test_a_view_keeps_no_im2col_matrix():
+    # after every engine variant, each view holds its sample, not its
+    # window matrix: no array it keeps is as large
+    spec, t, f, profile = small_layer()
+    lowered = LayerLowering(t, f, spec)
+    dadn_layer(lowered)
+    stripes_layer(lowered, profile)
+    for l_bits in range(5):
+        for sync in ("pallet", "column"):
+            for trim in ("profile", "none"):
+                pragmatic_layer(lowered, profile, PragConfig(l_bits=l_bits, sync=sync, trim=trim))
+    im2col_size = im2col(t, spec).size
+    for view in (lowered.view(profile), lowered.view(None)):
+        sizes = [a.size for a in held_arrays(view)]
+        assert len(sizes) >= 2 + 5  # values, output and the costs at each l_bits
+        assert max(sizes) < im2col_size
 
 
 @pytest.mark.parametrize("engine", ["stripes", "pragmatic"])
@@ -269,7 +311,7 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("im2col", "dispatcher_fetch_cycles"):
+    for name in ("im2col", "sampled_bricks", "dispatcher_fetch_cycles"):
         counted(reference, name)
     for name in ("column_costs", "pip_inner", "encode"):
         counted(pragmatic, name)
@@ -278,6 +320,8 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
         simulate(load_config(configs / name))
     assert calls == {
         "im2col": 6,
+        # the sample is drawn once per view, as it is lowered
+        "sampled_bricks": 6,
         "column_costs": 8,
         "pip_inner": 8 * reference.SAMPLED_BRICKS,
         # the sample's lanes are encoded once per trimmed view, not per l_bits

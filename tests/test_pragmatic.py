@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bitsim.pragmatic as pragmatic
 from bitsim.encoding import OneffsetStream, encode
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
 from bitsim.numerics import MissingProfile, Precision, trim_tensor
@@ -16,7 +17,13 @@ from bitsim.pragmatic import (
     simulate_column_sync,
     two_stage_step,
 )
-from bitsim.reference import LayerLowering, conv_oracle, dadn_cycles, sb_read_count
+from bitsim.reference import (
+    LayerLowering,
+    ScalarModelMismatch,
+    conv_oracle,
+    dadn_cycles,
+    sb_read_count,
+)
 from bitsim.stripes import stripes_layer
 from bricks import pallet_fetch_rows, pallet_phase_cycles, walked_fetch_cycles
 from scalar_forms import rebuilt_heads_schedule
@@ -66,6 +73,26 @@ LANE_STREAMS = st.one_of(
 @given(st.lists(LANE_STREAMS, max_size=16), st.integers(0, 4))
 def test_pip_schedule_equals_the_rebuilt_heads_loop(streams, l_bits):
     assert pip_schedule(streams, l_bits) == rebuilt_heads_schedule(streams, l_bits)
+
+
+@pytest.mark.parametrize("stuck_after", [0, 1, 2])
+def test_pip_schedule_refuses_a_rule_that_advances_no_lane(monkeypatch, stuck_after):
+    # a rule that stops advancing lanes, at once or after some valid
+    # cycles, must end the schedule with a mismatch, not loop forever
+    calls = []
+
+    def stuck(heads, l_bits):
+        calls.append(heads)
+        c, advance, done = two_stage_step(heads, l_bits)
+        if len(calls) > stuck_after:
+            advance = (False,) * len(advance)
+        return c, advance, done
+
+    monkeypatch.setattr(pragmatic, "two_stage_step", stuck)
+    streams = [encode(0b1011_0001), encode(0), encode(0b100_0000_0000)]
+    with pytest.raises(ScalarModelMismatch, match="advances no lane"):
+        pip_schedule(streams, l_bits=1)
+    assert len(calls) == stuck_after + 1
 
 
 class TestPipInner:
