@@ -1,18 +1,25 @@
 """Brute-force convolution oracle, the bit-parallel baseline model, and
 the lowering every engine shares.
 
-The oracle is a direct convolution by filter tap: one float64 BLAS
+The oracle is a direct convolution by filter tap: one float BLAS
 product per tap over an explicitly zero-padded copy of the input, exact
 per tap because each reduces over the channels alone, with the taps
 summed in int64. It builds no im2col and calls no lowering helper, and
-keeps its own exactness bound, so it shares nothing with the engines it
+keeps its own exactness bounds, so it shares nothing with the engines it
 is used to check but numpy's BLAS.
 
 Every engine computes its output one way, :func:`lowered_output`: the
-im2col matrix times the filter matrix, exact on the float64 BLAS path.
+im2col matrix times the filter matrix, exact on the float BLAS path.
 The serial engines also put a fixed sample of bricks through their
 scalar unit models (:func:`sampled_bricks`), which model the shifters
 and the sign handling the lowered product skips.
+
+Both products are exact sums of integers in floating point. Each picks
+its float type from its own operands' largest product ``max|x| *
+max|w|``: float32 (SGEMM, about twice the throughput of DGEMM) while
+that is below 2^24, which covers every input a config can build
+(``32768 * 255 < 2^23``), and float64, exact below 2^53, otherwise. The
+reduction is cut into chunks whose sums stay under the chosen bound.
 
 A :class:`LayerLowering` holds one layer's input views (raw, or
 window-trimmed), each lowered once to its exact output, sampled bricks
@@ -102,9 +109,10 @@ def check_shapes(input: Tensor3, filters: FilterSet, spec: LayerSpec):
         )
 
 
-# Every integer of magnitude below 2^53 is exact in float64. The oracle
-# keeps this bound of its own, so no change to the engines' product can
-# reach it.
+# Every integer of magnitude below 2^24 is exact in float32, and below
+# 2^53 in float64. The oracle keeps these bounds of its own, so no change
+# to the engines' product can reach them.
+TAP_FLOAT32_LIMIT = 1 << 24
 TAP_EXACT_LIMIT = 1 << 53
 
 # Windows per band of the oracle's tap loop, so that one tap's reads and
@@ -124,14 +132,17 @@ def conv_oracle(
 
     o(k,l,f) = act( sum_{y,x,i} s_f(y,x,i) * n(y + l*s - pad, x + k*s - pad, i) )
 
-    The input is copied into an explicitly zero-padded float64 array. For
+    The input is copied into an explicitly zero-padded float array. For
     each tap ``(by, bx)``, the strided slice of that array that tap reads
     in every window is multiplied by the tap's ``(i, n)`` synapses on the
-    float64 BLAS path, and each tap's product is added in int64. A tap
+    float BLAS path, and each tap's product is added in int64. A tap
     reduces over the ``i`` channels alone, so its float sums are exact
-    integers while ``i * max|input| * max|synapse|`` stays below
-    :data:`TAP_EXACT_LIMIT`; past that, the channels are split into runs
-    that meet it. The taps run over bands of whole output rows, about
+    integers while ``i * max|input| * max|synapse|`` stays below the
+    float type's bound: :data:`TAP_FLOAT32_LIMIT` on float32, which the
+    oracle takes while one product ``max|input| * max|synapse|`` is
+    below that bound, and :data:`TAP_EXACT_LIMIT` on float64 otherwise.
+    Past the bound, the channels are split into runs that meet it. The
+    taps run over bands of whole output rows, about
     :data:`ORACLE_BAND_WINDOWS` windows each, so that one tap's reads
     and products are band-sized. The bands serve whole-layer inputs,
     such as a full VGG-16 view; a layer of fewer windows is one band.
@@ -141,11 +152,14 @@ def conv_oracle(
     check_shapes(input, filters, spec)
     ox, oy, _ = output_dims(spec)
     s, p = spec.s, spec.pad
-    padded = np.zeros((spec.ny + 2 * p, spec.nx + 2 * p, spec.i))
-    padded[p : p + spec.ny, p : p + spec.nx] = input.data
-    taps = filters.data.astype(np.float64)
     peak = int(np.abs(input.data).max()) * int(np.abs(filters.data).max())
-    run = spec.i if peak == 0 else max(1, min(spec.i, (TAP_EXACT_LIMIT - 1) // peak))
+    dtype, limit = np.float32, TAP_FLOAT32_LIMIT
+    if peak >= limit:
+        dtype, limit = np.float64, TAP_EXACT_LIMIT
+    run = spec.i if peak == 0 else max(1, min(spec.i, (limit - 1) // peak))
+    padded = np.zeros((spec.ny + 2 * p, spec.nx + 2 * p, spec.i), dtype=dtype)
+    padded[p : p + spec.ny, p : p + spec.nx] = input.data
+    taps = filters.data.astype(dtype)
     band = max(1, ORACLE_BAND_WINDOWS // ox)
     out = np.zeros((oy, ox, spec.n), dtype=np.int64)
     for top in range(0, oy, band):
@@ -231,7 +245,9 @@ def im2col(input: Tensor3, spec: LayerSpec) -> np.ndarray:
     return cols.reshape(oy * ox, spec.fy * spec.fx * spec.i)
 
 
-# Every integer of magnitude below 2^53 is exact in float64.
+# Every integer of magnitude below 2^24 is exact in float32, and below
+# 2^53 in float64.
+EXACT_FLOAT32_LIMIT = 1 << 24
 EXACT_FLOAT_LIMIT = 1 << 53
 
 
@@ -239,27 +255,34 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-# Rows of ``x`` cast to float64 at a time: a float copy of a block, not of
+# Rows of ``x`` cast to float at a time: a float copy of a block, not of
 # the whole im2col matrix, is live during the product.
 EXACT_BLOCK_ROWS = 4096
 
 
 def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` of integer matrices, exact in int64, on the float64 BLAS path.
+    """``x @ w.T`` of integer matrices, exact in int64, on the float BLAS path.
 
-    Every integer below 2^53 in magnitude is exact in float64, so a sum
-    of ``K`` products is exact in any order while ``K * max|x| * max|w|``
-    stays below that. The reduction axis is cut into chunks that meet the
-    bound for the actual maxima, and the chunk sums are added in int64.
-    ``x`` is cast and multiplied ``EXACT_BLOCK_ROWS`` rows at a time.
+    Every integer below 2^24 in magnitude is exact in float32, and below
+    2^53 in float64. So a sum of ``K`` products is exact in any order,
+    with or without fused multiply-adds, while ``K * max|x| * max|w|``
+    stays below the bound of its float type. The product runs in float32
+    (:data:`EXACT_FLOAT32_LIMIT`) when one product ``max|x| * max|w|`` is
+    below 2^24, and in float64 (:data:`EXACT_FLOAT_LIMIT`) otherwise. The
+    reduction axis is cut into chunks that meet the chosen bound for the
+    actual maxima, and the chunk sums are added in int64. ``x`` is cast
+    and multiplied ``EXACT_BLOCK_ROWS`` rows at a time.
     """
     k = x.shape[1]
     peak = _abs_max(x) * _abs_max(w)
-    chunk = k if peak == 0 else max(1, min(k, (EXACT_FLOAT_LIMIT - 1) // peak))
-    wf = w.T.astype(np.float64)
+    dtype, limit = np.float32, EXACT_FLOAT32_LIMIT
+    if peak >= limit:
+        dtype, limit = np.float64, EXACT_FLOAT_LIMIT
+    chunk = k if peak == 0 else max(1, min(k, (limit - 1) // peak))
+    wf = w.T.astype(dtype)
     acc = np.zeros((x.shape[0], w.shape[0]), dtype=np.int64)
     for top in range(0, x.shape[0], EXACT_BLOCK_ROWS):
-        xf = x[top : top + EXACT_BLOCK_ROWS].astype(np.float64)
+        xf = x[top : top + EXACT_BLOCK_ROWS].astype(dtype)
         block = acc[top : top + EXACT_BLOCK_ROWS]
         for lo in range(0, k, chunk):
             block += (xf[:, lo : lo + chunk] @ wf[lo : lo + chunk]).astype(np.int64)
@@ -271,10 +294,12 @@ def lowered_output(
 ) -> Tensor3:
     """The layer output ``act(x @ W.T)`` from its im2col matrix ``x``.
 
-    This is the one output path of every engine. Neurons fit the 16-bit
-    container and synapses int16, so each product is below 2^31 and
-    every real layer's reduction fits one exact float64 chunk of
-    :func:`exact_matmul`.
+    This is the one output path of every engine. A config's neurons fit
+    the 16-bit container (``|n| <= 32768``) and its synapses 8 bits
+    (``|s| <= 255``), so each product is below 2^23 and
+    :func:`exact_matmul` runs in float32, in reduction chunks of at least
+    two columns. Inputs built through the API alone, up to the 16-bit
+    container and int16 synapses, can reach 2^31 and take float64.
     """
     acc = exact_matmul(x, filters.data.reshape(filters.n, -1))
     ox, oy, _ = output_dims(spec)

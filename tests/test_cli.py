@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from bitsim.config import ConfigError, parse_config
 from bitsim.geometry import Tensor3, output_dims
 from bitsim.traces import DTYPE_I16, DTYPE_U8, read_trace, write_trace
 from test_config import _slots
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -86,9 +89,13 @@ def two_stage_step_advancing_nothing(real):
 
 
 def exact_matmul_without_last_chunk(x, w):
-    """``reference.exact_matmul`` that drops the last chunk of its reduction."""
+    """``reference.exact_matmul`` that drops the last chunk of its reduction,
+    chunked under the bound of the float type the real one takes."""
     peak = int(np.abs(x).max()) * int(np.abs(w).max())
-    chunk = max(1, (reference_mod.EXACT_FLOAT_LIMIT - 1) // max(peak, 1))
+    limit = reference_mod.EXACT_FLOAT32_LIMIT
+    if peak >= limit:
+        limit = reference_mod.EXACT_FLOAT_LIMIT
+    chunk = max(1, (limit - 1) // max(peak, 1))
     acc = np.zeros((x.shape[0], w.shape[0]), dtype=np.int64)
     for lo in range(0, x.shape[1], chunk)[:-1]:
         acc += x[:, lo : lo + chunk].astype(np.int64) @ w[:, lo : lo + chunk].T
@@ -231,8 +238,9 @@ class TestSimulateCommand:
         # a fault in the engines' output path must abort the run with code 3:
         # the oracle shares none of that path, so it does not repeat the fault
         monkeypatch.setattr(reference_mod, name, broken)
-        # several reduction chunks on the engines' path; the oracle keeps its own bound
-        monkeypatch.setattr(reference_mod, "EXACT_FLOAT_LIMIT", 1 << 20)
+        # several reduction chunks on the engines' float32 path (peak products
+        # below 2^15); the oracle keeps its own bounds
+        monkeypatch.setattr(reference_mod, "EXACT_FLOAT32_LIMIT", 1 << 20)
         cfg = base_config()
         cfg["layers"].append(dict(cfg["layers"][0], name="conv2", nx=9, ny=9, s=2))
         r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg))])
@@ -269,6 +277,43 @@ class TestSimulateCommand:
         assert isinstance(r.exception, SystemExit)  # no traceback
         assert r.exit_code == 3
         assert "scalar model mismatch" in r.output
+
+    @pytest.mark.parametrize(
+        "name, relu, peak",
+        [("example.json", True, 32767 * 127), ("example.json", False, 32768 * 127),
+         ("quantized.json", True, 255 * 255), ("quantized.json", False, 255 * 255)],
+    )
+    def test_saturated_shipped_configs_take_float32_only(self, tmp_path, monkeypatch,
+                                                         name, relu, peak):
+        # Sigmas of 1e6 saturate the 16-bit and 8-bit containers and the
+        # synapse bounds (127 generated, 255 quantized), the largest
+        # operands a config builds. Any use of either float64 bound
+        # raises TypeError, so both products run on float32 throughout.
+        monkeypatch.setattr(reference_mod, "EXACT_FLOAT_LIMIT", None)
+        monkeypatch.setattr(reference_mod, "TAP_EXACT_LIMIT", None)
+        peaks, oracles = [], []
+        real_matmul, real_oracle = reference_mod.exact_matmul, runner_mod.conv_oracle
+
+        def exact_matmul(x, w):
+            peaks.append(int(np.abs(x).max()) * int(np.abs(w).max()))
+            return real_matmul(x, w)
+
+        def conv_oracle(*args):
+            oracles.append(args)
+            return real_oracle(*args)
+
+        monkeypatch.setattr(reference_mod, "exact_matmul", exact_matmul)
+        monkeypatch.setattr(runner_mod, "conv_oracle", conv_oracle)
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["trace"].update(sigma=1e6, relu=relu)
+        cfg["synapse_sigma"] = 1e6
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg)),
+                                      "--out", str(out)])
+        assert_clean_exit(r, 0)
+        assert max(peaks) == peak
+        assert len(oracles) == 2 * len(cfg["layers"])  # raw and trimmed views
+        assert len(out.read_text().splitlines()) > 1
 
     def test_pip_cycles_off_at_one_l_bits_exit_code(self, tmp_path, monkeypatch):
         # the sampled check runs once per (view, l_bits): a fault at L=4

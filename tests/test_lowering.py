@@ -2,8 +2,8 @@
 the use-count helper.
 
 The oracle is compared with the per-(window, filter) loop, every engine
-variant with both, the chunked and blocked float64 product with int64
-matmul, the variants that share a layer's lowering with the same
+variant with both, the chunked and blocked float32 and float64 products
+with int64 matmul, the variants that share a layer's lowering with the same
 variants lowered alone, and ``window_sum`` with sums over the im2col
 matrix.
 """
@@ -134,6 +134,71 @@ def test_unchunked_product_is_exact_at_extreme_values():
     x[1, ::3] = 65534
     w = np.full((2, 4608), -32767, dtype=np.int64)
     w[1, 1::2] = 32767
+    assert np.array_equal(exact_matmul(x, w), x @ w.T)
+
+
+def float32_operands(rng, rows, xtop, wtop, k=577):
+    """A float32 product's operands at their extremes: ``x`` in {0, 1,
+    xtop - 1, xtop} and ``w`` in {0, +-1, +-(wtop - 1), +-wtop}, with a
+    row of each at the top and one ``w`` row alternating in sign. With
+    577 columns, a reduction in chunks of 4 or 32 ends in a short one."""
+    x = rng.choice([0, 1, xtop - 1, xtop], size=(rows, k)).astype(np.int64)
+    x[0] = xtop
+    w = rng.choice([0, 1, -1, wtop - 1, 1 - wtop, wtop, -wtop], size=(5, k)).astype(np.int64)
+    w[0] = wtop
+    w[1] = np.where(np.arange(k) % 2, wtop, -wtop)
+    return x, w
+
+
+@pytest.mark.parametrize("bound", ["real", "patched"])
+@pytest.mark.parametrize("chunk", [1, 4, 32])
+def test_chunked_float32_product_at_extreme_values(monkeypatch, chunk, bound):
+    # Under the real bound, a peak product of 65535 * (256 // chunk) puts
+    # `chunk` products at 2^24 - 256, just under it: chunks of 1, 4 and
+    # 32 columns whose sums reach the bound. A bound patched down to
+    # `chunk` products of 65535 * 8 forces the same chunks on operands
+    # that the real bound takes 32 columns at a time. Float64 is refused.
+    wtop = 8 if bound == "patched" else 256 // chunk
+    assert chunk * 65535 * (256 // chunk) == (1 << 24) - 256
+    x, w = float32_operands(np.random.default_rng(chunk), 7, 65535, wtop)
+    if bound == "patched":
+        monkeypatch.setattr(reference, "EXACT_FLOAT32_LIMIT", chunk * 65535 * 8 + 1)
+    monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", None)
+    assert np.array_equal(exact_matmul(x, w), x @ w.T)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("xtop, wtop", [(65535, 64), (1023, 28)],
+                         ids=["chunks-of-4", "one-chunk"])
+def test_blocked_float32_product_equals_unblocked(monkeypatch, rows, xtop, wtop):
+    # The blocks of the float64 twin above, on float32: in chunks of 4
+    # columns, and in one chunk of all 577 (577 * 1023 * 28 < 2^24).
+    monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", None)
+    x, w = float32_operands(np.random.default_rng(rows), rows, xtop, wtop)
+    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", rows)
+    unblocked = exact_matmul(x, w)
+    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", 8)
+    assert np.array_equal(exact_matmul(x, w), unblocked)
+    assert np.array_equal(unblocked, x @ w.T)
+
+
+@pytest.mark.parametrize("xtop, float32", [(4095, True), (4096, False)])
+def test_product_takes_float32_below_2_24(monkeypatch, xtop, float32):
+    # 4095 * 4097 = 2^24 - 1 is the largest product float32 takes;
+    # 4096 * 4097 takes float64. Sums such as 4095 * 4097 + 2 are odd and
+    # past 2^24, so a float32 chunk of two columns would round them.
+    rng = np.random.default_rng(xtop)
+    x = rng.choice([0, 1, 2, xtop], size=(6, 40)).astype(np.int64)
+    x[0] = xtop
+    w = rng.choice([-4097, -2, -1, 1, 2, 4097], size=(3, 40)).astype(np.int64)
+    w[0] = 4097
+    with monkeypatch.context() as m:
+        m.setattr(reference, "EXACT_FLOAT_LIMIT", None)  # refuse float64
+        if float32:
+            assert np.array_equal(exact_matmul(x, w), x @ w.T)
+        else:
+            with pytest.raises(TypeError):
+                exact_matmul(x, w)
     assert np.array_equal(exact_matmul(x, w), x @ w.T)
 
 

@@ -106,10 +106,14 @@ def test_oracle_linear_in_input():
 
 
 @st.composite
-def oracle_cases(draw):
+def oracle_cases(draw, float32=False):
     """A small layer at the container extremes, an output shift, and the
     channel run the tap oracle's float sums are cut into: one channel, a
     few, or all of them.
+
+    With ``float32``, the values are at most 4095 and the synapses as
+    large as keeps ``run`` of their products below 2^24, so the run's
+    sums reach just under the float32 bound.
 
     Covers strides 1-3, padding up to the filter size (so whole windows
     can fall in the border) and non-square filters.
@@ -129,18 +133,24 @@ def oracle_cases(draw):
     act = draw(st.sampled_from(["identity", "relu"]))
     spec = LayerSpec(nx=nx, ny=ny, i=i, n=n, fx=fx, fy=fy, s=s, pad=pad, act=act)
 
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.integers(-32768, 65536, size=(ny, nx, i))
-    pick = rng.random(values.shape)
-    values[pick < 0.2] = 65535
-    values[(pick >= 0.2) & (pick < 0.4)] = -32768
-    values[(pick >= 0.4) & (pick < 0.5)] = 0
-    synapses = rng.integers(-32768, 32768, size=(n, fy, fx, i))
-    pick = rng.random(synapses.shape)
-    synapses[pick < 0.25] = 32767
-    synapses[(pick >= 0.25) & (pick < 0.5)] = -32768
-    synapses[(pick >= 0.5) & (pick < 0.6)] = -32767
     run = draw(st.sampled_from([1, 2, 3, 5, i]))
+    if float32:
+        vlo, vhi = -4095, 4095
+        shi = ((1 << 24) - 1) // (run * vhi)
+        slo = -shi
+    else:
+        vlo, vhi, slo, shi = -32768, 65535, -32768, 32767
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(vlo, vhi + 1, size=(ny, nx, i))
+    pick = rng.random(values.shape)
+    values[pick < 0.2] = vhi
+    values[(pick >= 0.2) & (pick < 0.4)] = vlo
+    values[(pick >= 0.4) & (pick < 0.5)] = 0
+    synapses = rng.integers(slo, shi + 1, size=(n, fy, fx, i))
+    pick = rng.random(synapses.shape)
+    synapses[pick < 0.25] = shi
+    synapses[(pick >= 0.25) & (pick < 0.5)] = slo
+    synapses[(pick >= 0.5) & (pick < 0.6)] = slo + 1
     return spec, Tensor3(values), FilterSet(synapses), draw(st.integers(0, 20)), run
 
 
@@ -153,6 +163,41 @@ def test_tap_oracle_equals_the_window_walk(case):
     with mock.patch.object(reference, "TAP_EXACT_LIMIT", peak * run + 1):
         got = conv_oracle(t, f, spec, out_shift)
     assert got == window_oracle(t, f, spec, out_shift)
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_cases(float32=True))
+def test_float32_tap_oracle_equals_the_window_walk(case):
+    spec, t, f, out_shift, run = case
+    peak = int(np.abs(t.data).max()) * int(np.abs(f.data).max())
+    assert peak * run < 1 << 24
+    # the oracle's float32 bound, lowered so that its sums cover `run`
+    # channels; any use of the float64 bound raises TypeError
+    with mock.patch.object(reference, "TAP_FLOAT32_LIMIT", peak * run + 1), \
+            mock.patch.object(reference, "TAP_EXACT_LIMIT", None):
+        got = conv_oracle(t, f, spec, out_shift)
+    assert got == window_oracle(t, f, spec, out_shift)
+
+
+@pytest.mark.parametrize("top, float32", [(4095, True), (4096, False)])
+def test_oracle_takes_float32_below_2_24(monkeypatch, top, float32):
+    # 4095 * 4097 = 2^24 - 1 is the largest product the oracle takes on
+    # float32; 4096 * 4097 takes float64. Both are exact.
+    rng = np.random.default_rng(top)
+    spec = LayerSpec(nx=5, ny=4, i=32, n=3, fx=3, fy=3, s=1, pad=1, act="identity")
+    values = rng.choice([0, 1, 2, top], size=(spec.ny, spec.nx, spec.i))
+    values[0, 0, 0] = top
+    synapses = rng.choice([-4097, -2, -1, 1, 2, 4097], size=(spec.n, 3, 3, spec.i))
+    synapses[0, 0, 0, 0] = 4097
+    t, f = Tensor3(values), FilterSet(synapses)
+    with monkeypatch.context() as m:
+        m.setattr(reference, "TAP_EXACT_LIMIT", None)  # refuse float64
+        if float32:
+            assert conv_oracle(t, f, spec) == window_oracle(t, f, spec)
+        else:
+            with pytest.raises(TypeError):
+                conv_oracle(t, f, spec)
+    assert conv_oracle(t, f, spec) == window_oracle(t, f, spec)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 8])
@@ -175,8 +220,10 @@ def test_oracle_uses_no_engine_lowering(monkeypatch):
 
     for name in ("im2col", "exact_matmul", "lowered_output", "LayerLowering"):
         monkeypatch.setattr(reference, name, refuse)
-    # any arithmetic on the engines' float bound raises TypeError
+    # any arithmetic on, or comparison with, the engines' float bounds
+    # raises TypeError
     monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", None)
+    monkeypatch.setattr(reference, "EXACT_FLOAT32_LIMIT", None)
     rng = np.random.default_rng(8)
     spec, t, f = random_layer(rng, nx=9, ny=9, s=2, pad=1, act="relu")
     assert conv_oracle(t, f, spec, 2) == window_oracle(t, f, spec, 2)
