@@ -17,10 +17,9 @@ from .numerics import (
     QuantParams,
     activate,
     quantize8,
-    trim,
     trim_tensor,
 )
-from .encoding import BitStats, OneffsetStream, encode, essential_count, stats
+from .encoding import BitStats, OneffsetStream, encode, stats
 from .reference import (
     CycleReport,
     EngineResult,
@@ -66,7 +65,6 @@ __all__ = [
     "dadn_terms",
     "dispatcher_fetch_cycles",
     "encode",
-    "essential_count",
     "generate_trace",
     "output_dims",
     "pip_inner",
@@ -78,7 +76,6 @@ __all__ = [
     "sip_inner",
     "stats",
     "stripes_layer",
-    "trim",
     "trim_tensor",
     "two_stage_step",
     "write_trace",

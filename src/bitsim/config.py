@@ -101,6 +101,19 @@ def _require(mapping: dict, key: str, where: str):
 _BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
+def _strict(value, kind: type, what: str):
+    """``value`` as JSON gave it, if that is ``kind`` (``int`` or ``bool``).
+
+    No cast: a float, a string or a JSON boolean where an integer belongs
+    (or anything but a boolean where a flag belongs) would otherwise
+    become a different valid value.
+    """
+    if type(value) is not kind:  # JSON's true and false are not integers
+        noun = "an integer" if kind is int else "true or false"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def _finite(value, what: str) -> float:
     try:
         out = float(value)
@@ -114,13 +127,15 @@ def _finite(value, what: str) -> float:
 def _parse_precision(obj, where: str) -> Precision:
     if not isinstance(obj, dict):
         raise ConfigError(f"'precision' must be an object in {where}")
+    fields = {k: _strict(obj[k], int, f"'precision.{k}' in {where}")
+              for k in ("msb", "lsb", "width") if k in obj}
+    lsb = fields.get("lsb", 0)
     try:
-        lsb = int(obj.get("lsb", 0))
-        if "msb" in obj:
-            return Precision(int(obj["msb"]), lsb)
-        if "width" in obj:
-            return Precision.from_width(int(obj["width"]), lsb)
-    except _BAD_VALUE as e:
+        if "msb" in fields:
+            return Precision(fields["msb"], lsb)
+        if "width" in fields:
+            return Precision.from_width(fields["width"], lsb)
+    except ValueError as e:
         raise ConfigError(f"bad precision in {where}: {e}") from e
     raise ConfigError(f"'precision' needs 'msb' or 'width' in {where}")
 
@@ -141,16 +156,13 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
     where = f"layers[{index}]"
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {obj!r}")
+    dims = {k: _strict(_require(obj, k, where), int, f"'{k}' in {where}")
+            for k in ("nx", "ny", "i", "n", "fx", "fy")}
+    dims.update({k: _strict(obj.get(k, default), int, f"'{k}' in {where}")
+                 for k, default in (("s", 1), ("pad", 0))})
     try:
         spec = LayerSpec.normalized(
-            nx=int(_require(obj, "nx", where)),
-            ny=int(_require(obj, "ny", where)),
-            i=int(_require(obj, "i", where)),
-            n=int(_require(obj, "n", where)),
-            fx=int(_require(obj, "fx", where)),
-            fy=int(_require(obj, "fy", where)),
-            s=int(obj.get("s", 1)),
-            pad=int(obj.get("pad", 0)),
+            **dims,
             act=obj.get("act", "identity"),
             name=str(obj.get("name", f"layer{index}")),
         )
@@ -174,13 +186,14 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
         spec=spec,
         precision=precision,
         quant=quant,
-        first_layer=bool(obj.get("first_layer", index == 0)),
+        first_layer=_strict(obj.get("first_layer", index == 0), bool,
+                            f"'first_layer' in {where}"),
     )
 
 
 def _natural(obj: dict, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    value = _strict(obj.get(key, default), int, f"'{key}'")
+    if value < 0:
         raise ConfigError(f"'{key}' must be a non-negative integer, got {value!r}")
     return value
 
@@ -196,13 +209,11 @@ def _listify(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _parse_ssrs(value, where: str):
+def _count_or_unbounded(value, what: str):
+    """An integer count, or None for ``"inf"`` and null (unbounded)."""
     if value is None or value == "inf":
         return None
-    try:
-        return int(value)
-    except _BAD_VALUE:
-        raise ConfigError(f"bad ssrs value {value!r} in {where}") from None
+    return _strict(value, int, what)
 
 
 def _parse_engines(objs, where="engines") -> list[EngineSelector]:
@@ -220,19 +231,16 @@ def _parse_engines(objs, where="engines") -> list[EngineSelector]:
                 _listify(obj.get("ssrs", 1)),
                 _listify(obj.get("trim", "profile")),
             )
+            at = f"{where}[{idx}]"
+            buffer = _count_or_unbounded(obj.get("pallet_buffer"), f"'pallet_buffer' in {at}")
             for l_bits, sync, ssrs, trim in grid:
+                l_bits = _strict(l_bits, int, f"'l_bits' in {at}")
+                ssrs = _count_or_unbounded(ssrs, f"'ssrs' in {at}")
                 try:
-                    cfg = PragConfig(
-                        l_bits=int(l_bits),
-                        sync=str(sync),
-                        ssr_count=_parse_ssrs(ssrs, f"{where}[{idx}]"),
-                        pallet_buffer=_parse_ssrs(
-                            obj.get("pallet_buffer"), f"{where}[{idx}]"
-                        ),
-                        trim=str(trim),
-                    )
+                    cfg = PragConfig(l_bits=l_bits, sync=str(sync), ssr_count=ssrs,
+                                     pallet_buffer=buffer, trim=str(trim))
                 except _BAD_VALUE as e:
-                    raise ConfigError(f"bad pragmatic config in {where}[{idx}]: {e}") from e
+                    raise ConfigError(f"bad pragmatic config in {at}: {e}") from e
                 selectors.append(EngineSelector(engine="pragmatic", prag=cfg))
         else:
             raise ConfigError(f"unknown engine {kind!r} in {where}[{idx}]")
@@ -249,10 +257,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
 
-    try:
-        width = int(obj.get("width", 16))
-    except _BAD_VALUE:
-        width = None
+    width = _strict(obj.get("width", 16), int, "'width'")
     if width not in (8, 16):
         raise ConfigError(f"'width' must be 8 or 16, got {obj.get('width')!r}")
 
@@ -278,7 +283,7 @@ def parse_config(text: str) -> ExperimentConfig:
         sigma = _finite(trace.get("sigma", 100.0), "'trace.sigma'")
         if sigma <= 0:
             raise ConfigError("'trace.sigma' must be positive")
-        relu = bool(trace.get("relu", True))
+        relu = _strict(trace.get("relu", True), bool, "'trace.relu'")
     elif kind == "file":
         if "paths" in trace:
             if not isinstance(trace["paths"], list):

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import full_precision
-
-
-class NegativeUnsupported(ValueError):
-    """Negative neuron in unsigned encoding mode."""
+# Container width: every offset lies in [0, 16).
+STREAM_BITS = 16
 
 
 class EmptyTrace(ValueError):
@@ -31,29 +28,24 @@ class EmptyTrace(ValueError):
 
 @dataclass(frozen=True)
 class OneffsetStream:
-    """One neuron as an ascending tuple of essential-bit positions."""
+    """One neuron as an ascending tuple of essential-bit positions.
+
+    The offsets must be strictly ascending and lie in ``[0, 16)``, the
+    16-bit container; ``neg`` is the sign of sign-magnitude form.
+    """
 
     offsets: tuple[int, ...]
     neg: bool = False
-    width: int = 16
 
     def __post_init__(self):
         if any(b < a + 1 for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError(f"offsets must be strictly ascending: {self.offsets}")
-        if self.offsets and not (0 <= self.offsets[0] and self.offsets[-1] < self.width):
-            raise ValueError(f"offsets outside [0,{self.width}): {self.offsets}")
+        if self.offsets and not (0 <= self.offsets[0] and self.offsets[-1] < STREAM_BITS):
+            raise ValueError(f"offsets outside [0,{STREAM_BITS}): {self.offsets}")
 
     def value(self) -> int:
         mag = sum(1 << f for f in self.offsets)
         return -mag if self.neg else mag
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    @property
-    def serial_slots(self) -> int:
-        """Cycles a lone lane needs: one per offset, min one for the eon."""
-        return max(1, len(self.offsets))
 
     def pow_eon_pairs(self) -> list[tuple[int, bool]]:
         """Wire form: ``(pow, eon)`` pairs, most-significant offset first.
@@ -66,31 +58,25 @@ class OneffsetStream:
         return [(p, i == len(rev) - 1) for i, p in enumerate(rev)]
 
 
-def encode(v: int, mode: str = "sign_magnitude", width: int = 16) -> OneffsetStream:
-    """Convert a container value to its oneffset stream.
+def encode(v: int) -> OneffsetStream:
+    """Convert a container value to its sign-magnitude oneffset stream.
 
     The offsets are exactly the set bits of ``|v|``; ``neg`` records the
-    sign in sign-magnitude mode. ``encode`` and ``value()`` round-trip
-    for every representable input.
+    sign. A magnitude of 2^16 or more raises ValueError. ``encode`` and
+    ``value()`` round-trip for every value of the 16-bit container, read
+    signed or unsigned.
     """
     v = int(v)
-    if v < 0 and mode == "unsigned":
-        raise NegativeUnsupported(f"value {v} needs sign_magnitude mode")
-    full_precision(width)  # validates width
     mag = abs(v)
-    if mag >> width:
-        raise ValueError(f"magnitude {mag} does not fit {width} bits")
-    offsets = tuple(b for b in range(width) if (mag >> b) & 1)
-    return OneffsetStream(offsets=offsets, neg=v < 0, width=width)
-
-
-def essential_count(v: int, width: int = 16) -> int:
-    """Number of set bits in the magnitude, within ``width`` bits."""
-    return int(bin(abs(int(v)) & ((1 << width) - 1)).count("1"))
+    if mag >> STREAM_BITS:
+        raise ValueError(f"magnitude {mag} does not fit {STREAM_BITS} bits")
+    offsets = tuple(b for b in range(STREAM_BITS) if (mag >> b) & 1)
+    return OneffsetStream(offsets=offsets, neg=v < 0)
 
 
 def essential_counts(values: np.ndarray, width: int = 16) -> np.ndarray:
-    """Vectorized :func:`essential_count` over an integer array."""
+    """Each value's essential-bit count: the set bits among the low
+    ``width`` bits of its magnitude, over an integer array."""
     mags = np.abs(np.asarray(values), dtype=np.int64)  # no int64 copy of int32 input
     mags &= (1 << width) - 1
     return np.bitwise_count(mags)

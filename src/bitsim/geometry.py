@@ -142,12 +142,6 @@ class Tensor3:
     def dims(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.i)
 
-    @classmethod
-    def from_values(cls, values, x: int, y: int, i: int) -> "Tensor3":
-        """Build from a flat ``(y, x, i)``-ordered value sequence."""
-        a = np.asarray(values, dtype=np.int64).reshape(y, x, i)
-        return cls(a)
-
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented

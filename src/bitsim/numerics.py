@@ -16,10 +16,6 @@ import numpy as np
 from .geometry import INT16_MAX, INT16_MIN
 
 
-class NegativeTrim(ValueError):
-    """Negative value trimmed in unsigned mode."""
-
-
 class DegenerateRange(ValueError):
     """Quantization interval with vmax <= vmin."""
 
@@ -84,22 +80,9 @@ class QuantParams:
         return (self.vmax - self.vmin) / 255.0
 
 
-def trim(v: int, p: Precision, mode: str = "sign_magnitude") -> int:
-    """Zero the magnitude bits outside ``[p.lsb, p.msb]``.
-
-    The sign is carried through untouched (sign-magnitude view); in
-    ``unsigned`` mode a negative input is an error instead.
-    """
-    v = int(v)
-    if v < 0:
-        if mode == "unsigned":
-            raise NegativeTrim(f"cannot trim negative value {v} in unsigned mode")
-        return -((-v) & p.mask)
-    return v & p.mask
-
-
 def trim_tensor(values: np.ndarray, p: Precision) -> np.ndarray:
-    """Vectorized :func:`trim` (sign-magnitude) over an integer array.
+    """Zero the magnitude bits outside ``[p.lsb, p.msb]`` of each value of
+    an integer array, carrying the sign through (sign-magnitude view).
 
     Returns int32: the magnitude is masked to ``p`` before the cast, so
     it lies below 2^16 and no cast wraps it.

@@ -100,11 +100,10 @@ def two_stage_step(heads, l_bits: int):
     """One scheduling decision over the current lane heads.
 
     ``heads`` holds one optional offset per lane (None = exhausted).
-    Returns ``(c, advance, done)``: the shared second-stage shift, the
-    per-lane advance mask, and whether every live head was consumed
-    (no lane left stalled). A head advances when it lies below
-    ``c + 2^L``, so every live head did when the highest one does.
-    Raises :class:`AllDone` with no live lane.
+    Returns ``(c, advance)``: the shared second-stage shift and the
+    per-lane advance mask. A live head advances when it lies below
+    ``c + 2^L``; the others stall. Raises :class:`AllDone` with no live
+    lane.
     """
     heads = list(heads)
     live = [h for h in heads if h is not None]
@@ -112,8 +111,7 @@ def two_stage_step(heads, l_bits: int):
         raise AllDone("no live lanes to schedule")
     c = 0 if l_bits >= 4 else min(live)
     reach = c + (1 << l_bits)
-    advance = tuple(h is not None and h < reach for h in heads)
-    return c, advance, max(live) < reach
+    return c, tuple(h is not None and h < reach for h in heads)
 
 
 @dataclass(frozen=True)
@@ -125,12 +123,13 @@ class ScheduleStep:
 def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     """Cycle-by-cycle schedule of one PIP column (16 lanes max).
 
-    Each cycle asks :func:`two_stage_step` which lanes advance, then
-    moves only those lanes' heads to their next offset, and counts down
-    the live lanes. All-empty lanes still take one cycle: the
-    end-of-neuron marker has to be consumed. A valid rule advances the
-    lane at ``c``, so a cycle that advances no lane would repeat forever;
-    it raises :class:`ScalarModelMismatch` instead.
+    Each cycle asks :func:`two_stage_step` for the shift and the lanes
+    that advance, then moves only those lanes' heads to their next
+    offset, and counts down the live lanes; the schedule ends when none
+    is left. All-empty lanes still take one cycle: the end-of-neuron
+    marker has to be consumed. A valid rule advances the lane at ``c``,
+    so a cycle that advances no lane would repeat forever; it raises
+    :class:`ScalarModelMismatch` instead.
     """
     offsets = [s.offsets for s in streams]
     if len(offsets) > BRICK:
@@ -141,7 +140,7 @@ def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     lanes = range(len(heads))
     steps: list[ScheduleStep] = []
     while live:
-        c, advance, _ = two_stage_step(heads, l_bits)
+        c, advance = two_stage_step(heads, l_bits)
         advanced = tuple(compress(lanes, advance))
         if not advanced:
             raise ScalarModelMismatch(f"the schedule advances no lane at shift {c}")

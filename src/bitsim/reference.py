@@ -58,6 +58,9 @@ class CycleReport:
     convention: ``total_terms`` charges the full container width per
     neuron/synapse pair, ``effectual_terms`` only the essential bits the
     engine actually processed.
+
+    Construction raises ValueError for a negative counter, more stall
+    than compute cycles, or more effectual than total terms.
     """
 
     compute_cycles: int = 0
@@ -68,9 +71,6 @@ class CycleReport:
     effectual_terms: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name in (
             "compute_cycles",
             "nm_fetch_cycles",

@@ -30,6 +30,9 @@ VERSION = 1
 DTYPE_I16 = 0
 DTYPE_U8 = 1
 
+# Largest synapse magnitude generate_synapses draws; the CSV digests fix it.
+SYNAPSE_BOUND = 127
+
 _HEADER = struct.Struct("<4sHBBIII")
 
 
@@ -68,14 +71,14 @@ def generate_synapses(
     sigma: float,
     seed: int,
     layer_index: int = 0,
-    bound: int = 127,
 ) -> np.ndarray:
-    """Synthetic int32 filters, magnitude-bounded to keep accumulators tame."""
+    """Synthetic int32 filters, magnitude-bounded by :data:`SYNAPSE_BOUND`
+    to keep accumulators tame."""
     rng = synapse_rng(seed, layer_index)
     vals = rng.normal(0.0, sigma, size=(spec.n, spec.fy, spec.fx, spec.i))
     # Round and clamp the draws in place: one float buffer, one cast.
     np.rint(vals, out=vals)
-    np.clip(vals, -bound, bound, out=vals)
+    np.clip(vals, -SYNAPSE_BOUND, SYNAPSE_BOUND, out=vals)
     return vals.astype(np.int32)
 
 

@@ -3,8 +3,9 @@ output windows one at a time.
 
 ``reference_conv`` makes one Python iteration per (window, filter).
 ``window_oracle`` reduces each window against all filters at once in
-int64; it is the loop ``bitsim.reference.conv_oracle`` used before it
-walked the filter taps. Tests compare the tap oracle with both.
+int64 (:func:`window_sums`); it is the loop ``bitsim.reference.conv_oracle``
+used before it walked the filter taps. Tests compare the tap oracle with
+both.
 """
 
 import numpy as np
@@ -47,6 +48,11 @@ def window_oracle(
     spec: LayerSpec,
     out_shift: int = 0,
 ) -> Tensor3:
+    return Tensor3(activate(window_sums(input, filters, spec), spec.act, out_shift))
+
+
+def window_sums(input: Tensor3, filters: FilterSet, spec: LayerSpec) -> np.ndarray:
+    """Each output's int64 sum ``(oy, ox, n)``, before the activation."""
     check_shapes(input, filters, spec)
     ox, oy, _ = output_dims(spec)
     data = input.data.astype(np.int64)
@@ -64,4 +70,4 @@ def window_oracle(
             window = data[ylo:yhi, xlo:xhi, :]
             wslice = w[:, ylo - y0 : yhi - y0, xlo - x0 : xhi - x0, :]
             acc[l, k, :] = np.tensordot(wslice, window, axes=3)
-    return Tensor3(activate(acc, spec.act, out_shift))
+    return acc

@@ -12,6 +12,21 @@ from bitsim.numerics import Precision, QuantParams, trim_tensor
 from bitsim.pragmatic import ScheduleStep, two_stage_step
 
 
+def trim(v: int, p: Precision) -> int:
+    """:func:`bitsim.numerics.trim_tensor` on one value: zero the magnitude
+    bits outside ``[p.lsb, p.msb]`` and carry the sign through."""
+    v = int(v)
+    if v < 0:
+        return -((-v) & p.mask)
+    return v & p.mask
+
+
+def essential_count(v: int, width: int = 16) -> int:
+    """:func:`bitsim.encoding.essential_counts` on one value: the set bits
+    of the magnitude, within ``width`` bits."""
+    return int(bin(abs(int(v)) & ((1 << width) - 1)).count("1"))
+
+
 def pair_term_counts(
     value: int,
     profile: Precision,
@@ -57,7 +72,7 @@ def rebuilt_heads_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     steps: list[ScheduleStep] = []
     while any(p < len(o) for p, o in zip(pos, offsets)):
         heads = [o[p] if p < len(o) else None for p, o in zip(pos, offsets)]
-        c, advance, _ = two_stage_step(heads, l_bits)
+        c, advance = two_stage_step(heads, l_bits)
         advanced = tuple(idx for idx, adv in enumerate(advance) if adv)
         for idx in advanced:
             pos[idx] += 1

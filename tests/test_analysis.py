@@ -8,9 +8,8 @@ from bitsim.analysis import (
     count_terms,
     report,
 )
-from bitsim.encoding import essential_count
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
-from bitsim.numerics import MissingProfile, Precision, trim
+from bitsim.numerics import MissingProfile, Precision
 from bitsim.reference import CycleReport, EngineResult, dadn_layer
 from scalar_forms import pair_term_counts
 

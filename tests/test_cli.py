@@ -75,16 +75,16 @@ def two_stage_step_reaching_one_further(real):
     """``two_stage_step`` whose first stage also takes a head at ``c + 2^L``."""
     def two_stage_step(heads, l_bits):
         heads = list(heads)
-        c, _, done = real(heads, l_bits)
-        return c, tuple(h is not None and h <= c + (1 << l_bits) for h in heads), done
+        c, _ = real(heads, l_bits)
+        return c, tuple(h is not None and h <= c + (1 << l_bits) for h in heads)
     return two_stage_step
 
 
 def two_stage_step_advancing_nothing(real):
     """``two_stage_step`` whose first stage takes no head, not even at ``c``."""
     def two_stage_step(heads, l_bits):
-        c, advance, done = real(heads, l_bits)
-        return c, (False,) * len(advance), done
+        c, advance = real(heads, l_bits)
+        return c, (False,) * len(advance)
     return two_stage_step
 
 
@@ -204,6 +204,47 @@ class TestSimulateCommand:
         assert isinstance(r.exception, SystemExit)  # no traceback
         assert r.exit_code == 1
         assert "config error:" in r.output
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("width",), 16.9, "'width'"),
+            (("seed",), True, "'seed'"),
+            (("out_shift",), 0.0, "'out_shift'"),
+            (("layers", 0, "nx"), 18.7, "'nx' in layers[0]"),
+            (("layers", 0, "nx"), "18", "'nx' in layers[0]"),
+            (("layers", 0, "ny"), 18.0, "'ny' in layers[0]"),
+            (("layers", 0, "i"), "32", "'i' in layers[0]"),
+            (("layers", 1, "n"), 32.5, "'n' in layers[1]"),
+            (("layers", 0, "fx"), 3.0, "'fx' in layers[0]"),
+            (("layers", 0, "fy"), [3], "'fy' in layers[0]"),
+            (("layers", 0, "s"), True, "'s' in layers[0]"),
+            (("layers", 1, "pad"), False, "'pad' in layers[1]"),
+            (("layers", 0, "precision", "width"), 9.5, "'precision.width' in layers[0]"),
+            (("layers", 0, "precision", "lsb"), "0", "'precision.lsb' in layers[0]"),
+            (("layers", 1, "precision", "msb"), 6.0, "'precision.msb' in layers[1]"),
+            (("engines", 2, "l_bits"), [2.7], "'l_bits' in engines[2]"),
+            (("engines", 3, "ssrs"), [1.5], "'ssrs' in engines[3]"),
+            (("engines", 3, "pallet_buffer"), "2", "'pallet_buffer' in engines[3]"),
+            (("layers", 0, "first_layer"), "no", "'first_layer' in layers[0]"),
+            (("layers", 1, "first_layer"), 0, "'first_layer' in layers[1]"),
+            (("trace", "relu"), "false", "'trace.relu'"),
+        ],
+    )
+    def test_integer_and_boolean_fields_take_only_their_json_type(self, tmp_path, path,
+                                                                  value, field):
+        # a cast would run 16.9 as 16, true as 1 and "no" as true
+        cfg = json.loads((CONFIGS / "example.json").read_text())
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg)),
+                                      "--out", str(out)])
+        assert_clean_exit(r, 1)
+        assert f"config error: {field} must be" in r.output
+        assert not out.exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         r = CliRunner().invoke(main, ["simulate", str(tmp_path / "none.json")])

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitsim.encoding import (
-    EmptyTrace,
-    NegativeUnsupported,
-    OneffsetStream,
-    encode,
-    essential_count,
-    essential_counts,
-    stats,
-)
-from bitsim.numerics import Precision, trim
+from bitsim.encoding import EmptyTrace, OneffsetStream, encode, essential_counts, stats
+from bitsim.numerics import Precision
+from scalar_forms import essential_count, trim
 
 
 class TestEncode:
@@ -28,7 +21,6 @@ class TestEncode:
     def test_zero_single_slot(self):
         s = encode(0)
         assert s.offsets == ()
-        assert s.serial_slots == 1
         assert s.pow_eon_pairs() == [(0, True)]
 
     def test_negative_sign_magnitude(self):
@@ -36,15 +28,10 @@ class TestEncode:
         assert s.offsets == (0, 2) and s.neg
         assert s.value() == -5
 
-    def test_negative_unsigned_raises(self):
-        with pytest.raises(NegativeUnsupported):
-            encode(-1, mode="unsigned")
-
-    def test_width8(self):
-        s = encode(0xA5, width=8)
-        assert s.offsets == (0, 2, 5, 7)
-        with pytest.raises(ValueError):
-            encode(0x100, width=8)
+    @pytest.mark.parametrize("v", [0x10000, -0x10000, 1 << 40])
+    def test_magnitude_past_16_bits_raises(self, v):
+        with pytest.raises(ValueError, match="does not fit 16 bits"):
+            encode(v)
 
     def test_roundtrip_exhaustive_16bit(self):
         # sum of 2^offset (negated by the flag) reconstructs every value
@@ -54,11 +41,15 @@ class TestEncode:
 
     def test_at_most_width_offsets(self):
         assert len(encode(0xFFFF).offsets) == 16
-        assert len(encode(0xFF, width=8).offsets) == 8
 
     def test_ascending_required(self):
         with pytest.raises(ValueError):
             OneffsetStream((2, 1))
+
+    @pytest.mark.parametrize("offsets", [(16,), (3, 16), (-1, 3)])
+    def test_offset_outside_16_bits_raises(self, offsets):
+        with pytest.raises(ValueError, match="outside"):
+            OneffsetStream(offsets)
 
 
 class TestEssentialCount:

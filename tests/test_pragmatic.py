@@ -31,23 +31,20 @@ from scalar_forms import rebuilt_heads_schedule
 
 class TestTwoStageStep:
     def test_low_heads_advance_high_stalls(self):
-        c, advance, done = two_stage_step([1, 0, 4], l_bits=2)
+        c, advance = two_stage_step([1, 0, 4], l_bits=2)
         assert c == 0
         assert advance == (True, True, False)  # 4 - 0 >= 2^2 stalls
-        assert not done
 
     def test_minimum_subtraction(self):
-        c, advance, done = two_stage_step([6, 7, 4], l_bits=2)
+        c, advance = two_stage_step([6, 7, 4], l_bits=2)
         assert c == 4
         # first-stage shifts are head - c: (2, 3, 0), all below 2^2
         assert advance == (True, True, True)
-        assert done
 
     def test_single_stage_always_advances(self):
-        c, advance, done = two_stage_step([15, 0, 7, None], l_bits=4)
+        c, advance = two_stage_step([15, 0, 7, None], l_bits=4)
         assert c == 0
         assert advance == (True, True, True, False)
-        assert done
 
     def test_all_done_raises(self):
         with pytest.raises(AllDone):
@@ -56,10 +53,10 @@ class TestTwoStageStep:
     @given(st.lists(st.one_of(st.none(), st.integers(0, 15)), min_size=1, max_size=16)
            .filter(lambda heads: any(h is not None for h in heads)),
            st.integers(0, 4))
-    def test_done_when_no_live_head_stalls(self, heads, l_bits):
-        _, advance, done = two_stage_step(heads, l_bits)
-        assert done == all(adv for h, adv in zip(heads, advance) if h is not None)
-        assert not any(adv for h, adv in zip(heads, advance) if h is None)
+    def test_advance_is_every_live_head_below_reach(self, heads, l_bits):
+        c, advance = two_stage_step(heads, l_bits)
+        assert c == (0 if l_bits == 4 else min(h for h in heads if h is not None))
+        assert advance == tuple(h is not None and h < c + (1 << l_bits) for h in heads)
 
 
 # one lane's essential bits: none, or any ascending offsets in [0, 16)
@@ -83,10 +80,10 @@ def test_pip_schedule_refuses_a_rule_that_advances_no_lane(monkeypatch, stuck_af
 
     def stuck(heads, l_bits):
         calls.append(heads)
-        c, advance, done = two_stage_step(heads, l_bits)
+        c, advance = two_stage_step(heads, l_bits)
         if len(calls) > stuck_after:
             advance = (False,) * len(advance)
-        return c, advance, done
+        return c, advance
 
     monkeypatch.setattr(pragmatic, "two_stage_step", stuck)
     streams = [encode(0b1011_0001), encode(0), encode(0b100_0000_0000)]
@@ -127,7 +124,7 @@ class TestPipInner:
         streams = [encode(int(v)) for v in neurons]
         value, cycles = pip_inner(streams, synapses, l_bits)
         assert value == int(np.dot(neurons.astype(object), synapses.astype(object)))
-        assert cycles >= max(1, max(len(s) for s in streams) if streams else 1)
+        assert cycles >= max(1, max(len(s.offsets) for s in streams) if streams else 1)
 
     def test_single_stage_cycles_are_max_stream_length(self):
         streams = [encode(v) for v in (0xFF, 0x0F, 0, 1)]
