@@ -160,12 +160,11 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
             for k in ("nx", "ny", "i", "n", "fx", "fy")}
     dims.update({k: _strict(obj.get(k, default), int, f"'{k}' in {where}")
                  for k, default in (("s", 1), ("pad", 0))})
+    name = obj.get("name", f"layer{index}")
+    if not isinstance(name, str):
+        raise ConfigError(f"'name' in {where} must be a string, got {name!r}")
     try:
-        spec = LayerSpec.normalized(
-            **dims,
-            act=obj.get("act", "identity"),
-            name=str(obj.get("name", f"layer{index}")),
-        )
+        spec = LayerSpec.normalized(**dims, act=obj.get("act", "identity"), name=name)
     except _BAD_VALUE as e:
         raise ConfigError(f"bad geometry in {where}: {e}") from e
     _check_size(spec, where)
@@ -265,6 +264,15 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(layer_objs, list) or not layer_objs:
         raise ConfigError("'layers' must be a nonempty list")
     layers = [_parse_layer(lo, i, width) for i, lo in enumerate(layer_objs)]
+    first_of: dict[str, int] = {}
+    for index, layer in enumerate(layers):
+        name = layer.spec.name
+        if name in first_of:  # reports key their per-layer counts by name
+            raise ConfigError(
+                f"'name' in layers[{index}] must be unique, got {name!r} "
+                f"(the name of layers[{first_of[name]}])"
+            )
+        first_of[name] = index
 
     engines = _parse_engines(_listify(_require(obj, "engines", "config")))
 
@@ -288,9 +296,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if "paths" in trace:
             if not isinstance(trace["paths"], list):
                 raise ConfigError(f"'trace.paths' must be a list, got {trace['paths']!r}")
-            paths = [str(p) for p in trace["paths"]]
+            for index, path in enumerate(trace["paths"]):
+                if not isinstance(path, str):
+                    raise ConfigError(f"'trace.paths[{index}]' must be a string, got {path!r}")
+            paths = list(trace["paths"])
         elif "path" in trace:
-            paths = [str(trace["path"])]
+            if not isinstance(trace["path"], str):
+                raise ConfigError(f"'trace.path' must be a string, got {trace['path']!r}")
+            paths = [trace["path"]]
         if len(paths) != len(layers):
             raise ConfigError(
                 f"'trace.paths' needs one path per layer ({len(layers)}), got {len(paths)}"

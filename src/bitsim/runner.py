@@ -6,9 +6,15 @@ fair. Each input view (raw or profile-trimmed) is lowered once per
 layer and shared by every variant that reads it. Each engine's output
 is checked against the brute-force oracle on its own input view; a
 mismatch is an engine bug and aborts the run.
+
+Each layer's inputs come from generators of their own, so ``simulate``
+draws layer k+1's on one worker thread while layer k runs.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -145,8 +151,94 @@ def _layer_terms(cfg: ExperimentConfig, layer: LayerConfig,
     return terms, stats(input.data, cfg.width)
 
 
+def _other_cpus() -> set[int] | None:
+    """The CPUs this thread may run on, less the one it runs on now; None
+    where either is unknown or none is left."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open("/proc/thread-self/stat", "rb") as fh:  # field 39: the CPU
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (AttributeError, OSError, ValueError, IndexError):  # no affinity or /proc
+        return None
+    return (allowed - {here}) or None
+
+
+class _Prefetch:
+    """:func:`build_layer_inputs` of one layer, on a thread started at once.
+
+    The starter moves the thread off the CPU the starter runs on, and the
+    thread waits for that before it builds. A new thread starts on its
+    parent's CPU, and a scheduler may leave it there while another CPU
+    idles: on a 2-vCPU guest, for 150-400 ms, longer than a build, so the
+    two threads took turns on one CPU. A thread that moved itself would
+    hold the interpreter lock while the other CPU woke up.
+
+    :meth:`result` joins the thread and returns the inputs, or re-raises
+    what the build raised; :meth:`join` only waits.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, index: int):
+        self._outcome: tuple[Tensor3, FilterSet] | BaseException | None = None
+        self._placed = threading.Event()
+        cpus = _other_cpus()
+        self._thread = threading.Thread(
+            target=self._build, args=(cfg, index), name=f"bitsim-inputs-{index}"
+        )
+        self._thread.start()
+        try:
+            if cpus is not None:
+                os.sched_setaffinity(self._thread.native_id, cpus)
+        except OSError:  # moving threads is not allowed here
+            pass
+        finally:
+            self._placed.set()
+
+    def _build(self, cfg: ExperimentConfig, index: int) -> None:
+        self._placed.wait()  # off the starter's CPU before the build begins
+        try:
+            self._outcome = build_layer_inputs(cfg, cfg.layers[index], index)
+        except BaseException as e:  # handed to the main thread by result()
+            self._outcome = e
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self) -> tuple[Tensor3, FilterSet]:
+        self.join()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._outcome
+
+
+# Fewest values (neurons plus synapses) a layer's inputs must hold to be
+# built on a worker. A worker costs the main thread about 1 ms (its start,
+# and the interpreter lock it takes while the main thread runs Python),
+# which is what building some 10^5 values takes.
+PREFETCH_MIN_VALUES = 1 << 17
+
+
+def _prefetch(cfg: ExperimentConfig, index: int) -> _Prefetch | None:
+    """Layer ``index``'s build on a worker; None past the last layer, or
+    for a layer too small to repay the worker."""
+    if index == len(cfg.layers):
+        return None
+    spec = cfg.layers[index].spec
+    if spec.ny * spec.nx * spec.i + spec.n * spec.fy * spec.fx * spec.i < PREFETCH_MIN_VALUES:
+        return None
+    try:
+        return _Prefetch(cfg, index)
+    except RuntimeError:  # the system would start no thread: build it when due
+        return None
+
+
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
+
+    While layer k runs, a worker thread builds layer k+1's inputs, unless
+    they hold fewer than :data:`PREFETCH_MIN_VALUES` values; at most two
+    layers' inputs are alive. A failed build raises when its layer is
+    due, as in a serial loop, and the worker is joined before this
+    returns or raises.
 
     Raises :class:`OracleMismatch` if any engine disagrees with the
     brute-force convolution on its input view.
@@ -154,12 +246,23 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
     rows = []
     terms: dict[str, TermCounts] = {}
     bits = {}
-    for index, layer in enumerate(cfg.layers):
-        input, filters = build_layer_inputs(cfg, layer, index)
-        baseline = dadn_cycles(layer.spec)
-        for result in run_layer(cfg, layer, input, filters):
-            rows.append((layer.spec.name, result, baseline))
-        terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
+    pending = None  # the worker building this layer's inputs, if any
+    try:
+        for index, layer in enumerate(cfg.layers):
+            if pending is not None:
+                input, filters = pending.result()
+                pending = _prefetch(cfg, index + 1)
+            else:  # built here, while a worker builds the next layer's
+                pending = _prefetch(cfg, index + 1)
+                input, filters = build_layer_inputs(cfg, layer, index)
+            baseline = dadn_cycles(layer.spec)
+            for result in run_layer(cfg, layer, input, filters):
+                rows.append((layer.spec.name, result, baseline))
+            terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
+            input = filters = None  # freed before the next layer's build starts
+    finally:
+        if pending is not None:
+            pending.join()
     return report(rows, terms, bits, cfg.width)
 
 

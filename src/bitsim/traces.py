@@ -33,6 +33,10 @@ DTYPE_U8 = 1
 # Largest synapse magnitude generate_synapses draws; the CSV digests fix it.
 SYNAPSE_BOUND = 127
 
+# Values generate_synapses draws per call: a 1 MB float64 buffer, reused,
+# stays in cache where a whole filter set's draw would fault in fresh pages.
+SYNAPSE_CHUNK = 1 << 17
+
 _HEADER = struct.Struct("<4sHBBIII")
 
 
@@ -60,10 +64,12 @@ def generate_trace(
         raise ValueError(f"sigma must be positive, got {sigma}")
     rng = neuron_rng(seed, layer_index)
     vals = rng.normal(0.0, sigma, size=(spec.ny, spec.nx, spec.i))
+    # Rectify, round and clamp in place: one float buffer, one cast.
     if relu:
-        vals = np.maximum(vals, 0.0)
-    ints = np.clip(np.rint(vals), -(1 << 15), (1 << 15) - 1).astype(np.int64)
-    return Tensor3(ints)
+        np.maximum(vals, 0.0, out=vals)
+    np.rint(vals, out=vals)
+    np.clip(vals, -(1 << 15), (1 << 15) - 1, out=vals)
+    return Tensor3(vals.astype(np.int32))
 
 
 def generate_synapses(
@@ -73,13 +79,28 @@ def generate_synapses(
     layer_index: int = 0,
 ) -> np.ndarray:
     """Synthetic int32 filters, magnitude-bounded by :data:`SYNAPSE_BOUND`
-    to keep accumulators tame."""
+    to keep accumulators tame.
+
+    The values are those of ``rint(rng.normal(0, sigma, shape))`` clipped
+    to the bound, drawn :data:`SYNAPSE_CHUNK` at a time into one reused
+    buffer: standard normals in stream order, scaled, rounded and clamped
+    in place. ``sigma * z`` differs from ``0.0 + sigma * z`` only in the
+    sign of a zero, which the cast erases.
+    """
+    if sigma < 0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
     rng = synapse_rng(seed, layer_index)
-    vals = rng.normal(0.0, sigma, size=(spec.n, spec.fy, spec.fx, spec.i))
-    # Round and clamp the draws in place: one float buffer, one cast.
-    np.rint(vals, out=vals)
-    np.clip(vals, -SYNAPSE_BOUND, SYNAPSE_BOUND, out=vals)
-    return vals.astype(np.int32)
+    out = np.empty((spec.n, spec.fy, spec.fx, spec.i), dtype=np.int32)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, SYNAPSE_CHUNK))
+    for start in range(0, flat.size, SYNAPSE_CHUNK):
+        part = buf[: flat.size - start]
+        rng.standard_normal(out=part)
+        part *= sigma
+        np.rint(part, out=part)
+        np.clip(part, -SYNAPSE_BOUND, SYNAPSE_BOUND, out=part)
+        flat[start : start + part.size] = part
+    return out
 
 
 def generate_quantized_trace(

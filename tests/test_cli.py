@@ -52,6 +52,17 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return path
 
 
+def example_with(tmp_path, path, value):
+    """``configs/example.json`` with the value at ``path`` replaced, written
+    to ``tmp_path``."""
+    cfg = json.loads((CONFIGS / "example.json").read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return write_config(tmp_path, cfg)
+
+
 def im2col_mutant(pad_offset=0, row_stride=True):
     """``reference.im2col`` with its padding offset off by ``pad_offset``,
     or with the stride dropped from the row index."""
@@ -234,17 +245,45 @@ class TestSimulateCommand:
     def test_integer_and_boolean_fields_take_only_their_json_type(self, tmp_path, path,
                                                                   value, field):
         # a cast would run 16.9 as 16, true as 1 and "no" as true
-        cfg = json.loads((CONFIGS / "example.json").read_text())
-        node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
         out = tmp_path / "out.csv"
-        r = CliRunner().invoke(main, ["simulate", str(write_config(tmp_path, cfg)),
+        r = CliRunner().invoke(main, ["simulate", str(example_with(tmp_path, path, value)),
                                       "--out", str(out)])
         assert_clean_exit(r, 1)
         assert f"config error: {field} must be" in r.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("layers", 0, "name"), None, "'name' in layers[0]"),
+            (("layers", 1, "name"), ["conv2"], "'name' in layers[1]"),
+            (("layers", 1, "name"), 2, "'name' in layers[1]"),
+            (("layers", 1, "name"), "conv1", "'name' in layers[1]"),
+            (("trace",), {"kind": "file", "paths": ["a.prgt", None]}, "'trace.paths[1]'"),
+            (("trace",), {"kind": "file", "path": 5}, "'trace.path'"),
+        ],
+        ids=["name-null", "name-list", "name-integer", "name-repeated", "paths-null",
+             "path-integer"],
+    )
+    def test_names_and_trace_paths_are_unique_strings(self, tmp_path, command, path, value,
+                                                      field):
+        # a cast ran null as the layer "None"; a repeated name gave both
+        # rows of the report the counts of the second layer
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, [command, str(example_with(tmp_path, path, value)),
+                                      "--out", str(out)])
+        assert_clean_exit(r, 1)
+        assert f"config error: {field} must be" in r.output
+        assert not out.exists()
+
+    def test_a_default_name_may_not_repeat_a_given_one(self, tmp_path):
+        cfg = json.loads((CONFIGS / "example.json").read_text())
+        del cfg["layers"][0]["name"]  # named layer0
+        cfg["layers"][1]["name"] = "layer0"
+        r = CliRunner().invoke(main, ["validate", str(write_config(tmp_path, cfg))])
+        assert_clean_exit(r, 1)
+        assert "'name' in layers[1] must be unique, got 'layer0'" in r.output
 
     def test_missing_config_is_config_error(self, tmp_path):
         r = CliRunner().invoke(main, ["simulate", str(tmp_path / "none.json")])

@@ -35,6 +35,9 @@ def check_parses_or_config_error(doc):
     assert math.isfinite(cfg.trace_sigma) and cfg.trace_sigma > 0
     assert math.isfinite(cfg.synapse_sigma) and cfg.synapse_sigma >= 0
     assert all(isinstance(p, str) for p in cfg.trace_paths)
+    names = [layer.spec.name for layer in cfg.layers]
+    assert all(isinstance(name, str) for name in names)
+    assert len(set(names)) == len(names)
     assert cfg.csv_path is None or isinstance(cfg.csv_path, str)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from bitsim.numerics import QuantParams
 from bitsim.traces import (
     DTYPE_I16,
     DTYPE_U8,
+    SYNAPSE_CHUNK,
     TraceIOError,
     generate_quantized_trace,
     generate_synapses,
     generate_trace,
+    neuron_rng,
     read_trace,
     synapse_rng,
     write_trace,
@@ -54,6 +58,31 @@ class TestGenerate:
         draws = synapse_rng(seed, 2).normal(0.0, sigma, size=(4, 3, 3, 32))
         assert syn.dtype == np.int32
         assert np.array_equal(syn, np.clip(np.rint(draws), -bound, bound))
+
+    @pytest.mark.parametrize("size", [SYNAPSE_CHUNK - 1, SYNAPSE_CHUNK, SYNAPSE_CHUNK + 1,
+                                      3 * SYNAPSE_CHUNK + 5])
+    @pytest.mark.parametrize("sigma", [0.0, 10.0, 400.0])
+    def test_chunked_synapses_equal_one_whole_draw(self, size, sigma):
+        # the chunks continue one stream: the values of a single normal()
+        spec = SimpleNamespace(n=size, fy=1, fx=1, i=1)  # any length, not only bricks
+        syn = generate_synapses(spec, sigma=sigma, seed=9, layer_index=1)
+        draws = synapse_rng(9, 1).normal(0.0, sigma, size=(size, 1, 1, 1))
+        assert syn.dtype == np.int32
+        assert np.array_equal(syn, np.clip(np.rint(draws), -127, 127))
+
+    def test_negative_synapse_sigma_raises(self):
+        with pytest.raises(ValueError):
+            generate_synapses(SPEC, sigma=-1.0, seed=0)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("sigma", [100.0, 40000.0])
+    def test_trace_equals_rectified_rounded_clipped_draws(self, relu, sigma):
+        t = generate_trace(SPEC, sigma=sigma, relu=relu, seed=5, layer_index=3)
+        draws = neuron_rng(5, 3).normal(0.0, sigma, size=(20, 20, 32))
+        if relu:
+            draws = np.maximum(draws, 0.0)
+        assert t.data.dtype == np.int32
+        assert np.array_equal(t.data, np.clip(np.rint(draws), -(1 << 15), (1 << 15) - 1))
 
     def test_quantized_codes_in_range(self):
         q = QuantParams(0.0, 500.0)
