@@ -106,21 +106,25 @@ def quantize8(x, q: QuantParams):
     return codes
 
 
-def activate(acc, act: str = "identity", out_shift: int = 0):
+def activate(acc, act: str = "identity", out_shift: int = 0, in_place: bool = False):
     """Activation stage: optional ReLU, arithmetic right shift, saturate.
 
     The shift rounds toward minus infinity; saturation to the 16-bit
     container is defined behavior, not an error. Works on scalars and
-    arrays alike.
+    arrays alike. ``acc`` is left unchanged: the stages run in place on
+    one int64 copy of it. With ``in_place`` they run on ``acc`` itself,
+    which must then be an int64 array, and ``acc`` is returned.
     """
-    a = np.asarray(acc, dtype=np.int64)
-    if act == "relu":
-        a = np.maximum(a, 0)
-    elif act != "identity":
+    if act not in ("relu", "identity"):
         raise ValueError(f"unknown activation {act!r}")
+    if in_place and not (isinstance(acc, np.ndarray) and acc.dtype == np.int64):
+        raise TypeError("in-place activation needs an int64 array")
+    a = acc if in_place else np.array(acc, dtype=np.int64)
+    if act == "relu":
+        np.maximum(a, 0, out=a)
     if out_shift:
-        a = a >> out_shift
-    a = np.clip(a, INT16_MIN, INT16_MAX)
+        np.right_shift(a, out_shift, out=a)
+    np.clip(a, INT16_MIN, INT16_MAX, out=a)
     if np.ndim(acc) == 0:
         return int(a)
     return a

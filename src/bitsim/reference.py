@@ -23,7 +23,8 @@ reduction is cut into chunks whose sums stay under the chosen bound.
 
 A :class:`LayerLowering` holds one layer's input views (raw, or
 window-trimmed), each lowered once to its exact output, sampled bricks
-and effectual term count; no im2col matrix is kept. It is every engine's
+and effectual term count. A view is lowered in bands of whole output
+rows, so no whole im2col matrix is built. The lowering is every engine's
 one input, so a sweep of variants over one lowering lowers each view once.
 
 The baseline ("dadn") models a chip of 16 tiles x 16 filters that
@@ -33,6 +34,7 @@ function of geometry, blind to the values.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +148,8 @@ def conv_oracle(
     :data:`ORACLE_BAND_WINDOWS` windows each, so that one tap's reads
     and products are band-sized. The bands serve whole-layer inputs,
     such as a full VGG-16 view; a layer of fewer windows is one band.
-    The padded input and the whole output stay live through
-    :func:`activate`.
+    Each tap's synapses are cast to the float type when that tap is
+    used, and the int64 output is activated in place.
     """
     check_shapes(input, filters, spec)
     ox, oy, _ = output_dims(spec)
@@ -159,7 +161,6 @@ def conv_oracle(
     run = spec.i if peak == 0 else max(1, min(spec.i, (limit - 1) // peak))
     padded = np.zeros((spec.ny + 2 * p, spec.nx + 2 * p, spec.i), dtype=dtype)
     padded[p : p + spec.ny, p : p + spec.nx] = input.data
-    taps = filters.data.astype(dtype)
     band = max(1, ORACLE_BAND_WINDOWS // ox)
     out = np.zeros((oy, ox, spec.n), dtype=np.int64)
     for top in range(0, oy, band):
@@ -171,10 +172,10 @@ def conv_oracle(
                 reads = padded[y0 : y0 + (rows - 1) * s + 1 : s,
                                bx : bx + (ox - 1) * s + 1 : s]
                 reads = reads.reshape(rows * ox, spec.i)
-                synapses = taps[:, by, bx, :].T
+                synapses = filters.data[:, by, bx, :].T.astype(dtype)
                 for c in range(0, spec.i, run):
                     acc += (reads[:, c : c + run] @ synapses[c : c + run]).astype(np.int64)
-    return Tensor3(activate(out, spec.act, out_shift))
+    return Tensor3(activate(out, spec.act, out_shift, in_place=True))
 
 
 def dadn_cycles(spec: LayerSpec) -> int:
@@ -227,22 +228,25 @@ def _clipped(offset: int, s: int, count: int, n: int) -> tuple[slice, slice]:
     return slice(first, stop), slice(start, start + (stop - first) * s, s)
 
 
-def im2col(input: Tensor3, spec: LayerSpec) -> np.ndarray:
-    """Window matrix ``(oy*ox, fy*fx*i)`` with virtual zero padding, in
-    the int32 of :class:`Tensor3`.
+def im2col(input: Tensor3, spec: LayerSpec, top: int = 0, rows: int | None = None) -> np.ndarray:
+    """Window matrix ``(rows*ox, fy*fx*i)`` of the output rows ``top`` to
+    ``top + rows`` (by default every row from ``top`` on), with virtual
+    zero padding, in the int32 of :class:`Tensor3`. Its rows are those of
+    the whole matrix from window ``top * ox`` on.
 
     One copy per filter tap: the windows whose reads of that tap fall in
     the input take one strided 2-D slice of it; the rest stay zero. No
     padded copy of the input is made.
     """
     ox, oy, _ = output_dims(spec)
-    cols = np.zeros((oy, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
+    rows = oy - top if rows is None else rows
+    cols = np.zeros((rows, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
     for by in range(spec.fy):
-        out_y, in_y = _clipped(by - spec.pad, spec.s, oy, spec.ny)
+        out_y, in_y = _clipped(top * spec.s + by - spec.pad, spec.s, rows, spec.ny)
         for bx in range(spec.fx):
             out_x, in_x = _clipped(bx - spec.pad, spec.s, ox, spec.nx)
             cols[out_y, out_x, by, bx] = input.data[in_y, in_x]
-    return cols.reshape(oy * ox, spec.fy * spec.fx * spec.i)
+    return cols.reshape(rows * ox, spec.fy * spec.fx * spec.i)
 
 
 # Every integer of magnitude below 2^24 is exact in float32, and below
@@ -271,7 +275,8 @@ def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     below 2^24, and in float64 (:data:`EXACT_FLOAT_LIMIT`) otherwise. The
     reduction axis is cut into chunks that meet the chosen bound for the
     actual maxima, and the chunk sums are added in int64. ``x`` is cast
-    and multiplied ``EXACT_BLOCK_ROWS`` rows at a time.
+    and multiplied ``EXACT_BLOCK_ROWS`` rows at a time, and ``w`` one
+    chunk at a time, so no float copy of either whole matrix is made.
     """
     k = x.shape[1]
     peak = _abs_max(x) * _abs_max(w)
@@ -279,31 +284,42 @@ def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if peak >= limit:
         dtype, limit = np.float64, EXACT_FLOAT_LIMIT
     chunk = k if peak == 0 else max(1, min(k, (limit - 1) // peak))
-    wf = w.T.astype(dtype)
     acc = np.zeros((x.shape[0], w.shape[0]), dtype=np.int64)
     for top in range(0, x.shape[0], EXACT_BLOCK_ROWS):
         xf = x[top : top + EXACT_BLOCK_ROWS].astype(dtype)
         block = acc[top : top + EXACT_BLOCK_ROWS]
         for lo in range(0, k, chunk):
-            block += (xf[:, lo : lo + chunk] @ wf[lo : lo + chunk]).astype(np.int64)
+            wf = w[:, lo : lo + chunk].T.astype(dtype)
+            block += (xf[:, lo : lo + chunk] @ wf).astype(np.int64)
     return acc
 
 
 def lowered_output(
-    x: np.ndarray, filters: FilterSet, spec: LayerSpec, out_shift: int = 0
+    bands: Iterable[np.ndarray], filters: FilterSet, spec: LayerSpec, out_shift: int = 0
 ) -> Tensor3:
-    """The layer output ``act(x @ W.T)`` from its im2col matrix ``x``.
+    """The layer output ``act(x @ W.T)`` from its im2col matrix ``x``,
+    given as consecutive bands of its rows that cover it.
 
-    This is the one output path of every engine. A config's neurons fit
-    the 16-bit container (``|n| <= 32768``) and its synapses 8 bits
+    This is the one output path of every engine. Each band's product
+    :func:`exact_matmul` is activated in place and stored into the int32
+    output, so no whole int64 accumulator is built. A config's neurons
+    fit the 16-bit container (``|n| <= 32768``) and its synapses 8 bits
     (``|s| <= 255``), so each product is below 2^23 and
     :func:`exact_matmul` runs in float32, in reduction chunks of at least
     two columns. Inputs built through the API alone, up to the 16-bit
     container and int16 synapses, can reach 2^31 and take float64.
     """
-    acc = exact_matmul(x, filters.data.reshape(filters.n, -1))
+    w = filters.data.reshape(filters.n, -1)
     ox, oy, _ = output_dims(spec)
-    return Tensor3(activate(acc.reshape(oy, ox, spec.n), spec.act, out_shift))
+    out = np.empty((oy * ox, spec.n), dtype=np.int32)
+    top = 0
+    for x in bands:
+        acc = exact_matmul(x, w)
+        out[top : top + len(x)] = activate(acc, spec.act, out_shift, in_place=True)
+        top += len(x)
+    if top != len(out):
+        raise ValueError(f"bands cover {top} of {len(out)} windows")
+    return Tensor3(out.reshape(oy, ox, spec.n))
 
 
 def effectual_terms(values: np.ndarray, spec: LayerSpec, width: int) -> int:
@@ -318,27 +334,38 @@ class ScalarModelMismatch(RuntimeError):
 SAMPLED_BRICKS = 8
 
 
-def sampled_bricks(x: np.ndarray, filters: FilterSet):
-    """Yield ``(window, step, neurons, synapses, dot)`` for a fixed sample
-    of ``SAMPLED_BRICKS`` bricks: the 16 lanes of one im2col row at one
-    brick step and one filter, as tuples, with their exact dot product.
+def sample_picks(windows: int, steps: int, n: int) -> list[tuple[int, int, int]]:
+    """The ``(window, step, filter)`` of each of ``SAMPLED_BRICKS``
+    sampled bricks, of a layer with ``windows`` im2col rows of ``steps``
+    bricks and ``n`` filters.
 
     The picks come from a constant seed, so they depend on the layer's
     shape only, never on the run's seed.
     """
-    w = filters.data.reshape(filters.n, -1)
     rng = np.random.default_rng(0)
-    picks = zip(
-        rng.integers(x.shape[0], size=SAMPLED_BRICKS),
-        rng.integers(x.shape[1] // geo.BRICK, size=SAMPLED_BRICKS),
-        rng.integers(filters.n, size=SAMPLED_BRICKS),
-    )
-    for window, step, f in picks:
+    return [
+        (int(window), int(step), int(f))
+        for window, step, f in zip(
+            rng.integers(windows, size=SAMPLED_BRICKS),
+            rng.integers(steps, size=SAMPLED_BRICKS),
+            rng.integers(n, size=SAMPLED_BRICKS),
+        )
+    ]
+
+
+def sampled_bricks(rows: np.ndarray, picks, filters: FilterSet):
+    """Yield ``(window, step, neurons, synapses, dot)`` for each of the
+    :func:`sample_picks`: the 16 lanes of one im2col row at one brick
+    step and one filter, as tuples, with their exact dot product.
+    ``rows[j]`` is the im2col row of pick ``j``'s window.
+    """
+    w = filters.data.reshape(filters.n, -1)
+    for row, (window, step, f) in zip(rows, picks):
         lanes = slice(step * geo.BRICK, (step + 1) * geo.BRICK)
-        neurons = tuple(x[window, lanes].tolist())
+        neurons = tuple(row[lanes].tolist())
         synapses = tuple(w[f, lanes].tolist())
         dot = sum(n * s for n, s in zip(neurons, synapses))
-        yield int(window), int(step), neurons, synapses, dot
+        yield window, step, neurons, synapses, dot
 
 
 # --- one lowering per input view, shared by every engine variant ---
@@ -351,23 +378,54 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+# Windows per band of a view's lowering, rounded down to whole output
+# rows (one row at least): one band's im2col rows, their float copy and
+# their product are live at a time, not the whole layer's.
+LOWERING_BAND_WINDOWS = 128
+
+
 class ViewLowering:
     """One input view of a layer, lowered once: its values, exact output,
     :func:`sampled_bricks` and effectual term count, none writable, so no
-    engine variant can change what a later one reads. The im2col matrix
-    is not kept. :meth:`cached` keeps what engines derive from the view:
-    column costs with their sampled checks, and the sample's encoded lanes.
+    engine variant can change what a later one reads. :meth:`cached`
+    keeps what engines derive from the view: column costs with their
+    sampled checks, and the sample's encoded lanes.
+
+    The view is lowered in bands of whole output rows, about
+    :data:`LOWERING_BAND_WINDOWS` windows each: each band's im2col rows
+    go through :func:`lowered_output` and give up the rows the sample
+    picks. No whole im2col matrix is built.
     """
 
     def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,
                  width: int, out_shift: int):
         self._memo: dict = {}
         self.values = read_only(values)
-        x = im2col(Tensor3(values), spec)
-        self.output = lowered_output(x, filters, spec, out_shift)
+        ox, oy, _ = output_dims(spec)
+        k = spec.fy * spec.fx * spec.i
+        picks = sample_picks(oy * ox, k // geo.BRICK, spec.n)
+        picked = np.empty((len(picks), k), dtype=np.int32)
+        self.output = lowered_output(
+            self._bands(Tensor3(values), spec, [p[0] for p in picks], picked),
+            filters, spec, out_shift,
+        )
         self.output.data.setflags(write=False)
-        self.sample = tuple(sampled_bricks(x, filters))
+        self.sample = tuple(sampled_bricks(picked, picks, filters))
         self.effectual_terms = effectual_terms(values, spec, width)
+
+    @staticmethod
+    def _bands(input: Tensor3, spec: LayerSpec, windows: list[int], picked: np.ndarray):
+        """Yield the im2col matrix of ``input`` band by band, storing row
+        ``windows[j]`` of the whole matrix into ``picked[j]`` on the way."""
+        ox, oy, _ = output_dims(spec)
+        band = max(1, LOWERING_BAND_WINDOWS // ox)
+        for top in range(0, oy, band):
+            x = im2col(input, spec, top, min(band, oy - top))
+            first = top * ox
+            for j, window in enumerate(windows):
+                if first <= window < first + len(x):
+                    picked[j] = x[window - first]
+            yield x
 
     def cached(self, key, make):
         """``make()`` on the first call with ``key``, the same value after."""

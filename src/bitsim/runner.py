@@ -7,21 +7,29 @@ layer and shared by every variant that reads it. Each engine's output
 is checked against the brute-force oracle on its own input view; a
 mismatch is an engine bug and aborts the run.
 
-Each layer's inputs come from generators of their own, so ``simulate``
-draws layer k+1's on one worker thread while layer k runs.
+``simulate`` keeps one side thread beside the main thread, which runs
+the engines. The oracle shares no code with the engines and reads only
+the layer's inputs, and each layer's inputs come from generators of
+their own, so the side thread draws layer k+1's inputs and then computes
+layer k's oracles while layer k's engines run. Each view is lowered in
+bands of output rows (see :class:`~bitsim.reference.ViewLowering`), so
+the lowering and an oracle running beside it stay small in memory.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import os
 import threading
+from collections.abc import Callable
 
 import numpy as np
 
 from .analysis import ReportDocument, TermCounts, count_terms, report
 from .config import EngineSelector, ExperimentConfig, LayerConfig
 from .encoding import BitStats, stats
-from .geometry import FilterSet, Tensor3, container_bounds
+from .geometry import FilterSet, Tensor3, container_bounds, output_dims
 from .numerics import trim_tensor
 from .pragmatic import pragmatic_layer
 from .reference import EngineResult, LayerLowering, conv_oracle, dadn_cycles, dadn_layer
@@ -116,15 +124,29 @@ def _reads_trimmed(sel: EngineSelector) -> bool:
     )
 
 
+def _oracle(cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3,
+            filters: FilterSet, trimmed: bool) -> Tensor3:
+    """The brute-force output of the layer's raw or trimmed input view."""
+    # built apart from the engines' lowering, so a wrong view shows
+    view = Tensor3(trim_tensor(input.data, layer.precision)) if trimmed else input
+    return conv_oracle(view, filters, layer.spec, cfg.out_shift)
+
+
 def run_layer(
-    cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3, filters: FilterSet
+    cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3, filters: FilterSet,
+    oracle: Callable[[bool], Tensor3] | None = None,
 ) -> list[EngineResult]:
     """Every engine variant of the run on one layer, in config order.
 
     Each input view is lowered once and shared by the variants that read
-    it. Raises :class:`OracleMismatch` if any engine disagrees with the
-    brute-force convolution on its input view.
+    it. Each engine's output is compared with the oracle of its view,
+    ``oracle(trimmed)``, asked for once per view, after the first engine
+    on that view has run; by default it is computed here. Raises
+    :class:`OracleMismatch` if any engine disagrees with the brute-force
+    convolution on its input view.
     """
+    if oracle is None:
+        oracle = functools.partial(_oracle, cfg, layer, input, filters)
     lowered = LayerLowering(input, filters, layer.spec, cfg.width, cfg.out_shift)
     oracles: dict[bool, Tensor3] = {}
     results = []
@@ -132,9 +154,7 @@ def run_layer(
         result = _run(sel, layer, lowered)
         trimmed = _reads_trimmed(sel)
         if trimmed not in oracles:
-            # built apart from the engines' lowering, so a wrong view shows
-            view = Tensor3(trim_tensor(input.data, layer.precision)) if trimmed else input
-            oracles[trimmed] = conv_oracle(view, filters, layer.spec, cfg.out_shift)
+            oracles[trimmed] = oracle(trimmed)
         if result.output != oracles[trimmed]:
             raise OracleMismatch(
                 f"{sel.label()} output differs from the oracle on layer "
@@ -151,93 +171,155 @@ def _layer_terms(cfg: ExperimentConfig, layer: LayerConfig,
     return terms, stats(input.data, cfg.width)
 
 
-def _other_cpus() -> set[int] | None:
-    """The CPUs this thread may run on, less the one it runs on now; None
-    where either is unknown or none is left."""
+def _other_cpus() -> tuple[set[int], set[int]] | None:
+    """The CPUs this thread may run on, and those less the one it runs on
+    now; None where either is unknown or no other CPU is left."""
     try:
         allowed = os.sched_getaffinity(0)
         with open("/proc/thread-self/stat", "rb") as fh:  # field 39: the CPU
             here = int(fh.read().rsplit(b")", 1)[1].split()[36])
     except (AttributeError, OSError, ValueError, IndexError):  # no affinity or /proc
         return None
-    return (allowed - {here}) or None
+    others = allowed - {here}
+    return (allowed, others) if others else None
 
 
-class _Prefetch:
-    """:func:`build_layer_inputs` of one layer, on a thread started at once.
+class _Job:
+    """One call to run on the side thread, or on the main thread if the
+    side thread has not started it by the time it is needed."""
 
-    The starter moves the thread off the CPU the starter runs on, and the
-    thread waits for that before it builds. A new thread starts on its
-    parent's CPU, and a scheduler may leave it there while another CPU
-    idles: on a 2-vCPU guest, for 150-400 ms, longer than a build, so the
-    two threads took turns on one CPU. A thread that moved itself would
-    hold the interpreter lock while the other CPU woke up.
+    def __init__(self, fn: Callable, *args):
+        self.fn, self.args = fn, args
+        self.claimed = False  # set under the side thread's lock
+        self.outcome = None
+        self.done = threading.Event()
 
-    :meth:`result` joins the thread and returns the inputs, or re-raises
-    what the build raised; :meth:`join` only waits.
+    def run(self) -> None:
+        try:
+            self.outcome = self.fn(*self.args)
+        except BaseException as e:  # handed to the main thread by _SideThread.result
+            self.outcome = e
+        finally:
+            self.fn = self.args = None
+            self.done.set()
+
+
+class _SideThread:
+    """One thread that runs a queue of jobs in order, beside the main thread.
+
+    The thread starts with the first job. Its starter moves it off the
+    CPU the starter runs on, and the thread waits for that before its
+    first job; it then lets itself run on every CPU again. A new thread
+    starts on its parent's CPU, and a scheduler may leave it there while
+    another CPU idles: on a 2-vCPU guest, for 150-400 ms, longer than a
+    layer, so the two threads took turns on one CPU. A thread that moved
+    itself would hold the interpreter lock while the other CPU woke up.
+
+    :meth:`result` returns a job's value or re-raises what it raised. A
+    job the thread has not started by then is claimed and run by the
+    caller, so the caller never waits on the thread's backlog.
+    :meth:`close` drops the jobs not started and joins the thread.
     """
 
-    def __init__(self, cfg: ExperimentConfig, index: int):
-        self._outcome: tuple[Tensor3, FilterSet] | BaseException | None = None
+    def __init__(self):
+        self._lock = threading.Condition()
+        self._queue: collections.deque[_Job] = collections.deque()
+        self._closed = False
+        self._thread: threading.Thread | None = None
         self._placed = threading.Event()
+
+    def submit(self, fn: Callable, *args) -> _Job:
+        job = _Job(fn, *args)
+        with self._lock:
+            self._queue.append(job)
+            self._lock.notify()
+        if self._thread is None:
+            self._start()
+        return job
+
+    def _start(self) -> None:
         cpus = _other_cpus()
-        self._thread = threading.Thread(
-            target=self._build, args=(cfg, index), name=f"bitsim-inputs-{index}"
-        )
-        self._thread.start()
+        self._thread = threading.Thread(target=self._loop, args=(cpus,), name="bitsim-side")
+        try:
+            self._thread.start()
+        except RuntimeError:  # the system would start no thread: jobs run when due
+            return
         try:
             if cpus is not None:
-                os.sched_setaffinity(self._thread.native_id, cpus)
+                os.sched_setaffinity(self._thread.native_id, cpus[1])
         except OSError:  # moving threads is not allowed here
             pass
         finally:
             self._placed.set()
 
-    def _build(self, cfg: ExperimentConfig, index: int) -> None:
-        self._placed.wait()  # off the starter's CPU before the build begins
-        try:
-            self._outcome = build_layer_inputs(cfg, cfg.layers[index], index)
-        except BaseException as e:  # handed to the main thread by result()
-            self._outcome = e
+    def _loop(self, cpus: tuple[set[int], set[int]] | None) -> None:
+        self._placed.wait()  # off the starter's CPU before the first job
+        if cpus is not None:
+            try:  # so that a descheduled CPU does not hold it
+                os.sched_setaffinity(0, cpus[0])
+            except OSError:
+                pass
+        while True:
+            with self._lock:
+                while not self._queue and not self._closed:
+                    self._lock.wait()
+                if self._closed:
+                    return
+                job = self._queue.popleft()
+                if job.claimed:
+                    continue
+                job.claimed = True
+            job.run()
 
-    def join(self) -> None:
-        self._thread.join()
+    def result(self, job: _Job):
+        with self._lock:
+            mine = not job.claimed
+            job.claimed = True
+        if mine:
+            job.run()
+        else:
+            job.done.wait()
+        if isinstance(job.outcome, BaseException):
+            raise job.outcome
+        return job.outcome
 
-    def result(self) -> tuple[Tensor3, FilterSet]:
-        self.join()
-        if isinstance(self._outcome, BaseException):
-            raise self._outcome
-        return self._outcome
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._queue.clear()
+            self._lock.notify()
+        if self._thread is not None and self._thread.ident is not None:
+            self._thread.join()
 
 
-# Fewest values (neurons plus synapses) a layer's inputs must hold to be
-# built on a worker. A worker costs the main thread about 1 ms (its start,
-# and the interpreter lock it takes while the main thread runs Python),
-# which is what building some 10^5 values takes.
-PREFETCH_MIN_VALUES = 1 << 17
+# Fewest multiply-accumulates a layer must hold for its input build and
+# its oracles to run on the side thread. Handing a job over costs the
+# main thread about 1 ms (the thread's start or wake-up, and the
+# interpreter lock it takes while the main thread runs Python), which is
+# what a layer of some 10^7 MACs spends in its oracles.
+SIDE_MIN_MACS = 1 << 24
 
 
-def _prefetch(cfg: ExperimentConfig, index: int) -> _Prefetch | None:
-    """Layer ``index``'s build on a worker; None past the last layer, or
-    for a layer too small to repay the worker."""
-    if index == len(cfg.layers):
-        return None
-    spec = cfg.layers[index].spec
-    if spec.ny * spec.nx * spec.i + spec.n * spec.fy * spec.fx * spec.i < PREFETCH_MIN_VALUES:
-        return None
-    try:
-        return _Prefetch(cfg, index)
-    except RuntimeError:  # the system would start no thread: build it when due
-        return None
+def _on_side(layer: LayerConfig) -> bool:
+    spec = layer.spec
+    ox, oy, _ = output_dims(spec)
+    return oy * ox * spec.n * spec.fy * spec.fx * spec.i >= SIDE_MIN_MACS
 
 
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
 
-    While layer k runs, a worker thread builds layer k+1's inputs, unless
-    they hold fewer than :data:`PREFETCH_MIN_VALUES` values; at most two
-    layers' inputs are alive. A failed build raises when its layer is
-    due, as in a serial loop, and the worker is joined before this
+    One side thread runs, in order, layer k+1's input build and then
+    layer k's oracles, one per input view in the order the engines first
+    read the views, while the main thread runs layer k's engines. A
+    layer of fewer than :data:`SIDE_MIN_MACS` multiply-accumulates keeps
+    its build and its oracles on the main thread. A job the side thread
+    has not started when it is due runs on the main thread. At most two
+    layers' inputs are alive.
+
+    Outputs are compared on the main thread, in config order, so a
+    failed build, a failed oracle and a mismatch raise as in a serial
+    loop, the first one first. The side thread is joined before this
     returns or raises.
 
     Raises :class:`OracleMismatch` if any engine disagrees with the
@@ -246,23 +328,30 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
     rows = []
     terms: dict[str, TermCounts] = {}
     bits = {}
-    pending = None  # the worker building this layer's inputs, if any
+    side = _SideThread()
+    pending = None  # the job building this layer's inputs, if any
     try:
         for index, layer in enumerate(cfg.layers):
-            if pending is not None:
-                input, filters = pending.result()
-                pending = _prefetch(cfg, index + 1)
-            else:  # built here, while a worker builds the next layer's
-                pending = _prefetch(cfg, index + 1)
-                input, filters = build_layer_inputs(cfg, layer, index)
+            built = None if pending is None else side.result(pending)
+            pending = None
+            if index + 1 < len(cfg.layers) and _on_side(cfg.layers[index + 1]):
+                pending = side.submit(build_layer_inputs, cfg, cfg.layers[index + 1], index + 1)
+            # built here if not on the side thread, while that builds the next
+            input, filters = built or build_layer_inputs(cfg, layer, index)
+            oracle = None
+            if _on_side(layer):
+                jobs = {
+                    trimmed: side.submit(_oracle, cfg, layer, input, filters, trimmed)
+                    for trimmed in dict.fromkeys(map(_reads_trimmed, cfg.engines))
+                }
+                oracle = lambda trimmed: side.result(jobs[trimmed])
             baseline = dadn_cycles(layer.spec)
-            for result in run_layer(cfg, layer, input, filters):
+            for result in run_layer(cfg, layer, input, filters, oracle):
                 rows.append((layer.spec.name, result, baseline))
             terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
-            input = filters = None  # freed before the next layer's build starts
+            input = filters = built = jobs = oracle = None  # freed before layer k+2's build
     finally:
-        if pending is not None:
-            pending.join()
+        side.close()
     return report(rows, terms, bits, cfg.width)
 
 

@@ -66,19 +66,20 @@ def example_with(tmp_path, path, value):
 def im2col_mutant(pad_offset=0, row_stride=True):
     """``reference.im2col`` with its padding offset off by ``pad_offset``,
     or with the stride dropped from the row index."""
-    def im2col(input, spec):
+    def im2col(input, spec, top=0, rows=None):
         ox, oy, _ = output_dims(spec)
-        cols = np.zeros((oy, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
+        rows = oy - top if rows is None else rows
+        cols = np.zeros((rows, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
         for by in range(spec.fy):
             for bx in range(spec.fx):
-                for l in range(oy):
-                    y = l * (spec.s if row_stride else 1) + by - spec.pad + pad_offset
+                for l in range(rows):
+                    y = (top + l) * (spec.s if row_stride else 1) + by - spec.pad + pad_offset
                     if not 0 <= y < spec.ny:
                         continue
                     xs = np.arange(ox) * spec.s + bx - spec.pad + pad_offset
                     ok = (xs >= 0) & (xs < spec.nx)
                     cols[l, ok, by, bx, :] = input.data[y, xs[ok], :]
-        return cols.reshape(oy * ox, -1)
+        return cols.reshape(rows * ox, -1)
     return im2col
 
 

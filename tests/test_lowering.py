@@ -8,7 +8,9 @@ variants lowered alone, and ``window_sum`` with sums over the im2col
 matrix.
 """
 
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import bitsim.pragmatic as pragmatic
 import bitsim.reference as reference
 from bitsim.config import EngineSelector, ExperimentConfig, LayerConfig, load_config
 from bitsim.encoding import essential_counts
-from bitsim.geometry import FilterSet, LayerSpec, Tensor3, window_sum
+from bitsim.geometry import BRICK, FilterSet, LayerSpec, Tensor3, output_dims, window_sum
 from bitsim.numerics import Precision, trim_tensor
 from bitsim.pragmatic import PragConfig, pragmatic_layer
 from bitsim.reference import (
@@ -28,6 +30,7 @@ from bitsim.reference import (
     exact_matmul,
     im2col,
     lowered_output,
+    sample_picks,
     sampled_bricks,
 )
 from bitsim.runner import run_engine, run_layer, simulate
@@ -207,8 +210,68 @@ def test_lowered_output_applies_activation_and_shift():
     rng = np.random.default_rng(4)
     t = Tensor3(rng.integers(0, 300, size=(3, 3, 16)))
     f = FilterSet(rng.integers(-50, 50, size=(2, 3, 3, 16)))
-    out = lowered_output(im2col(t, spec), f, spec, out_shift=3)
+    out = lowered_output([im2col(t, spec)], f, spec, out_shift=3)
     assert out == reference_conv(t, f, spec, out_shift=3)
+
+
+@st.composite
+def banded_layers(draw):
+    """A layer of several output rows and a band size in windows: bands
+    of one row (the band below the row width ``ox``) or several, bands
+    that do not divide the rows, stride 1-3 and padding 0-2."""
+    fx, fy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    ox, oy = draw(st.integers(1, 7)), draw(st.integers(2, 9))
+    nx, ny = (ox - 1) * s + fx - 2 * pad, (oy - 1) * s + fy - 2 * pad
+    assume(nx >= 1 and ny >= 1)
+    spec = LayerSpec(nx=nx, ny=ny, i=draw(st.sampled_from([16, 32])), n=draw(st.integers(1, 4)),
+                     fx=fx, fy=fy, s=s, pad=pad, act=draw(st.sampled_from(["identity", "relu"])))
+    width = draw(st.sampled_from([8, 16]))
+    lo, hi = (0, 255) if width == 8 else (-32768, 32767)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(lo, hi + 1, size=(ny, nx, spec.i))
+    values[rng.random(values.shape) < 0.3] = 0
+    filters = rng.integers(-127, 128, size=(spec.n, fy, fx, spec.i))
+    band = draw(st.integers(1, 3 * ox))
+    return spec, Tensor3(values), FilterSet(filters), width, draw(st.integers(0, 12)), band
+
+
+@settings(max_examples=80, deadline=None)
+@given(banded_layers())
+def test_a_banded_view_equals_the_whole_matrix_lowering(layer):
+    spec, t, f, width, out_shift, band = layer
+    ox, oy, _ = output_dims(spec)
+    with mock.patch.object(reference, "LOWERING_BAND_WINDOWS", band), \
+            mock.patch.object(reference, "im2col", wraps=reference.im2col) as spy:
+        view = LayerLowering(t, f, spec, width, out_shift).view(None)
+    rows = max(1, band // ox)
+    assert spy.call_count == -(-oy // rows)
+    x = im2col(t, spec)
+    assert view.output == lowered_output([x], f, spec, out_shift)
+    assert view.output == reference_conv(t, f, spec, out_shift)
+    picks = sample_picks(x.shape[0], x.shape[1] // BRICK, spec.n)
+    assert view.sample == tuple(sampled_bricks(x[[p[0] for p in picks]], picks, f))
+    assert view.effectual_terms == int(essential_counts(x, width).sum()) * spec.n
+
+
+def test_a_banded_lowering_peaks_below_its_whole_im2col():
+    # 32 output rows of 32 windows: 8 bands of 4 rows
+    spec = LayerSpec(nx=32, ny=32, i=64, n=16, fx=3, fy=3, pad=1, act="relu")
+    assert 32 // max(1, reference.LOWERING_BAND_WINDOWS // 32) >= 8
+    rng = np.random.default_rng(3)
+    t = Tensor3(rng.integers(0, 4096, size=(32, 32, 64)))
+    f = FilterSet(rng.integers(-127, 128, size=(16, 3, 3, 64)))
+    whole = im2col(t, spec).nbytes
+    lowering = LayerLowering(t, f, spec)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        view = lowering.view(None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert view.output == reference_conv(t, f, spec)
+    assert peak < whole
 
 
 @settings(max_examples=80, deadline=None)
@@ -293,7 +356,9 @@ def test_shared_lowering_is_read_only():
         for brick in view.sample:
             assert isinstance(brick, tuple)
             assert all(isinstance(lanes, tuple) for lanes in brick[2:4])
-        assert view.sample == tuple(sampled_bricks(im2col(Tensor3(view.values), spec), f))
+        x = im2col(Tensor3(view.values), spec)
+        picks = sample_picks(x.shape[0], x.shape[1] // BRICK, f.n)
+        assert view.sample == tuple(sampled_bricks(x[[p[0] for p in picks]], picks, f))
     assert t.data.flags.writeable  # the caller's input keeps its flags
 
 
@@ -376,15 +441,26 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("im2col", "sampled_bricks", "dispatcher_fetch_cycles"):
+    for name in ("sampled_bricks", "dispatcher_fetch_cycles"):
         counted(reference, name)
     for name in ("column_costs", "pip_inner", "encode"):
         counted(pragmatic, name)
+    bands = []  # (layer, first output row) of each im2col call
+    real_im2col = reference.im2col
+
+    def im2col(input, spec, top=0, rows=None):
+        bands.append((spec.name, top))
+        return real_im2col(input, spec, top, rows)
+
+    monkeypatch.setattr(reference, "im2col", im2col)
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name in ("example.json", "quantized.json"):
         simulate(load_config(configs / name))
+    # a view is lowered once: one pass of bands over its output rows
+    # (16, 8 and 20 rows of 16, 8 and 20 windows, so 8, 16 and 6 rows a band)
+    assert bands == 2 * [("conv1", 0), ("conv1", 8)] + 2 * [("conv2", 0)] + 2 * [
+        ("q8conv", top) for top in (0, 6, 12, 18)]
     assert calls == {
-        "im2col": 6,
         # the sample is drawn once per view, as it is lowered
         "sampled_bricks": 6,
         "column_costs": 8,

@@ -139,3 +139,32 @@ class TestActivate:
     @given(st.integers(min_value=-(1 << 14), max_value=(1 << 14)))
     def test_identity_region(self, v):
         assert activate(v) == v
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("act, out_shift", [("relu", 0), ("relu", 3), ("identity", 5)])
+    def test_leaves_the_callers_array_unchanged(self, dtype, act, out_shift):
+        acc = np.array([[-70000, -9, 0], [7, 48, 70000]], dtype=dtype)
+        before = acc.copy()
+        got = activate(acc, act, out_shift)
+        assert np.array_equal(acc, before)
+        want = [[activate(int(v), act, out_shift) for v in row] for row in before]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_leaves_scalars_unchanged(self):
+        for v in (-70000, np.int64(-70000), np.int32(-9)):
+            before = int(v)
+            assert activate(v, "relu", 2) == 0
+            assert v == before
+
+    @given(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=20),
+           st.sampled_from(["relu", "identity"]), st.integers(0, 8))
+    def test_in_place_equals_the_copying_form(self, values, act, out_shift):
+        acc = np.array(values, dtype=np.int64)
+        want = activate(acc, act, out_shift)
+        got = activate(acc, act, out_shift, in_place=True)
+        assert got is acc and np.array_equal(acc, want)
+
+    @pytest.mark.parametrize("acc", [np.zeros(3, dtype=np.int32), [1, 2], 5])
+    def test_in_place_needs_an_int64_array(self, acc):
+        with pytest.raises(TypeError, match="int64 array"):
+            activate(acc, "relu", in_place=True)

@@ -251,7 +251,7 @@ def test_oracle_equals_the_lowered_product_at_vgg_conv1_2_size():
     spec = LayerSpec(nx=224, ny=224, i=64, n=64, fx=3, fy=3, s=1, pad=1, act="relu")
     t = generate_trace(spec, 900.0, True, seed=1)
     f = FilterSet(generate_synapses(spec, 10.0, seed=1))
-    assert conv_oracle(t, f, spec) == lowered_output(im2col(t, spec), f, spec)
+    assert conv_oracle(t, f, spec) == LayerLowering(t, f, spec).view(None).output
 
 
 def count_dadn_events(spec):

@@ -1,12 +1,15 @@
-"""``simulate`` builds each next layer's inputs on a worker thread: the
-report equals a serial loop's, a failure ends in the serial loop's
-exception and exit code, and no thread outlives the call."""
+"""``simulate`` runs each next layer's input build and each layer's
+oracles on one side thread: the report equals a serial loop's, a failure
+ends in the serial loop's exception and exit code, and no thread
+outlives the call."""
 
 import json
 import os
+import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -21,16 +24,17 @@ from test_cli import assert_clean_exit, base_config, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
 JOIN_TIMEOUT_S = 30
-PREFETCH_MIN_VALUES = runner.PREFETCH_MIN_VALUES
+SIDE_MIN_MACS = runner.SIDE_MIN_MACS
 
 linux_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                                     reason="no thread CPU affinity on this platform")
 
 
 @pytest.fixture(autouse=True)
-def every_layer_prefetched(monkeypatch):
-    """The small layers here are built on a worker too."""
-    monkeypatch.setattr(runner, "PREFETCH_MIN_VALUES", 0)
+def every_layer_on_the_side(monkeypatch):
+    """The small layers here hand their builds and oracles to the side
+    thread too."""
+    monkeypatch.setattr(runner, "SIDE_MIN_MACS", 0)
 
 
 @pytest.fixture(autouse=True)
@@ -78,17 +82,37 @@ def quantized_layers(count):
     return parse_config(json.dumps(cfg))
 
 
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """``(layer, view, thread name)`` of each oracle the runner computes,
+    in the order they start."""
+    calls = []
+    real = runner._oracle
+
+    def _oracle(cfg, layer, input, filters, trimmed):
+        calls.append((layer.spec.name, trimmed, threading.current_thread().name))
+        return real(cfg, layer, input, filters, trimmed)
+
+    monkeypatch.setattr(runner, "_oracle", _oracle)
+    return calls
+
+
 @pytest.mark.parametrize("make_cfg", [
     lambda: parse_config(json.dumps(layers_config(3))),
     lambda: quantized_layers(4),
     lambda: load_config(ROOT / "bench" / "workloads" / "alexnet_column.json"),
 ], ids=["3-layers", "4-layers-width-8", "alexnet-column"])
-def test_simulate_equals_a_serial_loop(make_cfg):
+def test_simulate_equals_a_serial_loop(make_cfg, oracle_calls):
     cfg = make_cfg()
     assert len(cfg.layers) >= 3
     before = threading.active_count()
     doc = runner.simulate(cfg)
     assert threading.active_count() == before
+    # every view's oracle was a job, run once, on the side or when due
+    views = list(dict.fromkeys(map(runner._reads_trimmed, cfg.engines)))
+    assert sorted((name, trimmed) for name, trimmed, _ in oracle_calls) == sorted(
+        (layer.spec.name, trimmed) for layer in cfg.layers for trimmed in views)
+    assert {thread for _, _, thread in oracle_calls} <= {"MainThread", "bitsim-side"}
     serial = serial_simulate(cfg)
     assert doc.csv_lines() == serial.csv_lines()
     assert doc.table() == serial.table()
@@ -96,12 +120,12 @@ def test_simulate_equals_a_serial_loop(make_cfg):
 
 @pytest.fixture
 def thread_starts(monkeypatch):
-    """Names of the threads started while the test runs."""
+    """The threads started while the test runs."""
     started = []
     real = threading.Thread.start
 
     def start(self):
-        started.append(self.name)
+        started.append(self)
         real(self)
 
     monkeypatch.setattr(threading.Thread, "start", start)
@@ -109,36 +133,53 @@ def thread_starts(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
-def test_one_worker_per_layer_after_the_first(thread_starts, count):
-    # a one-layer config starts no thread
+def test_one_side_thread_per_simulate(thread_starts, count):
+    # a one-layer config starts it too, for the layer's oracles
     runner.simulate(parse_config(json.dumps(layers_config(count))))
-    assert thread_starts == [f"bitsim-inputs-{k}" for k in range(1, count)]
+    assert [t.name for t in thread_starts] == ["bitsim-side"]
+    assert not thread_starts[0].is_alive()
 
 
 @linux_affinity
-def test_the_worker_keeps_off_one_cpu_and_the_caller_keeps_its_own(monkeypatch):
+def test_the_side_thread_leaves_the_callers_cpu_before_its_first_job(monkeypatch):
+    # The starter moves the thread to the CPUs other than its own; once
+    # there, and before its first job, the thread lets itself run on
+    # every CPU the caller may use. The caller keeps its own CPUs.
     allowed = os.sched_getaffinity(0)
-    moved = threading.Semaphore(0)  # released once per worker the starter moves
+    moves = []  # (thread name, target, CPUs) of each move, in order
     seen = []
     real_build, real_move = runner.build_layer_inputs, os.sched_setaffinity
 
     def sched_setaffinity(pid, cpus):
         real_move(pid, cpus)
-        moved.release()
+        moves.append((threading.current_thread().name, pid, set(cpus)))
 
     def build_layer_inputs(cfg, layer, index):
         if threading.current_thread() is not threading.main_thread():
-            if len(allowed) > 1:
-                assert moved.acquire(timeout=JOIN_TIMEOUT_S)
-            seen.append(os.sched_getaffinity(0))
+            seen.append((len(moves), os.sched_getaffinity(0)))
         return real_build(cfg, layer, index)
 
     monkeypatch.setattr(os, "sched_setaffinity", sched_setaffinity)
     monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    sides = []
+    real_start = runner._SideThread._start
+
+    def start(self):
+        real_start(self)
+        sides.append(self._thread)
+
+    monkeypatch.setattr(runner._SideThread, "_start", start)
     doc = runner.simulate(parse_config(json.dumps(layers_config(3))))
-    assert len(doc.rows) == 3 * 6 and len(seen) == 2
-    for cpus in seen:  # all the CPUs but the one the caller was on
-        assert cpus <= allowed and len(cpus) == max(1, len(allowed) - 1)
+    assert len(doc.rows) == 3 * 6
+    if len(allowed) > 1:
+        (starter, target, away), (mover, own, back) = moves
+        assert (starter, target) == ("MainThread", sides[0].native_id)
+        assert away < allowed and len(away) == len(allowed) - 1
+        assert (mover, own, back) == ("bitsim-side", 0, allowed)
+        # builds that ran on the side thread did so after both moves
+        assert all(count == 2 and cpus == allowed for count, cpus in seen)
+    else:
+        assert moves == []
     assert os.sched_getaffinity(0) == allowed
 
 
@@ -166,20 +207,36 @@ def test_a_thread_that_cannot_start_leaves_the_build_to_the_caller(monkeypatch):
 
 
 def test_layers_too_small_for_a_worker_are_built_when_due(monkeypatch, thread_starts):
-    monkeypatch.setattr(runner, "PREFETCH_MIN_VALUES", PREFETCH_MIN_VALUES)
-    big = {"nx": 16, "ny": 4, "i": 64, "n": 256, "fx": 3, "fy": 3, "pad": 1,
-           "precision": {"width": 8}}  # 4096 neurons and 147456 synapses
+    # only the layers of at least SIDE_MIN_MACS hand their build and
+    # their oracles to the side thread
+    monkeypatch.setattr(runner, "SIDE_MIN_MACS", SIDE_MIN_MACS)
+    submitted = []
+    real_submit = runner._SideThread.submit
+
+    def submit(self, fn, cfg, layer, *args):
+        submitted.append((fn.__name__, layer.spec.name))
+        return real_submit(self, fn, cfg, layer, *args)
+
+    monkeypatch.setattr(runner._SideThread, "submit", submit)
+    big = {"nx": 32, "ny": 8, "i": 64, "n": 256, "fx": 3, "fy": 3, "pad": 1,
+           "precision": {"width": 8}}  # 37.7M MACs
     small = {"nx": 8, "ny": 4, "i": 16, "n": 8, "fx": 3, "fy": 3, "pad": 1,
              "precision": {"width": 8}}
     cfg = parse_config(json.dumps(base_config(layers=[
         dict(big, name="big0"), dict(big, name="big1"), dict(small, name="small2"),
         dict(big, name="big3")])))
     doc = runner.simulate(cfg)
-    assert thread_starts == ["bitsim-inputs-1", "bitsim-inputs-3"]
+    assert submitted == [
+        ("build_layer_inputs", "big1"), ("_oracle", "big0"), ("_oracle", "big0"),
+        ("_oracle", "big1"), ("_oracle", "big1"),
+        ("build_layer_inputs", "big3"),
+        ("_oracle", "big3"), ("_oracle", "big3"),
+    ]
+    assert [t.name for t in thread_starts] == ["bitsim-side"]
     assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
-    # the shipped two-layer config is built on the main thread alone
+    # the shipped two-layer config runs on the main thread alone
     runner.simulate(load_config(ROOT / "configs" / "example.json"))
-    assert thread_starts == ["bitsim-inputs-1", "bitsim-inputs-3"]
+    assert [t.name for t in thread_starts] == ["bitsim-side"]
 
 
 @pytest.fixture
@@ -188,9 +245,9 @@ def layers_run(monkeypatch):
     names = []
     real = runner.run_layer
 
-    def run_layer(cfg, layer, input, filters):
+    def run_layer(cfg, layer, *args):
         names.append(layer.spec.name)
-        return real(cfg, layer, input, filters)
+        return real(cfg, layer, *args)
 
     monkeypatch.setattr(runner, "run_layer", run_layer)
     return names
@@ -242,16 +299,19 @@ def test_out_of_memory_in_the_last_draw_is_a_resource_error(tmp_path, monkeypatc
 @pytest.mark.parametrize("prefetch_fails", [False, True], ids=["prefetch-ok", "prefetch-raises"])
 def test_oracle_mismatch_on_layer_0_while_layer_1_prefetches(tmp_path, monkeypatch,
                                                               prefetch_fails):
-    # The worker holds layer 1's build until layer 0 has failed its
-    # oracle check, so the build is in flight when the mismatch raises.
-    # Its own failure, if any, is dropped as the serial loop never saw it.
-    mismatched = threading.Event()
+    # The side thread holds layer 1's build until layer 0 has failed its
+    # oracle check, and the oracle, which the caller claims, waits for
+    # that build to start, so the build is in flight when the mismatch
+    # raises. Its own failure, if any, is dropped as the serial loop
+    # never saw it.
+    building, mismatched = threading.Event(), threading.Event()
     workers = []
     real_build, real_oracle = runner.build_layer_inputs, runner.conv_oracle
 
     def build_layer_inputs(cfg, layer, index):
         if index == 1:
             workers.append(threading.current_thread())
+            building.set()
             assert mismatched.wait(JOIN_TIMEOUT_S)
             if prefetch_fails:
                 raise MemoryError("layer 1's build")
@@ -263,6 +323,7 @@ def test_oracle_mismatch_on_layer_0_while_layer_1_prefetches(tmp_path, monkeypat
             return out
         data = out.data.copy()
         data[0, 0, 0] ^= 1  # stays inside the 16-bit container
+        assert building.wait(JOIN_TIMEOUT_S)
         mismatched.set()
         return Tensor3(data)
 
@@ -274,3 +335,160 @@ def test_oracle_mismatch_on_layer_0_while_layer_1_prefetches(tmp_path, monkeypat
     assert len(workers) == 1 and workers[0] is not threading.main_thread()
     assert not workers[0].is_alive()
     assert not out.exists()
+
+
+def test_mismatch_on_the_second_view_while_the_next_build_is_in_flight(
+        tmp_path, monkeypatch, layers_run, thread_starts):
+    # Layer 2's build waits on the side thread until layer 1's second
+    # view (the trimmed one stripes reads) has its corrupt oracle, and
+    # that oracle waits for the build to start, so the build is in flight
+    # when the mismatch raises.
+    building, corrupted = threading.Event(), threading.Event()
+    builders = []
+    real_build, real_oracle = runner.build_layer_inputs, runner.conv_oracle
+    seen = []
+
+    def build_layer_inputs(cfg, layer, index):
+        if index == 2:
+            builders.append(threading.current_thread().name)
+            building.set()
+            assert corrupted.wait(JOIN_TIMEOUT_S)
+        return real_build(cfg, layer, index)
+
+    def conv_oracle(view, filters, spec, out_shift):
+        out = real_oracle(view, filters, spec, out_shift)
+        seen.append(spec.name)
+        if seen.count("conv1") != 2:
+            return out
+        data = out.data.copy()
+        data[0, 0, 0] ^= 1
+        assert building.wait(JOIN_TIMEOUT_S)
+        corrupted.set()
+        return Tensor3(data)
+
+    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    monkeypatch.setattr(runner, "conv_oracle", conv_oracle)
+    r, out = simulate_cli(tmp_path, layers_config(3))
+    assert_clean_exit(r, 3)
+    # dadn passed on the raw view; stripes is the first on the trimmed one
+    assert "oracle mismatch: stripes output differs from the oracle on layer 'conv1'" in r.output
+    assert layers_run == ["conv0", "conv1"]
+    assert builders == ["bitsim-side"]
+    assert [t.name for t in thread_starts] == ["bitsim-side"]
+    assert not thread_starts[0].is_alive()
+    assert not out.exists()
+
+
+def test_the_caller_claims_jobs_the_blocked_side_thread_has_not_started(
+        monkeypatch, oracle_calls, thread_starts):
+    # Layer 1's build holds the side thread until layer 0 has run, so
+    # layer 0's oracles, queued behind it, are claimed by the caller.
+    layer_0_done = threading.Event()
+    real_build, real_run_layer = runner.build_layer_inputs, runner.run_layer
+
+    def build_layer_inputs(cfg, layer, index):
+        if index == 1:
+            assert layer_0_done.wait(JOIN_TIMEOUT_S)
+        return real_build(cfg, layer, index)
+
+    def run_layer(cfg, layer, *args):
+        results = real_run_layer(cfg, layer, *args)
+        if layer.spec.name == "conv0":
+            layer_0_done.set()
+        return results
+
+    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    monkeypatch.setattr(runner, "run_layer", run_layer)
+    cfg = parse_config(json.dumps(layers_config(2)))
+    doc = runner.simulate(cfg)
+    assert oracle_calls[:2] == [("conv0", False, "MainThread"), ("conv0", True, "MainThread")]
+    assert len(oracle_calls) == 4
+    assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
+    assert not thread_starts[0].is_alive()
+
+
+def test_an_oracle_out_of_memory_is_a_resource_error_when_its_layer_is_due(
+        tmp_path, monkeypatch, layers_run):
+    # conv1's second oracle fails on the side thread; the error surfaces
+    # once conv1's first engine on that view has run, as in a serial loop
+    real, real_run, real_build = runner.conv_oracle, runner._run, runner.build_layer_inputs
+    raw, engines_run = [], []
+
+    def conv_oracle(view, filters, spec, out_shift):
+        if spec.name == "conv1" and not np.array_equal(view.data, raw[0].data):
+            raise MemoryError("patched into conv1's trimmed oracle")
+        return real(view, filters, spec, out_shift)
+
+    def build_layer_inputs(cfg, layer, index):
+        built = real_build(cfg, layer, index)
+        if index == 1:
+            raw.append(built[0])
+        return built
+
+    def _run(sel, layer, lowered):
+        engines_run.append((layer.spec.name, sel.label()))
+        return real_run(sel, layer, lowered)
+
+    monkeypatch.setattr(runner, "conv_oracle", conv_oracle)
+    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    monkeypatch.setattr(runner, "_run", _run)
+    r, out = simulate_cli(tmp_path, layers_config(3))
+    assert_clean_exit(r, 2)
+    assert "resource error: out of memory (patched into conv1's trimmed oracle)" in r.output
+    assert layers_run == ["conv0", "conv1"]
+    assert engines_run[-2:] == [("conv1", "dadn"), ("conv1", "stripes")]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("outcome", ["returns", "raises"])
+def test_no_thread_is_alive_after_simulate(monkeypatch, thread_starts, outcome):
+    if outcome == "raises":
+        def dadn_layer(lowered):
+            raise OverflowError("patched into dadn")
+
+        monkeypatch.setattr(runner, "dadn_layer", dadn_layer)
+    cfg = parse_config(json.dumps(layers_config(3)))
+    if outcome == "raises":
+        with pytest.raises(OverflowError, match="patched into dadn"):
+            runner.simulate(cfg)
+    else:
+        runner.simulate(cfg)
+    assert [t.name for t in thread_starts] == ["bitsim-side"]
+    assert not thread_starts[0].is_alive()
+
+
+def test_each_job_runs_once_however_the_threads_interleave():
+    # Four claimants on two CPUs: the side thread and three callers that
+    # ask for every job in the order the side thread takes them, all let
+    # go at once, so they race to claim each job. A claim that is not
+    # atomic runs some job twice.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    side = runner._SideThread()
+    runs, errors = [], []
+    go = threading.Event()
+
+    def ask_for_every_job():
+        go.wait(JOIN_TIMEOUT_S)
+        try:
+            assert [side.result(job) for job in jobs] == [k * k for k in range(3000)]
+        except BaseException as e:  # checked below, on the test's thread
+            errors.append(e)
+
+    callers = [threading.Thread(target=ask_for_every_job) for _ in range(3)]
+    try:
+        side.submit(go.wait, JOIN_TIMEOUT_S)  # holds the side thread until all start
+        jobs = [side.submit(lambda k: runs.append(k) or k * k, k) for k in range(3000)]
+        for caller in callers:
+            caller.start()
+        go.set()
+        for caller in callers:
+            caller.join(JOIN_TIMEOUT_S)
+    finally:
+        go.set()
+        side.close()
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert not side._thread.is_alive()
+    assert errors == []
+    assert sorted(runs) == list(range(3000))
