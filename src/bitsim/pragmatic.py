@@ -36,6 +36,7 @@ from .reference import (
     LayerLowering,
     ScalarModelMismatch,
     ViewLowering,
+    dadn_terms,
     read_only,
     sb_read_count,
 )
@@ -501,7 +502,7 @@ def pragmatic_layer(
         nm_fetch_cycles=groups * n_steps * nm_c,
         stall_cycles=groups * stall,
         sb_reads=sb_read_count(spec),
-        total_terms=lowered.width * geo.num_pairs(spec),
+        total_terms=dadn_terms(spec, lowered.width),
         effectual_terms=view.effectual_terms,
     )
     return EngineResult(output=view.output, report=report, engine="pragmatic",

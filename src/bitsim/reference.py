@@ -8,11 +8,11 @@ summed in int64. It builds no im2col and calls no lowering helper, and
 keeps its own exactness bounds, so it shares nothing with the engines it
 is used to check but numpy's BLAS.
 
-Every engine computes its output one way, :func:`lowered_output`: the
-im2col matrix times the filter matrix, exact on the float BLAS path.
-The serial engines also put a fixed sample of bricks through their
-scalar unit models (:func:`sampled_bricks`), which model the shifters
-and the sign handling the lowered product skips.
+Every engine computes its output one way, in :class:`ViewLowering`: the
+im2col matrix times the filter matrix (:func:`exact_matmul`), exact on
+the float BLAS path. The serial engines also put a fixed sample of
+bricks through their scalar unit models (:func:`sampled_bricks`), which
+model the shifters and the sign handling the lowered product skips.
 
 Both products are exact sums of integers in floating point. Each picks
 its float type from its own operands' largest product ``max|x| *
@@ -34,7 +34,6 @@ function of geometry, blind to the values.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +119,7 @@ TAP_EXACT_LIMIT = 1 << 53
 # Windows per band of the oracle's tap loop, so that one tap's reads and
 # products stay this many rows tall on whole (paper-scale) layers; a
 # smaller layer is one band. Like the bound above, the oracle keeps it
-# apart from the engines' row blocks.
+# apart from the engines' bands.
 ORACLE_BAND_WINDOWS = 4096
 
 
@@ -259,11 +258,6 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-# Rows of ``x`` cast to float at a time: a float copy of a block, not of
-# the whole im2col matrix, is live during the product.
-EXACT_BLOCK_ROWS = 4096
-
-
 def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w.T`` of integer matrices, exact in int64, on the float BLAS path.
 
@@ -275,8 +269,8 @@ def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     below 2^24, and in float64 (:data:`EXACT_FLOAT_LIMIT`) otherwise. The
     reduction axis is cut into chunks that meet the chosen bound for the
     actual maxima, and the chunk sums are added in int64. ``x`` is cast
-    and multiplied ``EXACT_BLOCK_ROWS`` rows at a time, and ``w`` one
-    chunk at a time, so no float copy of either whole matrix is made.
+    whole, so its callers pass it in bands, and ``w`` one chunk at a
+    time, so no float copy of the whole filter matrix is made.
     """
     k = x.shape[1]
     peak = _abs_max(x) * _abs_max(w)
@@ -284,42 +278,14 @@ def exact_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if peak >= limit:
         dtype, limit = np.float64, EXACT_FLOAT_LIMIT
     chunk = k if peak == 0 else max(1, min(k, (limit - 1) // peak))
+    # before the float copy of x: the other order raised the peak RSS of
+    # the alexnet_column benchmark by 0.4-0.9 MB
     acc = np.zeros((x.shape[0], w.shape[0]), dtype=np.int64)
-    for top in range(0, x.shape[0], EXACT_BLOCK_ROWS):
-        xf = x[top : top + EXACT_BLOCK_ROWS].astype(dtype)
-        block = acc[top : top + EXACT_BLOCK_ROWS]
-        for lo in range(0, k, chunk):
-            wf = w[:, lo : lo + chunk].T.astype(dtype)
-            block += (xf[:, lo : lo + chunk] @ wf).astype(np.int64)
+    xf = x.astype(dtype)
+    for lo in range(0, k, chunk):
+        wf = w[:, lo : lo + chunk].T.astype(dtype)
+        acc += (xf[:, lo : lo + chunk] @ wf).astype(np.int64)
     return acc
-
-
-def lowered_output(
-    bands: Iterable[np.ndarray], filters: FilterSet, spec: LayerSpec, out_shift: int = 0
-) -> Tensor3:
-    """The layer output ``act(x @ W.T)`` from its im2col matrix ``x``,
-    given as consecutive bands of its rows that cover it.
-
-    This is the one output path of every engine. Each band's product
-    :func:`exact_matmul` is activated in place and stored into the int32
-    output, so no whole int64 accumulator is built. A config's neurons
-    fit the 16-bit container (``|n| <= 32768``) and its synapses 8 bits
-    (``|s| <= 255``), so each product is below 2^23 and
-    :func:`exact_matmul` runs in float32, in reduction chunks of at least
-    two columns. Inputs built through the API alone, up to the 16-bit
-    container and int16 synapses, can reach 2^31 and take float64.
-    """
-    w = filters.data.reshape(filters.n, -1)
-    ox, oy, _ = output_dims(spec)
-    out = np.empty((oy * ox, spec.n), dtype=np.int32)
-    top = 0
-    for x in bands:
-        acc = exact_matmul(x, w)
-        out[top : top + len(x)] = activate(acc, spec.act, out_shift, in_place=True)
-        top += len(x)
-    if top != len(out):
-        raise ValueError(f"bands cover {top} of {len(out)} windows")
-    return Tensor3(out.reshape(oy, ox, spec.n))
 
 
 def effectual_terms(values: np.ndarray, spec: LayerSpec, width: int) -> int:
@@ -391,41 +357,42 @@ class ViewLowering:
     keeps what engines derive from the view: column costs with their
     sampled checks, and the sample's encoded lanes.
 
-    The view is lowered in bands of whole output rows, about
-    :data:`LOWERING_BAND_WINDOWS` windows each: each band's im2col rows
-    go through :func:`lowered_output` and give up the rows the sample
-    picks. No whole im2col matrix is built.
+    The output ``act(x @ W.T)`` of the view's im2col matrix ``x`` is
+    computed in bands of whole output rows, about
+    :data:`LOWERING_BAND_WINDOWS` windows each, so no whole im2col matrix
+    and no whole int64 accumulator is built. Each band's im2col rows give
+    up the rows the sample picks, then go through :func:`exact_matmul`,
+    whose product is activated in place and stored into the int32
+    output. A config's neurons fit the 16-bit container (``|n| <=
+    32768``) and its synapses 8 bits (``|s| <= 255``), so each product is
+    below 2^23 and :func:`exact_matmul` runs in float32, in reduction
+    chunks of at least two columns. Inputs built through the API alone,
+    up to the 16-bit container and int16 synapses, can reach 2^31 and
+    take float64.
     """
 
     def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,
                  width: int, out_shift: int):
         self._memo: dict = {}
         self.values = read_only(values)
+        input, w = Tensor3(values), filters.data.reshape(filters.n, -1)
         ox, oy, _ = output_dims(spec)
-        k = spec.fy * spec.fx * spec.i
-        picks = sample_picks(oy * ox, k // geo.BRICK, spec.n)
-        picked = np.empty((len(picks), k), dtype=np.int32)
-        self.output = lowered_output(
-            self._bands(Tensor3(values), spec, [p[0] for p in picks], picked),
-            filters, spec, out_shift,
-        )
-        self.output.data.setflags(write=False)
-        self.sample = tuple(sampled_bricks(picked, picks, filters))
-        self.effectual_terms = effectual_terms(values, spec, width)
-
-    @staticmethod
-    def _bands(input: Tensor3, spec: LayerSpec, windows: list[int], picked: np.ndarray):
-        """Yield the im2col matrix of ``input`` band by band, storing row
-        ``windows[j]`` of the whole matrix into ``picked[j]`` on the way."""
-        ox, oy, _ = output_dims(spec)
+        picks = sample_picks(oy * ox, w.shape[1] // geo.BRICK, spec.n)
+        picked = np.empty((len(picks), w.shape[1]), dtype=np.int32)
+        out = np.empty((oy * ox, spec.n), dtype=np.int32)
         band = max(1, LOWERING_BAND_WINDOWS // ox)
         for top in range(0, oy, band):
             x = im2col(input, spec, top, min(band, oy - top))
             first = top * ox
-            for j, window in enumerate(windows):
+            for j, (window, _, _) in enumerate(picks):
                 if first <= window < first + len(x):
                     picked[j] = x[window - first]
-            yield x
+            acc = exact_matmul(x, w)
+            out[first : first + len(x)] = activate(acc, spec.act, out_shift, in_place=True)
+        self.output = Tensor3(out.reshape(oy, ox, spec.n))
+        self.output.data.setflags(write=False)
+        self.sample = tuple(sampled_bricks(picked, picks, filters))
+        self.effectual_terms = effectual_terms(values, spec, width)
 
     def cached(self, key, make):
         """``make()`` on the first call with ``key``, the same value after."""

@@ -18,9 +18,9 @@ the lowering and an oracle running beside it stay small in memory.
 
 from __future__ import annotations
 
-import collections
 import functools
 import os
+import queue
 import threading
 from collections.abc import Callable
 
@@ -186,13 +186,18 @@ def _other_cpus() -> tuple[set[int], set[int]] | None:
 
 class _Job:
     """One call to run on the side thread, or on the main thread if the
-    side thread has not started it by the time it is needed."""
+    side thread has not started it by the time it is needed. Whoever
+    first takes the job's own lock runs it; the lock is never released."""
 
     def __init__(self, fn: Callable, *args):
         self.fn, self.args = fn, args
-        self.claimed = False  # set under the side thread's lock
+        self._claim = threading.Lock()
         self.outcome = None
         self.done = threading.Event()
+
+    def claim(self) -> bool:
+        """Whether the caller is the first to claim the job, and so runs it."""
+        return self._claim.acquire(blocking=False)
 
     def run(self) -> None:
         try:
@@ -216,23 +221,19 @@ class _SideThread:
     itself would hold the interpreter lock while the other CPU woke up.
 
     :meth:`result` returns a job's value or re-raises what it raised. A
-    job the thread has not started by then is claimed and run by the
+    job the thread has not started by then is taken and run by the
     caller, so the caller never waits on the thread's backlog.
     :meth:`close` drops the jobs not started and joins the thread.
     """
 
     def __init__(self):
-        self._lock = threading.Condition()
-        self._queue: collections.deque[_Job] = collections.deque()
-        self._closed = False
+        self._queue: queue.SimpleQueue[_Job | None] = queue.SimpleQueue()
         self._thread: threading.Thread | None = None
         self._placed = threading.Event()
 
     def submit(self, fn: Callable, *args) -> _Job:
         job = _Job(fn, *args)
-        with self._lock:
-            self._queue.append(job)
-            self._lock.notify()
+        self._queue.put(job)
         if self._thread is None:
             self._start()
         return job
@@ -259,23 +260,12 @@ class _SideThread:
                 os.sched_setaffinity(0, cpus[0])
             except OSError:
                 pass
-        while True:
-            with self._lock:
-                while not self._queue and not self._closed:
-                    self._lock.wait()
-                if self._closed:
-                    return
-                job = self._queue.popleft()
-                if job.claimed:
-                    continue
-                job.claimed = True
-            job.run()
+        while (job := self._queue.get()) is not None:  # None: closed
+            if job.claim():
+                job.run()
 
     def result(self, job: _Job):
-        with self._lock:
-            mine = not job.claimed
-            job.claimed = True
-        if mine:
+        if job.claim():
             job.run()
         else:
             job.done.wait()
@@ -284,10 +274,12 @@ class _SideThread:
         return job.outcome
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._queue.clear()
-            self._lock.notify()
+        try:
+            while True:
+                self._queue.get_nowait()
+        except queue.Empty:
+            pass
+        self._queue.put(None)
         if self._thread is not None and self._thread.ident is not None:
             self._thread.join()
 

@@ -2,10 +2,10 @@
 the use-count helper.
 
 The oracle is compared with the per-(window, filter) loop, every engine
-variant with both, the chunked and blocked float32 and float64 products
-with int64 matmul, the variants that share a layer's lowering with the same
-variants lowered alone, and ``window_sum`` with sums over the im2col
-matrix.
+variant with both, the chunked float32 and float64 products, whole and
+taken in bands of rows, with int64 matmul, the variants that share a
+layer's lowering with the same variants lowered alone, and
+``window_sum`` with sums over the im2col matrix.
 """
 
 import tracemalloc
@@ -21,7 +21,7 @@ import bitsim.reference as reference
 from bitsim.config import EngineSelector, ExperimentConfig, LayerConfig, load_config
 from bitsim.encoding import essential_counts
 from bitsim.geometry import BRICK, FilterSet, LayerSpec, Tensor3, output_dims, window_sum
-from bitsim.numerics import Precision, trim_tensor
+from bitsim.numerics import Precision, activate, trim_tensor
 from bitsim.pragmatic import PragConfig, pragmatic_layer
 from bitsim.reference import (
     LayerLowering,
@@ -29,7 +29,6 @@ from bitsim.reference import (
     dadn_layer,
     exact_matmul,
     im2col,
-    lowered_output,
     sample_picks,
     sampled_bricks,
 )
@@ -112,24 +111,32 @@ def test_chunked_exact_product_at_extreme_values(monkeypatch, limit_bits):
     assert np.array_equal(exact_matmul(x, w), x @ w.T)
 
 
+def banded_product(x, w, band=8):
+    """``exact_matmul`` of ``x`` taken ``band`` rows at a time, each band a
+    call of its own, as a view's lowering takes it: each band picks its
+    own float type and reduction chunks from its own maxima."""
+    return np.concatenate([exact_matmul(x[top : top + band], w)
+                           for top in range(0, len(x), band)])
+
+
 @pytest.mark.parametrize("rows", [1, 7, 8, 9, 16, 17])
 @pytest.mark.parametrize("limit_bits", [36, 53])
 def test_blocked_product_equals_unblocked(monkeypatch, rows, limit_bits):
-    # Blocks of 8 rows: row counts inside one block, at one and two block
-    # edges and past them, with and without a chunked reduction, at the
-    # extreme values of the chunked product above.
+    # Bands of 8 rows: row counts inside one band, at one and two band
+    # edges and past them, at the extreme values of the chunked product
+    # above. The rows past the first band hold 0 and 1 alone, so their
+    # bands take float32 while the first takes float64, chunked under a
+    # 2^36 bound and whole under 2^53.
     monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", 1 << limit_bits)
     rng = np.random.default_rng(rows)
     x = rng.choice([0, 1, 65535, 65534], size=(rows, 576)).astype(np.int64)
     x[0] = 65535
+    x[8:] = rng.choice([0, 1], size=x[8:].shape)
     w = rng.choice([-32767, 32767, -1, 0], size=(5, 576)).astype(np.int64)
     w[0] = 32767
     w[1] = np.where(np.arange(576) % 2, 32767, -32767)
-    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", rows)
-    unblocked = exact_matmul(x, w)
-    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", 8)
-    assert np.array_equal(exact_matmul(x, w), unblocked)
-    assert np.array_equal(unblocked, x @ w.T)
+    assert np.array_equal(banded_product(x, w), x @ w.T)
+    assert np.array_equal(exact_matmul(x, w), x @ w.T)
 
 
 def test_unchunked_product_is_exact_at_extreme_values():
@@ -174,15 +181,15 @@ def test_chunked_float32_product_at_extreme_values(monkeypatch, chunk, bound):
 @pytest.mark.parametrize("xtop, wtop", [(65535, 64), (1023, 28)],
                          ids=["chunks-of-4", "one-chunk"])
 def test_blocked_float32_product_equals_unblocked(monkeypatch, rows, xtop, wtop):
-    # The blocks of the float64 twin above, on float32: in chunks of 4
-    # columns, and in one chunk of all 577 (577 * 1023 * 28 < 2^24).
+    # The bands of the float64 twin above, on float32: the first band in
+    # chunks of 4 columns, or in one chunk of all 577 (577 * 1023 * 28 <
+    # 2^24), and the bands past it, whose neurons are 16 times smaller,
+    # in chunks of 64 or in one chunk.
     monkeypatch.setattr(reference, "EXACT_FLOAT_LIMIT", None)
     x, w = float32_operands(np.random.default_rng(rows), rows, xtop, wtop)
-    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", rows)
-    unblocked = exact_matmul(x, w)
-    monkeypatch.setattr(reference, "EXACT_BLOCK_ROWS", 8)
-    assert np.array_equal(exact_matmul(x, w), unblocked)
-    assert np.array_equal(unblocked, x @ w.T)
+    x[8:] //= 16
+    assert np.array_equal(banded_product(x, w), x @ w.T)
+    assert np.array_equal(exact_matmul(x, w), x @ w.T)
 
 
 @pytest.mark.parametrize("xtop, float32", [(4095, True), (4096, False)])
@@ -210,7 +217,7 @@ def test_lowered_output_applies_activation_and_shift():
     rng = np.random.default_rng(4)
     t = Tensor3(rng.integers(0, 300, size=(3, 3, 16)))
     f = FilterSet(rng.integers(-50, 50, size=(2, 3, 3, 16)))
-    out = lowered_output([im2col(t, spec)], f, spec, out_shift=3)
+    out = LayerLowering(t, f, spec, out_shift=3).view(None).output
     assert out == reference_conv(t, f, spec, out_shift=3)
 
 
@@ -242,12 +249,21 @@ def test_a_banded_view_equals_the_whole_matrix_lowering(layer):
     spec, t, f, width, out_shift, band = layer
     ox, oy, _ = output_dims(spec)
     with mock.patch.object(reference, "LOWERING_BAND_WINDOWS", band), \
-            mock.patch.object(reference, "im2col", wraps=reference.im2col) as spy:
+            mock.patch.object(reference, "im2col", wraps=reference.im2col) as spy, \
+            mock.patch.object(reference, "exact_matmul", wraps=reference.exact_matmul) as product:
         view = LayerLowering(t, f, spec, width, out_shift).view(None)
     rows = max(1, band // ox)
     assert spy.call_count == -(-oy // rows)
     x = im2col(t, spec)
-    assert view.output == lowered_output([x], f, spec, out_shift)
+    # one product per band, of that band's rows, the bands in order
+    # covering every window once
+    tops = range(0, oy * ox, rows * ox)
+    assert product.call_count == len(tops)
+    for top, call in zip(tops, product.call_args_list):
+        assert np.array_equal(call.args[0], x[top : top + rows * ox])
+    assert sum(len(call.args[0]) for call in product.call_args_list) == oy * ox
+    whole = activate(exact_matmul(x, f.data.reshape(spec.n, -1)), spec.act, out_shift)
+    assert view.output == Tensor3(whole.reshape(oy, ox, spec.n))
     assert view.output == reference_conv(t, f, spec, out_shift)
     picks = sample_picks(x.shape[0], x.shape[1] // BRICK, spec.n)
     assert view.sample == tuple(sampled_bricks(x[[p[0] for p in picks]], picks, f))

@@ -15,7 +15,6 @@ from bitsim.reference import (
     dadn_layer,
     dadn_terms,
     im2col,
-    lowered_output,
     sb_read_count,
 )
 from bitsim.traces import generate_synapses, generate_trace
@@ -235,7 +234,7 @@ def test_oracle_uses_no_engine_lowering(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the engines' lowering")
 
-    for name in ("im2col", "exact_matmul", "lowered_output", "LayerLowering"):
+    for name in ("im2col", "exact_matmul", "LayerLowering"):
         monkeypatch.setattr(reference, name, refuse)
     # any arithmetic on, or comparison with, the engines' float bounds
     # raises TypeError
