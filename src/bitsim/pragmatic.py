@@ -246,10 +246,13 @@ def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray
 
 
 def _sampled_streams(view: ViewLowering):
-    """The view's sampled bricks, each lane encoded once as its
-    oneffset stream: ``(window, step, streams, synapses, dot)``."""
+    """The view's sampled bricks, each lane as its oneffset stream:
+    ``(window, step, streams, synapses, dot)``. Each distinct lane value
+    is encoded once, and equal lanes share its frozen stream."""
+    values = {v for _, _, neurons, _, _ in view.sample for v in neurons}
+    encoded = {v: encode(v) for v in values}
     return tuple(
-        (window, step, tuple(encode(v) for v in neurons), synapses, dot)
+        (window, step, tuple(map(encoded.__getitem__, neurons)), synapses, dot)
         for window, step, neurons, synapses, dot in view.sample
     )
 

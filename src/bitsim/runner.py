@@ -10,10 +10,11 @@ mismatch is an engine bug and aborts the run.
 ``simulate`` keeps one side thread beside the main thread, which runs
 the engines. The oracle shares no code with the engines and reads only
 the layer's inputs, and each layer's inputs come from generators of
-their own, so the side thread draws layer k+1's inputs and then computes
-layer k's oracles while layer k's engines run. Each view is lowered in
-bands of output rows (see :class:`~bitsim.reference.ViewLowering`), so
-the lowering and an oracle running beside it stay small in memory.
+their own, so the side thread draws the next two layers' inputs and then
+computes layer k's oracles while layer k's engines run. At most three
+layers' inputs are alive at once. Each view is lowered in bands of
+output rows (see :class:`~bitsim.reference.ViewLowering`), so the
+lowering and an oracle running beside it stay small in memory.
 """
 
 from __future__ import annotations
@@ -291,6 +292,13 @@ class _SideThread:
 # what a layer of some 10^7 MACs spends in its oracles.
 SIDE_MIN_MACS = 1 << 24
 
+# Layers whose input builds are queued on the side thread ahead of the
+# layer the main thread runs. A build can outlast the layer before it,
+# so with two queued the side thread draws back to back and the main
+# thread rarely waits; a third queued was no faster. Each one keeps a
+# layer's inputs alive.
+BUILDS_AHEAD = 2
+
 
 def _on_side(layer: LayerConfig) -> bool:
     spec = layer.spec
@@ -301,13 +309,15 @@ def _on_side(layer: LayerConfig) -> bool:
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
 
-    One side thread runs, in order, layer k+1's input build and then
-    layer k's oracles, one per input view in the order the engines first
-    read the views, while the main thread runs layer k's engines. A
-    layer of fewer than :data:`SIDE_MIN_MACS` multiply-accumulates keeps
-    its build and its oracles on the main thread. A job the side thread
-    has not started when it is due runs on the main thread. At most two
-    layers' inputs are alive.
+    One side thread runs its jobs in the order they are queued. By the
+    time the main thread starts layer k's engines, the next two layers'
+    builds (:data:`BUILDS_AHEAD`) are queued, and behind them layer k's
+    oracles, one per input view in the order the engines first read the
+    views. A layer of fewer than :data:`SIDE_MIN_MACS`
+    multiply-accumulates keeps its build and its oracles on the main
+    thread. A job the side thread has not started when it is due runs on
+    the main thread. At most three layers' inputs are alive: layer k's
+    and the next two layers' builds.
 
     Outputs are compared on the main thread, in config order, so a
     failed build, a failed oracle and a mismatch raise as in a serial
@@ -321,14 +331,14 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
     terms: dict[str, TermCounts] = {}
     bits = {}
     side = _SideThread()
-    pending = None  # the job building this layer's inputs, if any
+    builds = {}  # layer index -> the job building its inputs, once queued
     try:
         for index, layer in enumerate(cfg.layers):
-            built = None if pending is None else side.result(pending)
-            pending = None
-            if index + 1 < len(cfg.layers) and _on_side(cfg.layers[index + 1]):
-                pending = side.submit(build_layer_inputs, cfg, cfg.layers[index + 1], index + 1)
-            # built here if not on the side thread, while that builds the next
+            built = side.result(builds.pop(index)) if index in builds else None
+            for ahead in range(index + 1, min(index + 1 + BUILDS_AHEAD, len(cfg.layers))):
+                if ahead not in builds and _on_side(cfg.layers[ahead]):
+                    builds[ahead] = side.submit(build_layer_inputs, cfg, cfg.layers[ahead], ahead)
+            # built here if not on the side thread, while that builds the next two
             input, filters = built or build_layer_inputs(cfg, layer, index)
             oracle = None
             if _on_side(layer):
@@ -341,7 +351,7 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
             for result in run_layer(cfg, layer, input, filters, oracle):
                 rows.append((layer.spec.name, result, baseline))
             terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
-            input = filters = built = jobs = oracle = None  # freed before layer k+2's build
+            input = filters = built = jobs = oracle = None  # freed before layer k+3's build
     finally:
         side.close()
     return report(rows, terms, bits, cfg.width)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bitsim.pragmatic as pragmatic
 import bitsim.reference as reference
 from bitsim.config import EngineSelector, ExperimentConfig, LayerConfig, load_config
-from bitsim.encoding import essential_counts
+from bitsim.encoding import encode, essential_counts
 from bitsim.geometry import BRICK, FilterSet, LayerSpec, Tensor3, output_dims, window_sum
 from bitsim.numerics import Precision, activate, trim_tensor
 from bitsim.pragmatic import PragConfig, pragmatic_layer
@@ -378,6 +378,24 @@ def test_shared_lowering_is_read_only():
     assert t.data.flags.writeable  # the caller's input keeps its flags
 
 
+@settings(max_examples=40, deadline=None)
+@given(layers())
+def test_sampled_streams_equal_the_encoding_of_each_lane(layer):
+    # each distinct lane value is encoded once per view, and every lane
+    # holding it shares that one frozen stream
+    spec, t, f, profile, width, out_shift = layer
+    lowered = LayerLowering(t, f, spec, width, out_shift)
+    for view in (lowered.view(profile), lowered.view(None)):
+        sample = pragmatic._sampled_streams(view)
+        assert [brick[:2] + brick[3:] for brick in sample] == [
+            brick[:2] + brick[3:] for brick in view.sample]
+        shared = {}
+        for (_, _, streams, _, _), (_, _, neurons, _, _) in zip(sample, view.sample):
+            assert list(streams) == [encode(v) for v in neurons]
+            for stream, v in zip(streams, neurons):
+                assert shared.setdefault(v, stream) is stream
+
+
 def held_arrays(obj):
     """Every numpy array reachable from ``obj`` through attributes,
     dicts, tuples and lists."""
@@ -469,6 +487,14 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
         return real_im2col(input, spec, top, rows)
 
     monkeypatch.setattr(reference, "im2col", im2col)
+    encoded_views = []  # the views whose sampled lanes are encoded
+    real_streams = pragmatic._sampled_streams
+
+    def _sampled_streams(view):
+        encoded_views.append(view)
+        return real_streams(view)
+
+    monkeypatch.setattr(pragmatic, "_sampled_streams", _sampled_streams)
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name in ("example.json", "quantized.json"):
         simulate(load_config(configs / name))
@@ -476,12 +502,18 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
     # (16, 8 and 20 rows of 16, 8 and 20 windows, so 8, 16 and 6 rows a band)
     assert bands == 2 * [("conv1", 0), ("conv1", 8)] + 2 * [("conv2", 0)] + 2 * [
         ("q8conv", top) for top in (0, 6, 12, 18)]
+    # the sample's lanes are encoded once per trimmed view, not per
+    # l_bits, and each distinct lane value of a view once
+    assert len(encoded_views) == 3
+    distinct = sum(len({v for _, _, neurons, _, _ in view.sample for v in neurons})
+                   for view in encoded_views)
+    assert distinct < 3 * reference.SAMPLED_BRICKS * 16  # 160 of the 384 lanes
     assert calls == {
         # the sample is drawn once per view, as it is lowered
         "sampled_bricks": 6,
         "column_costs": 8,
+        # every sampled brick, all 16 lanes, at every (view, l_bits)
         "pip_inner": 8 * reference.SAMPLED_BRICKS,
-        # the sample's lanes are encoded once per trimmed view, not per l_bits
-        "encode": 3 * reference.SAMPLED_BRICKS * 16,
+        "encode": distinct,
         "dispatcher_fetch_cycles": 3,
     }

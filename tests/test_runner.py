@@ -1,17 +1,19 @@
-"""``simulate`` runs each next layer's input build and each layer's
-oracles on one side thread: the report equals a serial loop's, a failure
-ends in the serial loop's exception and exit code, and no thread
-outlives the call."""
+"""``simulate`` runs the next two layers' input builds and each layer's
+oracles on one side thread: the report equals a serial loop's, at most
+three layers' inputs are alive, a failure ends in the serial loop's
+exception and exit code, and no thread outlives the call."""
 
 import json
 import os
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import bitsim.runner as runner
 from bitsim.analysis import report
@@ -116,6 +118,67 @@ def test_simulate_equals_a_serial_loop(make_cfg, oracle_calls):
     serial = serial_simulate(cfg)
     assert doc.csv_lines() == serial.csv_lines()
     assert doc.table() == serial.table()
+
+
+def sized_layers(pattern):
+    """A config with one layer per entry of ``pattern``: a big layer of
+    221,184 MACs for True, a small one of 27,648 for False."""
+    cfg = layers_config(len(pattern))
+    for layer, big in zip(cfg["layers"], pattern):
+        layer.update(dict(i=32, n=16) if big else dict(i=16, n=4))
+    return parse_config(json.dumps(cfg))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=6))
+@example([True, False, True, True])
+@example([False, True, True, False, True])
+def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
+    # the big layers hand their builds and oracles to the side thread,
+    # two builds ahead, and the small ones keep theirs on the main thread
+    cfg = sized_layers(pattern)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "SIDE_MIN_MACS", 100_000)
+        assert [runner._on_side(layer) for layer in cfg.layers] == pattern
+        before = threading.active_count()
+        doc = runner.simulate(cfg)
+        assert threading.active_count() == before
+    assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
+
+
+def test_at_most_three_layers_inputs_are_alive(monkeypatch):
+    # Layer k's engines wait until layer k+2's build has finished on the
+    # side thread, so layers k, k+1 and k+2 are alive together; a layer's
+    # inputs count as alive until its filters are collected. No fourth
+    # layer's inputs are ever alive beside them.
+    count = 6
+    alive, sizes, seen = set(), [], []
+    built = [threading.Event() for _ in range(count)]
+    real_build, real_run_layer = runner.build_layer_inputs, runner.run_layer
+
+    def build_layer_inputs(cfg, layer, index):
+        input, filters = real_build(cfg, layer, index)
+        alive.add(index)
+        weakref.finalize(filters, alive.discard, index)
+        sizes.append(len(alive))
+        built[index].set()
+        return input, filters
+
+    def run_layer(cfg, layer, *args):
+        index = int(layer.spec.name.removeprefix("conv"))
+        if index + 2 < count:
+            assert built[index + 2].wait(JOIN_TIMEOUT_S)
+        seen.append(sorted(alive))
+        return real_run_layer(cfg, layer, *args)
+
+    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    monkeypatch.setattr(runner, "run_layer", run_layer)
+    cfg = parse_config(json.dumps(layers_config(count)))
+    doc = runner.simulate(cfg)
+    assert max(sizes) <= 3
+    assert seen == [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5], [5]]
+    assert alive == set()
+    assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
 
 
 @pytest.fixture
@@ -226,10 +289,11 @@ def test_layers_too_small_for_a_worker_are_built_when_due(monkeypatch, thread_st
         dict(big, name="big0"), dict(big, name="big1"), dict(small, name="small2"),
         dict(big, name="big3")])))
     doc = runner.simulate(cfg)
+    # at each layer the builds of the next two go in, ahead of its oracles:
+    # small2's is left to the main thread, and big3's is queued at big1
     assert submitted == [
         ("build_layer_inputs", "big1"), ("_oracle", "big0"), ("_oracle", "big0"),
-        ("_oracle", "big1"), ("_oracle", "big1"),
-        ("build_layer_inputs", "big3"),
+        ("build_layer_inputs", "big3"), ("_oracle", "big1"), ("_oracle", "big1"),
         ("_oracle", "big3"), ("_oracle", "big3"),
     ]
     assert [t.name for t in thread_starts] == ["bitsim-side"]
@@ -334,6 +398,45 @@ def test_oracle_mismatch_on_layer_0_while_layer_1_prefetches(tmp_path, monkeypat
     assert "oracle mismatch: dadn output differs from the oracle on layer 'conv0'" in r.output
     assert len(workers) == 1 and workers[0] is not threading.main_thread()
     assert not workers[0].is_alive()
+    assert not out.exists()
+
+
+def test_a_failed_build_two_layers_ahead_is_dropped_when_layer_0_mismatches(
+        tmp_path, monkeypatch, layers_run, thread_starts):
+    # Layer 2's build, queued at layer 0, fails on the side thread while
+    # layer 0's oracle, which the caller claims, waits for that failure
+    # and then returns a corrupt output. The run ends in layer 0's
+    # mismatch, as the serial loop does, and layer 2's error never shows.
+    failed = threading.Event()
+    builders = []
+    real_build, real_oracle = runner.build_layer_inputs, runner.conv_oracle
+
+    def build_layer_inputs(cfg, layer, index):
+        if index == 2:
+            builders.append(threading.current_thread().name)
+            failed.set()
+            raise MemoryError("layer 2's build")
+        return real_build(cfg, layer, index)
+
+    def conv_oracle(view, filters, spec, out_shift):
+        out = real_oracle(view, filters, spec, out_shift)
+        if spec.name != "conv0":
+            return out
+        data = out.data.copy()
+        data[0, 0, 0] ^= 1
+        assert failed.wait(JOIN_TIMEOUT_S)
+        return Tensor3(data)
+
+    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    monkeypatch.setattr(runner, "conv_oracle", conv_oracle)
+    r, out = simulate_cli(tmp_path, layers_config(3))
+    assert_clean_exit(r, 3)
+    assert "oracle mismatch: dadn output differs from the oracle on layer 'conv0'" in r.output
+    assert "out of memory" not in r.output and "layer 2's build" not in r.output
+    assert layers_run == ["conv0"]
+    assert builders == ["bitsim-side"]
+    assert [t.name for t in thread_starts] == ["bitsim-side"]
+    assert not thread_starts[0].is_alive()
     assert not out.exists()
 
 
