@@ -10,8 +10,8 @@ mismatch is an engine bug and aborts the run.
 ``simulate`` keeps one side thread beside the main thread, which runs
 the engines. The oracle shares no code with the engines and reads only
 the layer's inputs, and each layer's inputs come from generators of
-their own, so the side thread draws the next two layers' inputs and then
-computes layer k's oracles while layer k's engines run. At most three
+their own, so the side thread draws the next layer's inputs and then
+computes layer k's oracles while layer k's engines run. At most two
 layers' inputs are alive at once. Each view is lowered in bands of
 output rows (see :class:`~bitsim.reference.ViewLowering`), so the
 lowering and an oracle running beside it stay small in memory.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import os
-import queue
 import threading
 from collections.abc import Callable
 
@@ -223,28 +222,39 @@ class _SideThread:
 
     :meth:`result` returns a job's value or re-raises what it raised. A
     job the thread has not started by then is taken and run by the
-    caller, so the caller never waits on the thread's backlog.
-    :meth:`close` drops the jobs not started and joins the thread.
+    caller, so the caller never waits on the thread's backlog. Where no
+    thread can be started, no job is queued and the caller runs each one
+    when it is due, so a job holds its outcome only while the caller
+    does. :meth:`close` drops the jobs not started and joins the thread.
+
+    The queue, and the ``queue`` module, are made with the thread, at the
+    first job: a run that hands over no job loads neither.
     """
 
     def __init__(self):
-        self._queue: queue.SimpleQueue[_Job | None] = queue.SimpleQueue()
+        self._queue = None  # made with the thread: a SimpleQueue of jobs, None to stop
         self._thread: threading.Thread | None = None
         self._placed = threading.Event()
+        self._closed = False  # the thread drops the jobs it takes from now on
 
     def submit(self, fn: Callable, *args) -> _Job:
         job = _Job(fn, *args)
-        self._queue.put(job)
         if self._thread is None:
             self._start()
+        if self._queue is not None:
+            self._queue.put(job)
         return job
 
     def _start(self) -> None:
+        import queue
+
         cpus = _other_cpus()
+        self._queue = queue.SimpleQueue()
         self._thread = threading.Thread(target=self._loop, args=(cpus,), name="bitsim-side")
         try:
             self._thread.start()
         except RuntimeError:  # the system would start no thread: jobs run when due
+            self._queue = None
             return
         try:
             if cpus is not None:
@@ -262,7 +272,7 @@ class _SideThread:
             except OSError:
                 pass
         while (job := self._queue.get()) is not None:  # None: closed
-            if job.claim():
+            if not self._closed and job.claim():
                 job.run()
 
     def result(self, job: _Job):
@@ -275,13 +285,9 @@ class _SideThread:
         return job.outcome
 
     def close(self) -> None:
-        try:
-            while True:
-                self._queue.get_nowait()
-        except queue.Empty:
-            pass
-        self._queue.put(None)
-        if self._thread is not None and self._thread.ident is not None:
+        if self._queue is not None:  # a thread runs
+            self._closed = True
+            self._queue.put(None)
             self._thread.join()
 
 
@@ -293,11 +299,11 @@ class _SideThread:
 SIDE_MIN_MACS = 1 << 24
 
 # Layers whose input builds are queued on the side thread ahead of the
-# layer the main thread runs. A build can outlast the layer before it,
-# so with two queued the side thread draws back to back and the main
-# thread rarely waits; a third queued was no faster. Each one keeps a
-# layer's inputs alive.
-BUILDS_AHEAD = 2
+# layer the main thread runs. Each one keeps a layer's inputs alive.
+# Since synapses are drawn from an inverse-CDF table, a build takes well
+# under the layer before it, so one is enough: two queued were no faster
+# on alexnet_column and raised its peak RSS from 55-56 to 57.5-61 MB.
+BUILDS_AHEAD = 1
 
 
 def _on_side(layer: LayerConfig) -> bool:
@@ -310,14 +316,13 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
 
     One side thread runs its jobs in the order they are queued. By the
-    time the main thread starts layer k's engines, the next two layers'
-    builds (:data:`BUILDS_AHEAD`) are queued, and behind them layer k's
-    oracles, one per input view in the order the engines first read the
-    views. A layer of fewer than :data:`SIDE_MIN_MACS`
-    multiply-accumulates keeps its build and its oracles on the main
-    thread. A job the side thread has not started when it is due runs on
-    the main thread. At most three layers' inputs are alive: layer k's
-    and the next two layers' builds.
+    time the main thread starts layer k's engines, the next layer's build
+    (:data:`BUILDS_AHEAD`) is queued, and behind it layer k's oracles, one
+    per input view in the order the engines first read the views. A layer
+    of fewer than :data:`SIDE_MIN_MACS` multiply-accumulates keeps its
+    build and its oracles on the main thread. A job the side thread has
+    not started when it is due runs on the main thread. At most two
+    layers' inputs are alive: layer k's and the next layer's build.
 
     Outputs are compared on the main thread, in config order, so a
     failed build, a failed oracle and a mismatch raise as in a serial
@@ -338,7 +343,7 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
             for ahead in range(index + 1, min(index + 1 + BUILDS_AHEAD, len(cfg.layers))):
                 if ahead not in builds and _on_side(cfg.layers[ahead]):
                     builds[ahead] = side.submit(build_layer_inputs, cfg, cfg.layers[ahead], ahead)
-            # built here if not on the side thread, while that builds the next two
+            # built here if not on the side thread, while that builds the next one
             input, filters = built or build_layer_inputs(cfg, layer, index)
             oracle = None
             if _on_side(layer):
@@ -351,7 +356,7 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
             for result in run_layer(cfg, layer, input, filters, oracle):
                 rows.append((layer.spec.name, result, baseline))
             terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
-            input = filters = built = jobs = oracle = None  # freed before layer k+3's build
+            input = filters = built = jobs = oracle = None  # freed before layer k+2's build
     finally:
         side.close()
     return report(rows, terms, bits, cfg.width)

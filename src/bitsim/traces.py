@@ -18,6 +18,8 @@ Trace files are little-endian throughout:
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 
 import numpy as np
@@ -30,12 +32,20 @@ VERSION = 1
 DTYPE_I16 = 0
 DTYPE_U8 = 1
 
-# Largest synapse magnitude generate_synapses draws; the CSV digests fix it.
+# Largest synapse magnitude generate_synapses draws.
 SYNAPSE_BOUND = 127
 
-# Values generate_synapses draws per call: a 1 MB float64 buffer, reused,
-# stays in cache where a whole filter set's draw would fault in fresh pages.
-SYNAPSE_CHUNK = 1 << 17
+# Values generate_synapses draws per call: a chunk's temporaries stay in
+# cache where a whole filter set's would fault in fresh pages. Even, as
+# numpy splits each 32-bit draw into two uint16 values within one call.
+SYNAPSE_CHUNK = 1 << 16
+
+# Bits of a synapse's 64-bit uniform that index the inverse-CDF table;
+# the other _LOW_BITS are drawn only where the table cannot decide.
+_TABLE_BITS = 16
+_LOW_BITS = 64 - _TABLE_BITS
+# Table entry of a bucket that a threshold cuts (no value is -128).
+_STRADDLES = -128
 
 _HEADER = struct.Struct("<4sHBBIII")
 
@@ -50,6 +60,11 @@ def neuron_rng(seed: int, layer_index: int = 0) -> np.random.Generator:
 
 def synapse_rng(seed: int, layer_index: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, layer_index, 1])
+
+
+def synapse_low_rng(seed: int, layer_index: int = 0) -> np.random.Generator:
+    """The low bits of the synapse draws the table cannot decide."""
+    return np.random.default_rng([seed, layer_index, 2])
 
 
 def generate_trace(
@@ -72,6 +87,43 @@ def generate_trace(
     return Tensor3(vals.astype(np.int32))
 
 
+def synapse_thresholds(sigma: float) -> list[int]:
+    """``floor(Phi((k + 1/2) / sigma) * 2^64)`` for k = -127 .. 126, the
+    inverse-CDF thresholds of ``clip(rint(Normal(0, sigma)), -127, 127)``
+    on a 64-bit uniform: the value is -127 plus the number of thresholds
+    at or below the uniform.
+
+    The upper half is ``2^64`` less the lower half's mirror, rounded up,
+    so the values are symmetric about zero and the upper tail is as
+    precise as the lower. A threshold of ``2^64``, whose CDF rounds to 1,
+    is never crossed; one of 0 is always crossed.
+    """
+    lower = []
+    for k in range(-SYNAPSE_BOUND, 0):
+        x = (k + 0.5) / sigma if sigma else -math.inf
+        lower.append(math.ldexp(0.5 * math.erfc(-x / math.sqrt(2.0)), 64))
+    return ([math.floor(t) for t in lower]
+            + [(1 << 64) - math.ceil(t) for t in reversed(lower)])
+
+
+@functools.lru_cache(maxsize=8)
+def _synapse_sampler(sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The value of each of the 2^16 buckets of the top uniform bits, or
+    :data:`_STRADDLES` where a threshold cuts the bucket, and the
+    thresholds below ``2^64`` as uint64, for the cut buckets' draws."""
+    thresholds = synapse_thresholds(sigma)
+    # from the bucket each threshold lies in, the values above it; the
+    # buckets a threshold cuts are then marked
+    buckets = [t >> _LOW_BITS for t in thresholds]
+    counts = np.diff(buckets, prepend=0, append=1 << _TABLE_BITS)
+    table = np.repeat(np.arange(-SYNAPSE_BOUND, SYNAPSE_BOUND + 1, dtype=np.int8), counts)
+    low = (1 << _LOW_BITS) - 1
+    table[[b for b, t in zip(buckets, thresholds) if t & low]] = _STRADDLES
+    finite = np.array([t for t in thresholds if t < 1 << 64], dtype=np.uint64)
+    table.flags.writeable = finite.flags.writeable = False  # shared by every call
+    return table, finite
+
+
 def generate_synapses(
     spec: LayerSpec,
     sigma: float,
@@ -81,24 +133,30 @@ def generate_synapses(
     """Synthetic int32 filters, magnitude-bounded by :data:`SYNAPSE_BOUND`
     to keep accumulators tame.
 
-    The values are those of ``rint(rng.normal(0, sigma, shape))`` clipped
-    to the bound, drawn :data:`SYNAPSE_CHUNK` at a time into one reused
-    buffer: standard normals in stream order, scaled, rounded and clamped
-    in place. ``sigma * z`` differs from ``0.0 + sigma * z`` only in the
-    sign of a zero, which the cast erases.
+    Each value is drawn from the distribution of ``rint(Normal(0, sigma))``
+    clipped to the bound, by the inverse CDF of a 64-bit uniform (see
+    :func:`synapse_thresholds`). Its top 16 bits come from
+    :func:`synapse_rng` and index a table that gives the value outright,
+    except in the at most 254 buckets a threshold cuts; a draw in one of
+    those takes its low 48 bits from :func:`synapse_low_rng`, in stream
+    order, and is compared against the thresholds. The values are drawn
+    :data:`SYNAPSE_CHUNK` at a time and equal one whole-array draw.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    rng = synapse_rng(seed, layer_index)
+    table, thresholds = _synapse_sampler(sigma)
+    rng, low_rng = synapse_rng(seed, layer_index), synapse_low_rng(seed, layer_index)
     out = np.empty((spec.n, spec.fy, spec.fx, spec.i), dtype=np.int32)
     flat = out.reshape(-1)
-    buf = np.empty(min(flat.size, SYNAPSE_CHUNK))
     for start in range(0, flat.size, SYNAPSE_CHUNK):
-        part = buf[: flat.size - start]
-        rng.standard_normal(out=part)
-        part *= sigma
-        np.rint(part, out=part)
-        np.clip(part, -SYNAPSE_BOUND, SYNAPSE_BOUND, out=part)
+        top = rng.integers(0, 1 << _TABLE_BITS, size=min(SYNAPSE_CHUNK, flat.size - start),
+                           dtype=np.uint16)
+        part = table[top]  # casts top a buffer at a time; np.take copies it whole
+        cut = np.flatnonzero(part == _STRADDLES)
+        if cut.size:
+            uniform = top[cut].astype(np.uint64) << np.uint64(_LOW_BITS)
+            uniform |= low_rng.integers(0, 1 << _LOW_BITS, size=cut.size, dtype=np.uint64)
+            part[cut] = np.searchsorted(thresholds, uniform, side="right") - SYNAPSE_BOUND
         flat[start : start + part.size] = part
     return out
 

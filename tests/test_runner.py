@@ -1,10 +1,11 @@
-"""``simulate`` runs the next two layers' input builds and each layer's
+"""``simulate`` runs the next layer's input build and each layer's
 oracles on one side thread: the report equals a serial loop's, at most
-three layers' inputs are alive, a failure ends in the serial loop's
+two layers' inputs are alive, a failure ends in the serial loop's
 exception and exit code, and no thread outlives the call."""
 
 import json
 import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -135,7 +136,7 @@ def sized_layers(pattern):
 @example([False, True, True, False, True])
 def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
     # the big layers hand their builds and oracles to the side thread,
-    # two builds ahead, and the small ones keep theirs on the main thread
+    # one build ahead, and the small ones keep theirs on the main thread
     cfg = sized_layers(pattern)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runner, "SIDE_MIN_MACS", 100_000)
@@ -146,15 +147,13 @@ def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
     assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
 
 
-def test_at_most_three_layers_inputs_are_alive(monkeypatch):
-    # Layer k's engines wait until layer k+2's build has finished on the
-    # side thread, so layers k, k+1 and k+2 are alive together; a layer's
-    # inputs count as alive until its filters are collected. No fourth
-    # layer's inputs are ever alive beside them.
-    count = 6
-    alive, sizes, seen = set(), [], []
-    built = [threading.Event() for _ in range(count)]
-    real_build, real_run_layer = runner.build_layer_inputs, runner.run_layer
+def track_alive_inputs(monkeypatch, count):
+    """Patches ``build_layer_inputs`` to record each build of ``count``
+    layers. Returns the indices of the layers whose filters are not yet
+    collected, the number of them after each build, and an event per
+    layer set once it is built."""
+    alive, sizes, built = set(), [], [threading.Event() for _ in range(count)]
+    real_build = runner.build_layer_inputs
 
     def build_layer_inputs(cfg, layer, index):
         input, filters = real_build(cfg, layer, index)
@@ -164,19 +163,47 @@ def test_at_most_three_layers_inputs_are_alive(monkeypatch):
         built[index].set()
         return input, filters
 
+    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    return alive, sizes, built
+
+
+def test_at_most_two_layers_inputs_are_alive(monkeypatch):
+    # Layer k's engines wait until layer k+1's build has finished on the
+    # side thread, so layers k and k+1 are alive together; a layer's
+    # inputs count as alive until its filters are collected. No third
+    # layer's inputs are ever alive beside them.
+    count = 6
+    alive, sizes, built = track_alive_inputs(monkeypatch, count)
+    seen = []
+    real_run_layer = runner.run_layer
+
     def run_layer(cfg, layer, *args):
         index = int(layer.spec.name.removeprefix("conv"))
-        if index + 2 < count:
-            assert built[index + 2].wait(JOIN_TIMEOUT_S)
+        if index + 1 < count:
+            assert built[index + 1].wait(JOIN_TIMEOUT_S)
         seen.append(sorted(alive))
         return real_run_layer(cfg, layer, *args)
 
-    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
     monkeypatch.setattr(runner, "run_layer", run_layer)
     cfg = parse_config(json.dumps(layers_config(count)))
     doc = runner.simulate(cfg)
-    assert max(sizes) <= 3
-    assert seen == [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5], [5]]
+    assert max(sizes) <= 2
+    assert seen == [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5]]
+    assert alive == set()
+    assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
+
+
+def test_without_a_thread_at_most_two_layers_inputs_are_alive(monkeypatch):
+    # where no thread can start, the caller runs each job when it is due,
+    # and a job it has claimed keeps no layer's inputs alive after that
+    def start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    alive, sizes, _ = track_alive_inputs(monkeypatch, 8)
+    cfg = parse_config(json.dumps(layers_config(8)))
+    doc = runner.simulate(cfg)
+    assert len(sizes) == 8 and max(sizes) <= 2
     assert alive == set()
     assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
 
@@ -289,11 +316,12 @@ def test_layers_too_small_for_a_worker_are_built_when_due(monkeypatch, thread_st
         dict(big, name="big0"), dict(big, name="big1"), dict(small, name="small2"),
         dict(big, name="big3")])))
     doc = runner.simulate(cfg)
-    # at each layer the builds of the next two go in, ahead of its oracles:
-    # small2's is left to the main thread, and big3's is queued at big1
+    # at each layer the next one's build goes in, ahead of its oracles:
+    # small2's is left to the main thread, and big3's is queued at small2
     assert submitted == [
         ("build_layer_inputs", "big1"), ("_oracle", "big0"), ("_oracle", "big0"),
-        ("build_layer_inputs", "big3"), ("_oracle", "big1"), ("_oracle", "big1"),
+        ("_oracle", "big1"), ("_oracle", "big1"),
+        ("build_layer_inputs", "big3"),
         ("_oracle", "big3"), ("_oracle", "big3"),
     ]
     assert [t.name for t in thread_starts] == ["bitsim-side"]
@@ -301,6 +329,49 @@ def test_layers_too_small_for_a_worker_are_built_when_due(monkeypatch, thread_st
     # the shipped two-layer config runs on the main thread alone
     runner.simulate(load_config(ROOT / "configs" / "example.json"))
     assert [t.name for t in thread_starts] == ["bitsim-side"]
+
+
+def test_a_run_that_hands_over_no_job_loads_no_queue():
+    # no layer of the shipped config reaches SIDE_MIN_MACS, so no job is
+    # submitted, and the side thread's queue is never made
+    code = ("import sys\n"
+            "import bitsim.cli\n"
+            "from bitsim.config import load_config\n"
+            "from bitsim.runner import simulate\n"
+            "simulate(load_config(sys.argv[1]))\n"
+            "assert 'queue' not in sys.modules, 'queue was loaded'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, "-c", code, str(ROOT / "configs" / "example.json")],
+                   check=True, env=env, timeout=JOIN_TIMEOUT_S)
+
+
+def other_synapses(spec, sigma, seed, layer_index=0):
+    """Uniform values within the synapse bound, unrelated to the draws of
+    ``generate_synapses``."""
+    rng = np.random.default_rng([seed, layer_index, 99])
+    return rng.integers(-127, 128, size=(spec.n, spec.fy, spec.fx, spec.i), dtype=np.int32)
+
+
+def other_trace(spec, sigma, relu, seed, layer_index=0):
+    """The trace of the next seed."""
+    return generate_trace(spec, sigma, relu, seed + 1, layer_index)
+
+
+@pytest.mark.parametrize("path", ["configs/example.json",
+                                  "bench/workloads/alexnet_column.json",
+                                  "bench/workloads/vgg_pallet.json"])
+def test_synapse_values_reach_no_csv(monkeypatch, path):
+    # Every engine keeps synapses bit-parallel and processes only neurons
+    # serially, so the synapse draws reach the report only through the
+    # oracle check: other synapses leave the CSV as it was, while other
+    # neurons change it.
+    cfg = load_config(ROOT / path)
+    csv = runner.simulate(cfg).csv_lines()
+    monkeypatch.setattr(runner, "generate_synapses", other_synapses)
+    assert runner.simulate(cfg).csv_lines() == csv
+    monkeypatch.setattr(runner, "generate_trace", other_trace)
+    assert runner.simulate(cfg).csv_lines() != csv
 
 
 @pytest.fixture
@@ -401,21 +472,21 @@ def test_oracle_mismatch_on_layer_0_while_layer_1_prefetches(tmp_path, monkeypat
     assert not out.exists()
 
 
-def test_a_failed_build_two_layers_ahead_is_dropped_when_layer_0_mismatches(
+def test_a_failed_build_one_layer_ahead_is_dropped_when_layer_0_mismatches(
         tmp_path, monkeypatch, layers_run, thread_starts):
-    # Layer 2's build, queued at layer 0, fails on the side thread while
-    # layer 0's oracle, which the caller claims, waits for that failure
-    # and then returns a corrupt output. The run ends in layer 0's
-    # mismatch, as the serial loop does, and layer 2's error never shows.
+    # Layer 1's build, queued at layer 0, fails on the side thread while
+    # layer 0's oracle waits for that failure and then returns a corrupt
+    # output. The run ends in layer 0's mismatch, as the serial loop
+    # does, and layer 1's error never shows.
     failed = threading.Event()
     builders = []
     real_build, real_oracle = runner.build_layer_inputs, runner.conv_oracle
 
     def build_layer_inputs(cfg, layer, index):
-        if index == 2:
+        if index == 1:
             builders.append(threading.current_thread().name)
             failed.set()
-            raise MemoryError("layer 2's build")
+            raise MemoryError("layer 1's build")
         return real_build(cfg, layer, index)
 
     def conv_oracle(view, filters, spec, out_shift):
@@ -432,7 +503,7 @@ def test_a_failed_build_two_layers_ahead_is_dropped_when_layer_0_mismatches(
     r, out = simulate_cli(tmp_path, layers_config(3))
     assert_clean_exit(r, 3)
     assert "oracle mismatch: dadn output differs from the oracle on layer 'conv0'" in r.output
-    assert "out of memory" not in r.output and "layer 2's build" not in r.output
+    assert "out of memory" not in r.output and "layer 1's build" not in r.output
     assert layers_run == ["conv0"]
     assert builders == ["bitsim-side"]
     assert [t.name for t in thread_starts] == ["bitsim-side"]
