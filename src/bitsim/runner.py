@@ -10,8 +10,10 @@ mismatch is an engine bug and aborts the run.
 ``simulate`` keeps one side thread beside the main thread, which runs
 the engines. The oracle shares no code with the engines and reads only
 the layer's inputs, and each layer's inputs come from generators of
-their own, so the side thread draws the next layer's inputs and then
-computes layer k's oracles while layer k's engines run. At most two
+their own. So a layer's input build and its oracles are jobs: a large
+layer queues them on the side thread, which draws the next layer's
+inputs and then computes layer k's oracles while layer k's engines run,
+and a small layer's run on the main thread when due. At most two
 layers' inputs are alive at once. Each view is lowered in bands of
 output rows (see :class:`~bitsim.reference.ViewLowering`), so the
 lowering and an oracle running beside it stay small in memory.
@@ -19,7 +21,6 @@ lowering and an oracle running beside it stay small in memory.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from collections.abc import Callable
@@ -132,30 +133,34 @@ def _oracle(cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3,
     return conv_oracle(view, filters, layer.spec, cfg.out_shift)
 
 
+def _oracle_jobs(cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3,
+                 filters: FilterSet, make: Callable[..., _Job]) -> dict[bool, _Job]:
+    """Per input view the engines read, in the order they first read it,
+    its oracle as a job made by ``make``: ``_Job`` or ``_SideThread.submit``."""
+    return {trimmed: make(_oracle, cfg, layer, input, filters, trimmed)
+            for trimmed in dict.fromkeys(map(_reads_trimmed, cfg.engines))}
+
+
 def run_layer(
     cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3, filters: FilterSet,
-    oracle: Callable[[bool], Tensor3] | None = None,
+    oracles: dict[bool, _Job] | None = None,
 ) -> list[EngineResult]:
     """Every engine variant of the run on one layer, in config order.
 
     Each input view is lowered once and shared by the variants that read
-    it. Each engine's output is compared with the oracle of its view,
-    ``oracle(trimmed)``, asked for once per view, after the first engine
-    on that view has run; by default it is computed here. Raises
-    :class:`OracleMismatch` if any engine disagrees with the brute-force
-    convolution on its input view.
+    it. Each engine's output is compared with the outcome of its view's
+    oracle job, ``oracles[trimmed]``, once the engine has run. The job
+    runs once, for the first engine on its view unless a side thread has
+    claimed it; by default none is queued. Raises :class:`OracleMismatch`
+    if any engine disagrees with the brute-force convolution on its view.
     """
-    if oracle is None:
-        oracle = functools.partial(_oracle, cfg, layer, input, filters)
+    if oracles is None:
+        oracles = _oracle_jobs(cfg, layer, input, filters, _Job)
     lowered = LayerLowering(input, filters, layer.spec, cfg.width, cfg.out_shift)
-    oracles: dict[bool, Tensor3] = {}
     results = []
     for sel in cfg.engines:
         result = _run(sel, layer, lowered)
-        trimmed = _reads_trimmed(sel)
-        if trimmed not in oracles:
-            oracles[trimmed] = oracle(trimmed)
-        if result.output != oracles[trimmed]:
+        if result.output != oracles[_reads_trimmed(sel)].result():
             raise OracleMismatch(
                 f"{sel.label()} output differs from the oracle on layer "
                 f"{layer.spec.name!r}"
@@ -185,15 +190,16 @@ def _other_cpus() -> tuple[set[int], set[int]] | None:
 
 
 class _Job:
-    """One call to run on the side thread, or on the main thread if the
-    side thread has not started it by the time it is needed. Whoever
-    first takes the job's own lock runs it; the lock is never released."""
+    """One call, run once by whoever first takes its own lock (never
+    released): the side thread, if it is queued there, or the caller of
+    :meth:`result`. Once run, it drops the call and keeps the outcome."""
 
     def __init__(self, fn: Callable, *args):
         self.fn, self.args = fn, args
         self._claim = threading.Lock()
+        self._pending = threading.Lock()  # held until the job has run
+        self._pending.acquire()  # cheaper than an Event by about 3.5 us a job
         self.outcome = None
-        self.done = threading.Event()
 
     def claim(self) -> bool:
         """Whether the caller is the first to claim the job, and so runs it."""
@@ -202,11 +208,23 @@ class _Job:
     def run(self) -> None:
         try:
             self.outcome = self.fn(*self.args)
-        except BaseException as e:  # handed to the main thread by _SideThread.result
+        except BaseException as e:  # raised again by result, on the caller
             self.outcome = e
         finally:
             self.fn = self.args = None
-            self.done.set()
+            self._pending.release()
+
+    def result(self):
+        """The job's value, or what it raised, raised again. A job nobody
+        has claimed runs here; one already claimed is waited for."""
+        if self.claim():
+            self.run()
+        else:
+            with self._pending:  # free once the claimant has run it
+                pass
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
 
 
 class _SideThread:
@@ -220,12 +238,12 @@ class _SideThread:
     layer, so the two threads took turns on one CPU. A thread that moved
     itself would hold the interpreter lock while the other CPU woke up.
 
-    :meth:`result` returns a job's value or re-raises what it raised. A
-    job the thread has not started by then is taken and run by the
-    caller, so the caller never waits on the thread's backlog. Where no
-    thread can be started, no job is queued and the caller runs each one
-    when it is due, so a job holds its outcome only while the caller
-    does. :meth:`close` drops the jobs not started and joins the thread.
+    A caller asks for a queued job's :meth:`_Job.result` when it is due,
+    and runs the job itself if the thread has not started it, so it never
+    waits on the thread's backlog. Where no thread can be started,
+    :meth:`submit` queues nothing and the job runs when due, so it holds
+    its outcome only while the caller does. :meth:`close` drops the jobs
+    not started and joins the thread.
 
     The queue, and the ``queue`` module, are made with the thread, at the
     first job: a run that hands over no job loads neither.
@@ -275,15 +293,6 @@ class _SideThread:
             if not self._closed and job.claim():
                 job.run()
 
-    def result(self, job: _Job):
-        if job.claim():
-            job.run()
-        else:
-            job.done.wait()
-        if isinstance(job.outcome, BaseException):
-            raise job.outcome
-        return job.outcome
-
     def close(self) -> None:
         if self._queue is not None:  # a thread runs
             self._closed = True
@@ -298,13 +307,6 @@ class _SideThread:
 # what a layer of some 10^7 MACs spends in its oracles.
 SIDE_MIN_MACS = 1 << 24
 
-# Layers whose input builds are queued on the side thread ahead of the
-# layer the main thread runs. Each one keeps a layer's inputs alive.
-# Since synapses are drawn from an inverse-CDF table, a build takes well
-# under the layer before it, so one is enough: two queued were no faster
-# on alexnet_column and raised its peak RSS from 55-56 to 57.5-61 MB.
-BUILDS_AHEAD = 1
-
 
 def _on_side(layer: LayerConfig) -> bool:
     spec = layer.spec
@@ -315,14 +317,15 @@ def _on_side(layer: LayerConfig) -> bool:
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
 
-    One side thread runs its jobs in the order they are queued. By the
-    time the main thread starts layer k's engines, the next layer's build
-    (:data:`BUILDS_AHEAD`) is queued, and behind it layer k's oracles, one
-    per input view in the order the engines first read the views. A layer
-    of fewer than :data:`SIDE_MIN_MACS` multiply-accumulates keeps its
-    build and its oracles on the main thread. A job the side thread has
-    not started when it is due runs on the main thread. At most two
-    layers' inputs are alive: layer k's and the next layer's build.
+    Each layer's input build and each of its oracles, one per input view
+    in the order the engines first read the views, is a :class:`_Job`.
+    A layer of at least :data:`SIDE_MIN_MACS` multiply-accumulates queues
+    its jobs on one side thread, which runs them in order: by the time
+    the main thread starts layer k's engines, the next layer's build is
+    queued, and behind it layer k's oracles. A smaller layer's jobs are
+    never queued. Every job the side thread has not started when it is
+    due runs on the main thread. At most two layers' inputs are alive:
+    layer k's and the next layer's build.
 
     Outputs are compared on the main thread, in config order, so a
     failed build, a failed oracle and a mismatch raise as in a serial
@@ -336,27 +339,23 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
     terms: dict[str, TermCounts] = {}
     bits = {}
     side = _SideThread()
-    builds = {}  # layer index -> the job building its inputs, once queued
+
+    def make(layer: LayerConfig) -> Callable[..., _Job]:
+        return side.submit if _on_side(layer) else _Job
+
+    # layer 0's build is due at once, so it runs here, beside layer 1's
+    build = _Job(build_layer_inputs, cfg, cfg.layers[0], 0) if cfg.layers else None
     try:
-        for index, layer in enumerate(cfg.layers):
-            built = side.result(builds.pop(index)) if index in builds else None
-            for ahead in range(index + 1, min(index + 1 + BUILDS_AHEAD, len(cfg.layers))):
-                if ahead not in builds and _on_side(cfg.layers[ahead]):
-                    builds[ahead] = side.submit(build_layer_inputs, cfg, cfg.layers[ahead], ahead)
-            # built here if not on the side thread, while that builds the next one
-            input, filters = built or build_layer_inputs(cfg, layer, index)
-            oracle = None
-            if _on_side(layer):
-                jobs = {
-                    trimmed: side.submit(_oracle, cfg, layer, input, filters, trimmed)
-                    for trimmed in dict.fromkeys(map(_reads_trimmed, cfg.engines))
-                }
-                oracle = lambda trimmed: side.result(jobs[trimmed])
+        for index, (layer, ahead) in enumerate(zip(cfg.layers, [*cfg.layers[1:], None])):
+            next_build = ahead and make(ahead)(build_layer_inputs, cfg, ahead, index + 1)
+            input, filters = build.result()
+            oracles = _oracle_jobs(cfg, layer, input, filters, make(layer))
             baseline = dadn_cycles(layer.spec)
-            for result in run_layer(cfg, layer, input, filters, oracle):
+            for result in run_layer(cfg, layer, input, filters, oracles):
                 rows.append((layer.spec.name, result, baseline))
             terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
-            input = filters = built = jobs = oracle = None  # freed before layer k+2's build
+            input = filters = oracles = None  # freed before layer k+2's build
+            build = next_build
     finally:
         side.close()
     return report(rows, terms, bits, cfg.width)

@@ -1,8 +1,10 @@
-"""``simulate`` runs the next layer's input build and each layer's
-oracles on one side thread: the report equals a serial loop's, at most
-two layers' inputs are alive, a failure ends in the serial loop's
-exception and exit code, and no thread outlives the call."""
+"""``simulate`` makes each layer's input build and oracles ``_Job``s,
+which a large layer queues on one side thread and a small one runs when
+due: the report equals a serial loop's, each job runs once, at most two
+layers' inputs are alive, a failure ends in the serial loop's exception
+and exit code, and no thread outlives the call."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -135,15 +137,50 @@ def sized_layers(pattern):
 @example([True, False, True, True])
 @example([False, True, True, False, True])
 def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
-    # the big layers hand their builds and oracles to the side thread,
-    # one build ahead, and the small ones keep theirs on the main thread
+    # Every layer's build and oracles are jobs, each run once. A big
+    # layer queues them on the side thread, one build ahead; layer 0's
+    # build is due at once and is never queued. A small layer's jobs are
+    # never queued, so they run on the main thread when due.
     cfg = sized_layers(pattern)
+    views = list(dict.fromkeys(map(runner._reads_trimmed, cfg.engines)))
+    runs, submitted = [], []
+    real_build, real_oracle = runner.build_layer_inputs, runner._oracle
+    real_submit = runner._SideThread.submit
+
+    def build_layer_inputs(cfg, layer, index):
+        runs.append(("build_layer_inputs", layer.spec.name, None,
+                     threading.current_thread().name))
+        return real_build(cfg, layer, index)
+
+    def _oracle(cfg, layer, input, filters, trimmed):
+        runs.append(("_oracle", layer.spec.name, trimmed, threading.current_thread().name))
+        return real_oracle(cfg, layer, input, filters, trimmed)
+
+    def submit(self, fn, cfg, layer, *args):
+        submitted.append((fn.__name__, layer.spec.name))
+        return real_submit(self, fn, cfg, layer, *args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(runner, "SIDE_MIN_MACS", 100_000)
+        patch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+        patch.setattr(runner, "_oracle", _oracle)
+        patch.setattr(runner._SideThread, "submit", submit)
         assert [runner._on_side(layer) for layer in cfg.layers] == pattern
         before = threading.active_count()
         doc = runner.simulate(cfg)
         assert threading.active_count() == before
+    names = [layer.spec.name for layer in cfg.layers]
+    jobs = [("build_layer_inputs", name, None) for name in names] + [
+        ("_oracle", name, trimmed) for name in names for trimmed in views]
+    assert sorted(run[:3] for run in runs) == sorted(jobs)
+    big = {name for name, on_side in zip(names, pattern) if on_side}
+
+    def queued(fn, name):
+        return name in big and (fn, name) != ("build_layer_inputs", "conv0")
+
+    assert sorted(submitted) == sorted((fn, name) for fn, name, _ in jobs if queued(fn, name))
+    for fn, name, _, thread in runs:
+        assert thread in (["MainThread", "bitsim-side"] if queued(fn, name) else ["MainThread"])
     assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
 
 
@@ -344,6 +381,16 @@ def test_a_run_that_hands_over_no_job_loads_no_queue():
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     subprocess.run([sys.executable, "-c", code, str(ROOT / "configs" / "example.json")],
                    check=True, env=env, timeout=JOIN_TIMEOUT_S)
+
+
+def test_a_config_without_layers_gives_the_header_only_report(thread_starts):
+    # parse_config wants a layer; an ExperimentConfig built in code need not
+    cfg = dataclasses.replace(load_config(ROOT / "configs" / "example.json"), layers=[])
+    doc = runner.simulate(cfg)
+    assert doc.rows == [] and doc.term_counts == {} and doc.bit_stats == {}
+    assert doc.csv_lines() == report([], width=cfg.width).csv_lines()
+    assert len(doc.csv_lines()) == 1 and doc.csv_lines()[0].startswith("layer,engine,")
+    assert thread_starts == []
 
 
 def other_synapses(spec, sigma, seed, layer_index=0):
@@ -645,7 +692,7 @@ def test_each_job_runs_once_however_the_threads_interleave():
     def ask_for_every_job():
         go.wait(JOIN_TIMEOUT_S)
         try:
-            assert [side.result(job) for job in jobs] == [k * k for k in range(3000)]
+            assert [job.result() for job in jobs] == [k * k for k in range(3000)]
         except BaseException as e:  # checked below, on the test's thread
             errors.append(e)
 
@@ -666,3 +713,43 @@ def test_each_job_runs_once_however_the_threads_interleave():
     assert not side._thread.is_alive()
     assert errors == []
     assert sorted(runs) == list(range(3000))
+
+
+def test_an_unqueued_job_runs_once_on_the_caller_at_its_first_result():
+    runs = []
+    job = runner._Job(lambda k: runs.append(threading.current_thread()) or [k], 7)
+    assert runs == []
+    value = job.result()
+    assert value == [7] and runs == [threading.current_thread()]
+    assert job.result() is value
+    assert runs == [threading.current_thread()]
+
+
+def test_a_job_raises_the_same_exception_at_every_result():
+    runs = []
+
+    def fail():
+        runs.append(threading.current_thread())
+        raise MemoryError("patched into a job")
+
+    job = runner._Job(fail)
+    with pytest.raises(MemoryError, match="patched into a job") as first:
+        job.result()
+    with pytest.raises(MemoryError) as again:
+        job.result()
+    assert again.value is first.value
+    assert runs == [threading.current_thread()]
+
+
+def test_a_job_that_has_run_drops_its_function_and_arguments():
+    class Arg:
+        """An argument a weak reference can follow."""
+
+    arg, collected = Arg(), []
+    weakref.finalize(arg, collected.append, "arg")
+    job = runner._Job(lambda a: 3, arg)
+    del arg
+    assert collected == []
+    assert job.result() == 3
+    assert collected == ["arg"]
+    assert job.fn is None and job.args is None
