@@ -18,15 +18,30 @@ filter. For 8-bit containers the same tags apply with width 8 (the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .encoding import BitStats
 from .geometry import LayerSpec, Tensor3, num_pairs, window_sum
 from .numerics import MissingProfile, Precision, trim_tensor
-from .reference import EngineResult, dadn_terms, effectual_terms
+from .reference import CycleReport, EngineResult, dadn_terms, effectual_terms
 
 ENGINE_TAGS = ("dadn", "zn", "cvn", "str", "pra_fp16", "pra_red")
+
+# The CycleReport counters simulate's CSV writes, in column order: both
+# the header and each row's values, formatted in one call, come from
+# these names.
+COUNTER_COLUMNS = (
+    "compute_cycles",
+    "stall_cycles",
+    "nm_fetch_cycles",
+    "sb_reads",
+    "total_terms",
+    "effectual_terms",
+)
+_counters = attrgetter(*COUNTER_COLUMNS)
+_COUNTERS_CSV = ",".join(["%s"] * len(COUNTER_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -74,23 +89,25 @@ def count_terms(
 
 @dataclass
 class LayerRow:
-    """One layer x engine-variant line of the report."""
+    """One layer x engine-variant line of the report: the run's counters
+    as its :class:`~bitsim.reference.CycleReport`, and the layer's
+    bit-parallel baseline cycles. The run's output tensor is not kept."""
 
     layer: str
     engine: str
     variant: str
     width: int
-    compute_cycles: int
-    stall_cycles: int
-    nm_fetch_cycles: int
-    sb_reads: int
-    total_terms: int
-    effectual_terms: int
+    report: CycleReport
     baseline_cycles: int
 
     @property
+    def key(self) -> str:
+        """``engine:variant``, or the engine alone where it has no variants."""
+        return f"{self.engine}:{self.variant}" if self.variant else self.engine
+
+    @property
     def speedup(self) -> float:
-        return self.baseline_cycles / self.compute_cycles
+        return self.baseline_cycles / self.report.compute_cycles
 
 
 @dataclass
@@ -106,12 +123,7 @@ class ReportDocument:
         "engine",
         "variant",
         "width",
-        "compute_cycles",
-        "stall_cycles",
-        "nm_fetch_cycles",
-        "sb_reads",
-        "total_terms",
-        "effectual_terms",
+        *COUNTER_COLUMNS,
         "speedup_vs_dadn",
         "oracle_ok",
     )
@@ -122,9 +134,8 @@ class ReportDocument:
         base: dict[str, int] = {}
         own: dict[str, int] = {}
         for row in self.rows:
-            key = f"{row.engine}:{row.variant}" if row.variant else row.engine
-            base[key] = base.get(key, 0) + row.baseline_cycles
-            own[key] = own.get(key, 0) + row.compute_cycles
+            base[row.key] = base.get(row.key, 0) + row.baseline_cycles
+            own[row.key] = own.get(row.key, 0) + row.report.compute_cycles
         return {k: base[k] / own[k] for k in base}
 
     def geomean_speedups(self) -> dict[str, float]:
@@ -132,8 +143,7 @@ class ReportDocument:
         time-weighted aggregate."""
         acc: dict[str, list[float]] = {}
         for row in self.rows:
-            key = f"{row.engine}:{row.variant}" if row.variant else row.engine
-            acc.setdefault(key, []).append(row.speedup)
+            acc.setdefault(row.key, []).append(row.speedup)
         return {k: float(np.exp(np.mean(np.log(v)))) for k, v in acc.items()}
 
     def csv_lines(self) -> list[str]:
@@ -146,12 +156,7 @@ class ReportDocument:
                         r.engine,
                         r.variant,
                         str(r.width),
-                        str(r.compute_cycles),
-                        str(r.stall_cycles),
-                        str(r.nm_fetch_cycles),
-                        str(r.sb_reads),
-                        str(r.total_terms),
-                        str(r.effectual_terms),
+                        _COUNTERS_CSV % _counters(r.report),
                         f"{r.speedup:.6g}",
                         "1",  # oracle_ok: a mismatch aborts the run before any row
                     ]
@@ -167,10 +172,11 @@ class ReportDocument:
         )
         out = [header, "-" * len(header)]
         for r in self.rows:
+            rep = r.report
             out.append(
-                f"{r.layer:<12} {r.engine:<10} {r.variant:<16} {r.compute_cycles:>10} "
-                f"{r.stall_cycles:>8} {r.sb_reads:>6} {r.total_terms:>12} "
-                f"{r.effectual_terms:>12} {r.speedup:>8.3f}"
+                f"{r.layer:<12} {r.engine:<10} {r.variant:<16} {rep.compute_cycles:>10} "
+                f"{rep.stall_cycles:>8} {rep.sb_reads:>6} {rep.total_terms:>12} "
+                f"{rep.effectual_terms:>12} {r.speedup:>8.3f}"
             )
         agg = self.aggregate_speedups()
         geo = self.geomean_speedups()
@@ -208,24 +214,12 @@ def report(
     width: int = 16,
 ) -> ReportDocument:
     """Assemble the report from (layer name, engine result, baseline cycles)
-    triples plus optional per-layer term counts and bit statistics."""
-    doc = ReportDocument(
-        term_counts=dict(term_counts or {}), bit_stats=dict(bit_stats or {})
+    triples plus optional per-layer term counts and bit statistics. Each
+    row keeps its result's :class:`~bitsim.reference.CycleReport`, not the
+    result, so no output tensor outlives the call."""
+    return ReportDocument(
+        rows=[LayerRow(layer, res.engine, res.variant, width, res.report, baseline)
+              for layer, res, baseline in results],
+        term_counts=dict(term_counts or {}),
+        bit_stats=dict(bit_stats or {}),
     )
-    for layer, res, baseline in results:
-        doc.rows.append(
-            LayerRow(
-                layer=layer,
-                engine=res.engine,
-                variant=res.variant,
-                width=width,
-                compute_cycles=res.report.compute_cycles,
-                stall_cycles=res.report.stall_cycles,
-                nm_fetch_cycles=res.report.nm_fetch_cycles,
-                sb_reads=res.report.sb_reads,
-                total_terms=res.report.total_terms,
-                effectual_terms=res.report.effectual_terms,
-                baseline_cycles=baseline,
-            )
-        )
-    return doc

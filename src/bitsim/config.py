@@ -61,6 +61,10 @@ class LayerConfig:
     precision: Precision
     quant: QuantParams | None = None
     first_layer: bool = False
+    # the depth the config declares, before ``spec.i`` zero-extends it to
+    # a brick multiple: synthetic channels past it are zeros. None: all
+    # ``spec.i`` channels are drawn.
+    depth: int | None = None
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,7 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
         quant=quant,
         first_layer=_strict(obj.get("first_layer", index == 0), bool,
                             f"'first_layer' in {where}"),
+        depth=dims["i"],
     )
 
 

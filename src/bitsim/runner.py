@@ -24,10 +24,11 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable
+from operator import itemgetter
 
 import numpy as np
 
-from .analysis import ReportDocument, TermCounts, count_terms, report
+from .analysis import ENGINE_TAGS, ReportDocument, TermCounts, count_terms, report
 from .config import EngineSelector, ExperimentConfig, LayerConfig
 from .encoding import BitStats, stats
 from .geometry import FilterSet, Tensor3, container_bounds, output_dims
@@ -70,12 +71,15 @@ def build_layer_input(cfg: ExperimentConfig, layer: LayerConfig, index: int) -> 
                 f"{path}: trace values {tensor.data.min()}..{tensor.data.max()} "
                 f"do not fit the {cfg.width}-bit container ({lo}..{hi})"
             )
-    elif cfg.width == 8:
-        tensor = generate_quantized_trace(
-            spec, cfg.trace_sigma, cfg.trace_relu, layer.quant, cfg.seed, index
-        )
     else:
-        tensor = generate_trace(spec, cfg.trace_sigma, cfg.trace_relu, cfg.seed, index)
+        if cfg.width == 8:
+            tensor = generate_quantized_trace(
+                spec, cfg.trace_sigma, cfg.trace_relu, layer.quant, cfg.seed, index
+            )
+        else:
+            tensor = generate_trace(spec, cfg.trace_sigma, cfg.trace_relu, cfg.seed, index)
+        if layer.depth is not None:
+            tensor.data[:, :, layer.depth :] = 0  # the zero-extension channels
     return tensor
 
 
@@ -292,6 +296,7 @@ class _SideThread:
         while (job := self._queue.get()) is not None:  # None: closed
             if not self._closed and job.claim():
                 job.run()
+            del job  # not kept, with its outcome, while the queue is empty
 
     def close(self) -> None:
         if self._queue is not None:  # a thread runs
@@ -371,19 +376,19 @@ def analyze(cfg: ExperimentConfig) -> tuple[dict[str, TermCounts], dict]:
     return terms, bits
 
 
+# The engine tags whose term counts analyze also writes over the baseline's.
+NORM_TAGS = ("str", "pra_fp16", "pra_red")
+# A row's terms_* and norm_* fields, in column order, each group in one call
+_terms, _norms = itemgetter(*ENGINE_TAGS), itemgetter(*NORM_TAGS)
+_TERMS_CSV = ",".join(["%s"] * len(ENGINE_TAGS))
+_NORMS_CSV = ",".join(["%.6g"] * len(NORM_TAGS))
+
 ANALYZE_CSV_COLUMNS = (
     "layer",
     "width",
     "pairs",
-    "terms_dadn",
-    "terms_zn",
-    "terms_cvn",
-    "terms_str",
-    "terms_pra_fp16",
-    "terms_pra_red",
-    "norm_str",
-    "norm_pra_fp16",
-    "norm_pra_red",
+    *(f"terms_{tag}" for tag in ENGINE_TAGS),
+    *(f"norm_{tag}" for tag in NORM_TAGS),
     "essential_frac_all",
     "essential_frac_nz",
     "zero_fraction",
@@ -391,11 +396,14 @@ ANALYZE_CSV_COLUMNS = (
 
 
 def analyze_csv_lines(cfg: ExperimentConfig, terms, bits) -> list[str]:
+    """The ``analyze`` CSV: a header of :data:`ANALYZE_CSV_COLUMNS`, then
+    one line per layer, in config order, of its term counts per engine
+    tag, those of :data:`NORM_TAGS` over the baseline's, and its
+    essential-bit statistics."""
     lines = [",".join(ANALYZE_CSV_COLUMNS)]
     for layer in cfg.layers:
         name = layer.spec.name
         tc, bs = terms[name], bits[name]
-        norm = tc.normalized()
         nz = "" if bs.mean_essential_frac_nonzero is None else (
             f"{bs.mean_essential_frac_nonzero:.6g}"
         )
@@ -405,15 +413,8 @@ def analyze_csv_lines(cfg: ExperimentConfig, terms, bits) -> list[str]:
                     name,
                     str(cfg.width),
                     str(tc.pairs),
-                    str(tc.totals["dadn"]),
-                    str(tc.totals["zn"]),
-                    str(tc.totals["cvn"]),
-                    str(tc.totals["str"]),
-                    str(tc.totals["pra_fp16"]),
-                    str(tc.totals["pra_red"]),
-                    f"{norm['str']:.6g}",
-                    f"{norm['pra_fp16']:.6g}",
-                    f"{norm['pra_red']:.6g}",
+                    _TERMS_CSV % _terms(tc.totals),
+                    _NORMS_CSV % _norms(tc.normalized()),
                     f"{bs.mean_essential_frac_all:.6g}",
                     nz,
                     f"{bs.zero_fraction:.6g}",

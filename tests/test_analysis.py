@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,14 @@ class TestReport:
     def test_empty_document_header_only(self):
         doc = report([])
         assert doc.csv_lines() == [",".join(ReportDocument.CSV_COLUMNS)]
+
+    def test_a_row_keeps_its_runs_counters_and_not_its_output(self):
+        res, collected = make_result(50), []
+        weakref.finalize(res.output, collected.append, "output")
+        doc = report([("conv1", res, 100)])
+        assert doc.rows[0].report is res.report
+        del res
+        assert collected == ["output"]
 
     def test_single_layer_single_row(self):
         doc = report([("conv1", make_result(50), 100)])

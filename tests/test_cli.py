@@ -155,6 +155,7 @@ class TestConfigParsing:
         cfg["layers"][0]["i"] = 20
         parsed = parse_config(json.dumps(cfg))
         assert parsed.layers[0].spec.i == 32
+        assert parsed.layers[0].depth == 20
 
 
 class TestSimulateCommand:

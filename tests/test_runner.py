@@ -4,6 +4,7 @@ due: the report equals a serial loop's, each job runs once, at most two
 layers' inputs are alive, a failure ends in the serial loop's exception
 and exit code, and no thread outlives the call."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -23,7 +24,7 @@ from bitsim.analysis import report
 from bitsim.cli import main
 from bitsim.config import load_config, parse_config
 from bitsim.geometry import Tensor3
-from bitsim.reference import dadn_cycles
+from bitsim.reference import CycleReport, dadn_cycles
 from bitsim.traces import generate_trace, write_trace
 from test_cli import assert_clean_exit, base_config, write_config
 
@@ -753,3 +754,87 @@ def test_a_job_that_has_run_drops_its_function_and_arguments():
     assert job.result() == 3
     assert collected == ["arg"]
     assert job.fn is None and job.args is None
+
+
+def test_the_side_thread_keeps_no_job_it_has_run():
+    # Once the caller drops a job and its value, the side thread holds
+    # neither while it waits for the next job, which never comes.
+    class Value:
+        """A value a weak reference can follow."""
+
+    side = runner._SideThread()
+    collected = threading.Event()
+    try:
+        job = side.submit(Value)
+        value = job.result()
+        weakref.finalize(value, collected.set)
+        del job, value
+        assert collected.wait(5)
+        assert side._thread.is_alive()
+    finally:
+        side.close()
+
+
+def test_each_csv_column_holds_what_it_names():
+    cfg = load_config(ROOT / "configs" / "example.json")
+    runs = []
+    for index, layer in enumerate(cfg.layers):
+        input, filters = runner.build_layer_inputs(cfg, layer, index)
+        for result in runner.run_layer(cfg, layer, input, filters):
+            runs.append((layer.spec.name, result, dadn_cycles(layer.spec)))
+    rows = list(csv.DictReader(runner.simulate(cfg).csv_lines()))
+    assert len(rows) == len(runs)
+    counters = [field.name for field in dataclasses.fields(CycleReport)]
+    for row, (name, result, baseline) in zip(rows, runs):
+        assert (row["layer"], row["engine"], row["variant"], int(row["width"])) == (
+            name, result.engine, result.variant, cfg.width)
+        assert {c: int(row[c]) for c in counters} == dataclasses.asdict(result.report)
+        assert float(row["speedup_vs_dadn"]) == pytest.approx(
+            baseline / result.report.compute_cycles, rel=1e-5)
+        assert row["oracle_ok"] == "1"
+        assert len(row) == len(counters) + 6
+
+    terms, bits = runner.analyze(cfg)
+    rows = list(csv.DictReader(runner.analyze_csv_lines(cfg, terms, bits)))
+    assert [row["layer"] for row in rows] == [layer.spec.name for layer in cfg.layers]
+    for row in rows:
+        tc, bs = terms[row["layer"]], bits[row["layer"]]
+        norm = tc.normalized()
+        assert (int(row["width"]), int(row["pairs"])) == (cfg.width, tc.pairs)
+        assert {c: float(row[c]) for c in ("essential_frac_all", "essential_frac_nz",
+                                           "zero_fraction")} == pytest.approx({
+            "essential_frac_all": bs.mean_essential_frac_all,
+            "essential_frac_nz": bs.mean_essential_frac_nonzero,
+            "zero_fraction": bs.zero_fraction}, rel=1e-5)
+        tagged = {column: value for column, value in row.items()
+                  if column.startswith(("terms_", "norm_"))}
+        assert {c.removeprefix("terms_"): int(v) for c, v in tagged.items()
+                if c.startswith("terms_")} == tc.totals
+        norms = {c.removeprefix("norm_"): float(v) for c, v in tagged.items()
+                 if c.startswith("norm_")}
+        assert norms == pytest.approx({tag: norm[tag] for tag in norms}, rel=1e-5)
+        assert sorted(norms) == ["pra_fp16", "pra_red", "str"]
+        assert len(row) == len(tagged) + 6
+
+
+@pytest.mark.parametrize("width", [16, 8])
+def test_synthetic_channels_past_the_declared_depth_are_zeros(tmp_path, width):
+    # A depth of 3 is zero-extended to 16: the draw fills channels 0-2
+    # only, so the run equals one that reads those 3 channels from a file.
+    layer = {"name": "thin", "nx": 4, "ny": 4, "i": 3, "n": 2, "fx": 1, "fy": 1,
+             "precision": {"width": 7}}
+    if width == 8:
+        layer["quant"] = {"vmin": 0.0, "vmax": 400.0}
+    cfg = base_config(width=width, layers=[layer])
+    synthetic = parse_config(json.dumps(cfg))
+    input = runner.build_layer_input(synthetic, synthetic.layers[0], 0)
+    assert input.dims == (4, 4, 16)
+    assert input.data[:, :, :3].any()
+    assert not input.data[:, :, 3:].any()
+
+    path = tmp_path / "thin.prgt"
+    write_trace(path, Tensor3(input.data[:, :, :3]))
+    from_file = parse_config(json.dumps({**cfg, "trace": {"kind": "file", "path": str(path)}}))
+    assert runner.simulate(synthetic).csv_lines() == runner.simulate(from_file).csv_lines()
+    assert runner.analyze_csv_lines(synthetic, *runner.analyze(synthetic)) == \
+        runner.analyze_csv_lines(from_file, *runner.analyze(from_file))
