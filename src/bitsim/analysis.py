@@ -25,7 +25,7 @@ import numpy as np
 from .encoding import BitStats
 from .geometry import LayerSpec, Tensor3, num_pairs, window_sum
 from .numerics import MissingProfile, Precision, trim_tensor
-from .reference import CycleReport, EngineResult, dadn_terms, effectual_terms
+from .reference import CycleReport, EngineResult, dadn_terms, effectual_terms, variant_key
 
 ENGINE_TAGS = ("dadn", "zn", "cvn", "str", "pra_fp16", "pra_red")
 
@@ -102,8 +102,8 @@ class LayerRow:
 
     @property
     def key(self) -> str:
-        """``engine:variant``, or the engine alone where it has no variants."""
-        return f"{self.engine}:{self.variant}" if self.variant else self.engine
+        """The row's :func:`~bitsim.reference.variant_key`."""
+        return variant_key(self.engine, self.variant)
 
     @property
     def speedup(self) -> float:

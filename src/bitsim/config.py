@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from .geometry import LayerSpec, output_dims
 from .numerics import Precision, QuantParams
 from .pragmatic import PragConfig
+from .reference import variant_key
 
 
 # Accumulators are int64: a wider shift has no defined result.
@@ -75,9 +76,10 @@ class EngineSelector:
     prag: PragConfig | None = None
 
     def label(self) -> str:
-        if self.engine == "pragmatic":
-            return f"pragmatic:{self.prag.variant_name()}"
-        return self.engine
+        """The :func:`~bitsim.reference.variant_key` of the variant, which
+        names a pragmatic one only."""
+        return variant_key(self.engine,
+                           self.prag.variant_name() if self.engine == "pragmatic" else "")
 
 
 @dataclass

@@ -98,6 +98,12 @@ class EngineResult:
     variant: str = ""
 
 
+def variant_key(engine: str, variant: str) -> str:
+    """``engine:variant``, or the engine alone where it has no variant:
+    how an engine variant is named in the report and its messages."""
+    return f"{engine}:{variant}" if variant else engine
+
+
 def check_shapes(input: Tensor3, filters: FilterSet, spec: LayerSpec):
     if (input.x, input.y, input.i) != (spec.nx, spec.ny, spec.i):
         raise ShapeMismatch(

@@ -10,20 +10,24 @@ mismatch is an engine bug and aborts the run.
 ``simulate`` keeps one side thread beside the main thread, which runs
 the engines. The oracle shares no code with the engines and reads only
 the layer's inputs, and each layer's inputs come from generators of
-their own. So a layer's input build and its oracles are jobs: a large
-layer queues them on the side thread, which draws the next layer's
-inputs and then computes layer k's oracles while layer k's engines run,
-and a small layer's run on the main thread when due. At most two
-layers' inputs are alive at once. Each view is lowered in bands of
-output rows (see :class:`~bitsim.reference.ViewLowering`), so the
-lowering and an oracle running beside it stay small in memory.
+their own. So a layer's input build, its oracles and its term counts
+are jobs, and so is a large layer's lowering of each view after the
+first: a large layer queues them on the side thread, which draws the
+next layer's inputs and then works through layer k's oracles, later
+views and term counts while layer k's engines run, and a small layer's
+run on the main thread when due. A main thread that waits for a job the
+side thread runs first runs its layer's view jobs nobody has started.
+At most two layers' inputs are alive at once. Each view is lowered in
+bands of output rows (see :class:`~bitsim.reference.ViewLowering`), so
+two lowerings, or a lowering and an oracle, running side by side stay
+small in memory.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from operator import itemgetter
 
 import numpy as np
@@ -56,10 +60,11 @@ def build_layer_input(cfg: ExperimentConfig, layer: LayerConfig, index: int) -> 
     if cfg.trace_kind == "file":
         path = cfg.trace_paths[index]
         tensor, _ = read_trace(path)
-        if (tensor.x, tensor.y) != (spec.nx, spec.ny) or tensor.i > spec.i:
+        depth = spec.i if layer.depth is None else layer.depth  # as declared
+        if (tensor.x, tensor.y) != (spec.nx, spec.ny) or tensor.i > depth:
             raise TraceIOError(
                 f"{path}: trace dims {tensor.dims} do not fit layer {spec.name!r} "
-                f"({spec.nx},{spec.ny},{spec.i})"
+                f"({spec.nx},{spec.ny},{depth})"
             )
         if tensor.i < spec.i:
             padded = np.zeros((spec.ny, spec.nx, spec.i), dtype=np.int64)
@@ -137,34 +142,59 @@ def _oracle(cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3,
     return conv_oracle(view, filters, layer.spec, cfg.out_shift)
 
 
-def _oracle_jobs(cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3,
-                 filters: FilterSet, make: Callable[..., _Job]) -> dict[bool, _Job]:
-    """Per input view the engines read, in the order they first read it,
-    its oracle as a job made by ``make``: ``_Job`` or ``_SideThread.submit``."""
-    return {trimmed: make(_oracle, cfg, layer, input, filters, trimmed)
-            for trimmed in dict.fromkeys(map(_reads_trimmed, cfg.engines))}
+def _lower(cfg: ExperimentConfig, layer: LayerConfig, lowered: LayerLowering,
+           trimmed: bool) -> None:
+    """Lowers the layer's raw or trimmed input view into ``lowered``, as
+    the first engine that reads the view would."""
+    if trimmed:
+        lowered.trimmed(layer.precision)
+    else:
+        lowered.view(None)
+
+
+def _layer_jobs(cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3,
+                filters: FilterSet, side: _SideThread | None = None,
+                ) -> tuple[LayerLowering, dict[bool, tuple[_Job | None, _Job]]]:
+    """The layer's lowering and, per input view the engines read, in the
+    order they first read it, its lowering and its oracle as jobs, queued
+    in that order on ``side`` if given. The first view's lowering is no
+    job: the engines lower it when they first read it. Nor is any view's
+    without ``side``."""
+    lowered = LayerLowering(input, filters, layer.spec, cfg.width, cfg.out_shift)
+    make = _Job if side is None else side.submit
+    views: dict[bool, tuple[_Job | None, _Job]] = {}
+    for trimmed in dict.fromkeys(map(_reads_trimmed, cfg.engines)):
+        lower = make(_lower, cfg, layer, lowered, trimmed) if views and side else None
+        views[trimmed] = lower, make(_oracle, cfg, layer, input, filters, trimmed)
+    return lowered, views
 
 
 def run_layer(
     cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3, filters: FilterSet,
-    oracles: dict[bool, _Job] | None = None,
+    jobs: tuple[LayerLowering, dict[bool, tuple[_Job | None, _Job]]] | None = None,
 ) -> list[EngineResult]:
     """Every engine variant of the run on one layer, in config order.
 
     Each input view is lowered once and shared by the variants that read
-    it. Each engine's output is compared with the outcome of its view's
-    oracle job, ``oracles[trimmed]``, once the engine has run. The job
-    runs once, for the first engine on its view unless a side thread has
-    claimed it; by default none is queued. Raises :class:`OracleMismatch`
-    if any engine disagrees with the brute-force convolution on its view.
+    it. ``jobs`` is the layer's lowering and its view jobs
+    (:func:`_layer_jobs`); by default none is queued. A view's lowering
+    job, if any, is asked for before the first engine that reads the
+    view, and each engine's output is compared with the outcome of its
+    view's oracle job once the engine has run. A job runs once: here
+    when it is due and nobody has started it, else on the side thread;
+    while this waits for one there, it runs the layer's view jobs nobody
+    has started (:meth:`_Job.result`). Raises :class:`OracleMismatch` if
+    any engine disagrees with the brute-force convolution on its view.
     """
-    if oracles is None:
-        oracles = _oracle_jobs(cfg, layer, input, filters, _Job)
-    lowered = LayerLowering(input, filters, layer.spec, cfg.width, cfg.out_shift)
+    lowered, views = jobs or _layer_jobs(cfg, layer, input, filters)
+    queued = [job for pair in views.values() for job in pair if job]  # in queue order
     results = []
     for sel in cfg.engines:
+        lower, oracle = views[_reads_trimmed(sel)]
+        if lower:
+            lower.result(queued)
         result = _run(sel, layer, lowered)
-        if result.output != oracles[_reads_trimmed(sel)].result():
+        if result.output != oracle.result(queued):
             raise OracleMismatch(
                 f"{sel.label()} output differs from the oracle on layer "
                 f"{layer.spec.name!r}"
@@ -218,12 +248,21 @@ class _Job:
             self.fn = self.args = None
             self._pending.release()
 
-    def result(self):
+    def result(self, others: Iterable[_Job] = ()):
         """The job's value, or what it raised, raised again. A job nobody
-        has claimed runs here; one already claimed is waited for."""
+        has claimed runs here. While another thread runs it, the caller
+        runs the jobs of ``others`` nobody has claimed, in order, until it
+        is done, and then waits for it: ``others`` are its layer's jobs,
+        never another layer's build, which would keep a third layer's
+        inputs alive."""
         if self.claim():
             self.run()
         else:
+            for job in others:
+                if not self._pending.locked():
+                    break
+                if job.claim():
+                    job.run()
             with self._pending:  # free once the claimant has run it
                 pass
         if isinstance(self.outcome, BaseException):
@@ -322,19 +361,26 @@ def _on_side(layer: LayerConfig) -> bool:
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
 
-    Each layer's input build and each of its oracles, one per input view
-    in the order the engines first read the views, is a :class:`_Job`.
-    A layer of at least :data:`SIDE_MIN_MACS` multiply-accumulates queues
-    its jobs on one side thread, which runs them in order: by the time
-    the main thread starts layer k's engines, the next layer's build is
-    queued, and behind it layer k's oracles. A smaller layer's jobs are
-    never queued. Every job the side thread has not started when it is
-    due runs on the main thread. At most two layers' inputs are alive:
-    layer k's and the next layer's build.
+    Each layer's input build, each of its oracles, one per input view
+    in the order the engines first read the views, and its term counts
+    are jobs (:class:`_Job`). A layer of at least :data:`SIDE_MIN_MACS`
+    multiply-accumulates queues its jobs on one side thread, which runs
+    them in order, and makes the lowering of each view after its first a
+    job too (:func:`_layer_jobs`): by the time the main thread lowers
+    layer k's first view, the next layer's build is queued, and behind it
+    layer k's first oracle, then per later view its lowering and its
+    oracle, then its term counts. A smaller layer's jobs are never
+    queued, and its views are lowered when first read. Every job the
+    side thread has not started when it is due runs on the main thread;
+    one it has started is waited for, once the main thread has run the
+    layer's view jobs nobody has started, never another layer's build.
+    At most two layers' inputs are alive: layer k's and the next layer's
+    build.
 
-    Outputs are compared on the main thread, in config order, so a
-    failed build, a failed oracle and a mismatch raise as in a serial
-    loop, the first one first. The side thread is joined before this
+    Outputs are compared on the main thread, in config order, and the
+    term counts are asked for once the layer's engines have run, so a
+    failed build, lowering, oracle or count and a mismatch raise as in a
+    serial loop, the first one first. The side thread is joined before this
     returns or raises.
 
     Raises :class:`OracleMismatch` if any engine disagrees with the
@@ -354,12 +400,13 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
         for index, (layer, ahead) in enumerate(zip(cfg.layers, [*cfg.layers[1:], None])):
             next_build = ahead and make(ahead)(build_layer_inputs, cfg, ahead, index + 1)
             input, filters = build.result()
-            oracles = _oracle_jobs(cfg, layer, input, filters, make(layer))
+            jobs = _layer_jobs(cfg, layer, input, filters, side if _on_side(layer) else None)
+            counts = make(layer)(_layer_terms, cfg, layer, input)
             baseline = dadn_cycles(layer.spec)
-            for result in run_layer(cfg, layer, input, filters, oracles):
+            for result in run_layer(cfg, layer, input, filters, jobs):
                 rows.append((layer.spec.name, result, baseline))
-            terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
-            input = filters = oracles = None  # freed before layer k+2's build
+            input = filters = jobs = None  # freed before layer k+2's build
+            terms[layer.spec.name], bits[layer.spec.name] = counts.result()
             build = next_build
     finally:
         side.close()

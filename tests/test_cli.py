@@ -542,6 +542,44 @@ class TestNoTraceback:
         assert_clean_exit(r, 2)
         assert "i/o error:" in r.output and "dims" in r.output
 
+    def _thin_config(self, tmp_path, data, depth=3):
+        """A one-layer config of 4 x 4 x ``depth`` (zero-extended to 16
+        channels) that reads ``data`` from a trace file."""
+        trace_path = tmp_path / f"thin{depth}.prgt"
+        write_trace(trace_path, Tensor3(data))
+        layer = {"name": "thin", "nx": 4, "ny": 4, "i": depth, "n": 2, "fx": 1, "fy": 1,
+                 "precision": {"width": 7}}
+        cfg = base_config(layers=[layer], trace={"kind": "file", "path": str(trace_path)})
+        return write_config(tmp_path, cfg, f"thin{depth}.json")
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_trace_deeper_than_the_declared_depth_is_an_io_error(self, tmp_path, command):
+        # the layer declares 3 channels: a 10-channel trace does not fit,
+        # though it fits the 16 channels the depth is zero-extended to
+        path = self._thin_config(tmp_path, np.full((4, 4, 10), 7))
+        r = CliRunner().invoke(main, [command, str(path)])
+        assert_clean_exit(r, 2)
+        assert "i/o error:" in r.output and "(4, 4, 10)" in r.output
+        assert "do not fit layer 'thin' (4,4,3)" in r.output
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("channels", [2, 3])
+    def test_trace_up_to_the_declared_depth_is_zero_extended(self, tmp_path, command,
+                                                              channels):
+        # as many channels as declared, or fewer, run as the same values
+        # padded with zero channels to 16 on a layer that declares 16
+        data = np.random.default_rng(3).integers(0, 100, size=(4, 4, channels))
+        padded = np.zeros((4, 4, 16), dtype=np.int64)
+        padded[:, :, :channels] = data
+        csv = []
+        for depth, values in ((3, data), (16, padded)):
+            out = tmp_path / f"out{depth}.csv"
+            path = self._thin_config(tmp_path, values, depth)
+            r = CliRunner().invoke(main, [command, str(path), "--out", str(out)])
+            assert_clean_exit(r, 0)
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
+
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
     @pytest.mark.parametrize("value, code", [(1023, 2), (-129, 2), (255, 0), (-128, 0)])
     def test_width8_run_rejects_values_outside_its_container(self, tmp_path, command,

@@ -1,8 +1,10 @@
-"""``simulate`` makes each layer's input build and oracles ``_Job``s,
-which a large layer queues on one side thread and a small one runs when
-due: the report equals a serial loop's, each job runs once, at most two
-layers' inputs are alive, a failure ends in the serial loop's exception
-and exit code, and no thread outlives the call."""
+"""``simulate`` makes each layer's input build, oracles and term counts
+``_Job``s, and a large layer's lowering of each view after its first:
+a large layer queues them on one side thread and a small one runs them
+when due. The report equals a serial loop's, each job runs once, each view
+is lowered once, at most two layers' inputs are alive, a failure ends in
+the serial loop's exception and exit code, and no thread outlives the
+call."""
 
 import csv
 import dataclasses
@@ -11,7 +13,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +23,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import bitsim.reference as reference
 import bitsim.runner as runner
 from bitsim.analysis import report
 from bitsim.cli import main
 from bitsim.config import load_config, parse_config
 from bitsim.geometry import Tensor3
-from bitsim.reference import CycleReport, dadn_cycles
+from bitsim.reference import CycleReport, dadn_cycles, variant_key
 from bitsim.traces import generate_trace, write_trace
 from test_cli import assert_clean_exit, base_config, write_config
 
@@ -133,19 +138,46 @@ def sized_layers(pattern):
     return parse_config(json.dumps(cfg))
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=6))
-@example([True, False, True, True])
-@example([False, True, True, False, True])
+def queue_order(cfg, pattern):
+    """``(job function, layer name)`` of each job ``simulate`` queues on
+    the side thread, in order, where ``pattern`` says which layers reach
+    ``SIDE_MIN_MACS``: at each layer, the next layer's build, then per
+    view the engines read, the view's lowering (past the first view) and
+    its oracle, then the layer's term counts. Layer 0's build is due at
+    once and is never queued."""
+    views = dict.fromkeys(map(runner._reads_trimmed, cfg.engines))
+    names = [layer.spec.name for layer in cfg.layers]
+    order = []
+    for k, name in enumerate(names):
+        if k + 1 < len(names) and pattern[k + 1]:
+            order.append(("build_layer_inputs", names[k + 1]))
+        if pattern[k]:
+            for j, _ in enumerate(views):
+                order += [("_lower", name)] * (j > 0) + [("_oracle", name)]
+            order.append(("_layer_terms", name))
+    return order
+
+
+def patterns(test):
+    """``test`` over lists of layer sizes, True for a big layer."""
+    test = example([True, False, True, True])(example([False, True, True, False, True])(test))
+    return settings(max_examples=15, deadline=None)(
+        given(st.lists(st.booleans(), min_size=1, max_size=6))(test))
+
+
+@patterns
 def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
-    # Every layer's build and oracles are jobs, each run once. A big
-    # layer queues them on the side thread, one build ahead; layer 0's
-    # build is due at once and is never queued. A small layer's jobs are
-    # never queued, so they run on the main thread when due.
+    # Every layer's build, oracles and term counts are jobs, each run
+    # once; so is a big layer's lowering of each view after its first.
+    # A big layer queues its jobs on the side thread, one build ahead;
+    # layer 0's build is due at once and is never queued. A small
+    # layer's jobs are never queued, so they run on the main thread
+    # when due.
     cfg = sized_layers(pattern)
     views = list(dict.fromkeys(map(runner._reads_trimmed, cfg.engines)))
     runs, submitted = [], []
-    real_build, real_oracle = runner.build_layer_inputs, runner._oracle
+    real_build, real_oracle, real_lower = runner.build_layer_inputs, runner._oracle, runner._lower
+    real_terms = runner._layer_terms
     real_submit = runner._SideThread.submit
 
     def build_layer_inputs(cfg, layer, index):
@@ -157,6 +189,14 @@ def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
         runs.append(("_oracle", layer.spec.name, trimmed, threading.current_thread().name))
         return real_oracle(cfg, layer, input, filters, trimmed)
 
+    def _lower(cfg, layer, lowered, trimmed):
+        runs.append(("_lower", layer.spec.name, trimmed, threading.current_thread().name))
+        return real_lower(cfg, layer, lowered, trimmed)
+
+    def _layer_terms(cfg, layer, input):
+        runs.append(("_layer_terms", layer.spec.name, None, threading.current_thread().name))
+        return real_terms(cfg, layer, input)
+
     def submit(self, fn, cfg, layer, *args):
         submitted.append((fn.__name__, layer.spec.name))
         return real_submit(self, fn, cfg, layer, *args)
@@ -165,23 +205,59 @@ def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
         patch.setattr(runner, "SIDE_MIN_MACS", 100_000)
         patch.setattr(runner, "build_layer_inputs", build_layer_inputs)
         patch.setattr(runner, "_oracle", _oracle)
+        patch.setattr(runner, "_lower", _lower)
+        patch.setattr(runner, "_layer_terms", _layer_terms)
         patch.setattr(runner._SideThread, "submit", submit)
         assert [runner._on_side(layer) for layer in cfg.layers] == pattern
         before = threading.active_count()
         doc = runner.simulate(cfg)
         assert threading.active_count() == before
     names = [layer.spec.name for layer in cfg.layers]
-    jobs = [("build_layer_inputs", name, None) for name in names] + [
-        ("_oracle", name, trimmed) for name in names for trimmed in views]
-    assert sorted(run[:3] for run in runs) == sorted(jobs)
     big = {name for name, on_side in zip(names, pattern) if on_side}
-
-    def queued(fn, name):
-        return name in big and (fn, name) != ("build_layer_inputs", "conv0")
-
-    assert sorted(submitted) == sorted((fn, name) for fn, name, _ in jobs if queued(fn, name))
+    jobs = [(fn, name, None) for fn in ("build_layer_inputs", "_layer_terms")
+            for name in names] + [
+        ("_oracle", name, trimmed) for name in names for trimmed in views] + [
+        ("_lower", name, trimmed) for name in names if name in big for trimmed in views[1:]]
+    assert sorted(run[:3] for run in runs) == sorted(jobs)
+    assert submitted == queue_order(cfg, pattern)
     for fn, name, _, thread in runs:
-        assert thread in (["MainThread", "bitsim-side"] if queued(fn, name) else ["MainThread"])
+        queued = (fn, name) in submitted
+        assert thread in (["MainThread", "bitsim-side"] if queued else ["MainThread"])
+    assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
+
+
+@patterns
+def test_each_view_is_lowered_once_whichever_thread_lowers_it(pattern):
+    # The engines lower a layer's first view on the main thread; a big
+    # layer's later views are lowered by their jobs, on either thread,
+    # and a small layer's by the first engine that reads them. The two
+    # threads switch often, so that they interleave in the layer's
+    # lowering, which both write.
+    cfg = sized_layers(pattern)
+    views = len(dict.fromkeys(map(runner._reads_trimmed, cfg.engines)))
+    lowered = []  # (layer name, thread name) of each view lowering built
+    real_view = reference.ViewLowering
+
+    class ViewLowering(real_view):
+        def __init__(self, values, filters, spec, *args):
+            lowered.append((spec.name, threading.current_thread().name))
+            super().__init__(values, filters, spec, *args)
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "SIDE_MIN_MACS", 100_000)
+        patch.setattr(reference, "ViewLowering", ViewLowering)
+        sys.setswitchinterval(1e-5)
+        try:
+            doc = runner.simulate(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+    names = [layer.spec.name for layer in cfg.layers]
+    assert Counter(name for name, _ in lowered) == Counter({name: views for name in names})
+    for big, name in zip(pattern, names):
+        threads = [thread for layer, thread in lowered if layer == name]
+        assert threads[0] == "MainThread"
+        assert set(threads) <= ({"MainThread", "bitsim-side"} if big else {"MainThread"})
     assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
 
 
@@ -354,13 +430,15 @@ def test_layers_too_small_for_a_worker_are_built_when_due(monkeypatch, thread_st
         dict(big, name="big0"), dict(big, name="big1"), dict(small, name="small2"),
         dict(big, name="big3")])))
     doc = runner.simulate(cfg)
-    # at each layer the next one's build goes in, ahead of its oracles:
-    # small2's is left to the main thread, and big3's is queued at small2
+    # at each layer the next one's build goes in, ahead of its oracles,
+    # its trimmed view's lowering and its term counts: small2's is left
+    # to the main thread, and big3's is queued at small2
     assert submitted == [
-        ("build_layer_inputs", "big1"), ("_oracle", "big0"), ("_oracle", "big0"),
-        ("_oracle", "big1"), ("_oracle", "big1"),
+        ("build_layer_inputs", "big1"),
+        ("_oracle", "big0"), ("_lower", "big0"), ("_oracle", "big0"), ("_layer_terms", "big0"),
+        ("_oracle", "big1"), ("_lower", "big1"), ("_oracle", "big1"), ("_layer_terms", "big1"),
         ("build_layer_inputs", "big3"),
-        ("_oracle", "big3"), ("_oracle", "big3"),
+        ("_oracle", "big3"), ("_lower", "big3"), ("_oracle", "big3"), ("_layer_terms", "big3"),
     ]
     assert [t.name for t in thread_starts] == ["bitsim-side"]
     assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
@@ -662,6 +740,153 @@ def test_an_oracle_out_of_memory_is_a_resource_error_when_its_layer_is_due(
     assert not out.exists()
 
 
+def test_a_lowering_out_of_memory_on_the_side_thread_is_a_resource_error(
+        tmp_path, monkeypatch, layers_run):
+    # conv1's trimmed view, the only view lowered on the side thread,
+    # fails there while the main thread lowers the raw view; the error
+    # surfaces once dadn, the raw view's engine, has run, and before
+    # stripes, the first engine on the trimmed view, as in a serial loop
+    failed = threading.Event()
+    lowerings, engines_run = [], []
+    real_view, real_run = reference.ViewLowering, runner._run
+
+    class ViewLowering(real_view):
+        def __init__(self, values, filters, spec, *args):
+            thread = threading.current_thread().name
+            lowerings.append((spec.name, thread))
+            if spec.name == "conv1":
+                if thread == "bitsim-side":
+                    failed.set()
+                    raise MemoryError("patched into conv1's trimmed lowering")
+                assert failed.wait(JOIN_TIMEOUT_S)
+            super().__init__(values, filters, spec, *args)
+
+    def _run(sel, layer, lowered):
+        engines_run.append((layer.spec.name, sel.label()))
+        return real_run(sel, layer, lowered)
+
+    monkeypatch.setattr(reference, "ViewLowering", ViewLowering)
+    monkeypatch.setattr(runner, "_run", _run)
+    r, out = simulate_cli(tmp_path, layers_config(3))
+    assert_clean_exit(r, 2)
+    assert "resource error: out of memory (patched into conv1's trimmed lowering)" in r.output
+    assert layers_run == ["conv0", "conv1"]
+    assert [run for run in engines_run if run[0] == "conv1"] == [("conv1", "dadn")]
+    assert sorted(thread for name, thread in lowerings if name == "conv1") == [
+        "MainThread", "bitsim-side"]
+    assert not out.exists()
+
+
+def test_term_counts_out_of_memory_on_the_side_thread_is_a_resource_error(
+        tmp_path, monkeypatch, layers_run):
+    # conv1's term counts fail on the side thread while its engines run;
+    # the error surfaces once all of them have run, and before conv2's,
+    # as in a serial loop
+    counted, engines_run = [], []
+    real_count, real_run = runner.count_terms, runner._run
+
+    def count_terms(input, spec, *args):
+        counted.append((spec.name, threading.current_thread().name))
+        if spec.name == "conv1":
+            raise MemoryError("patched into conv1's term counts")
+        return real_count(input, spec, *args)
+
+    def _run(sel, layer, lowered):
+        if layer.spec.name == "conv1" and sel == layer_engines[-1]:
+            deadline = time.monotonic() + JOIN_TIMEOUT_S
+            while ("conv1", "bitsim-side") not in counted and time.monotonic() < deadline:
+                time.sleep(0.001)  # the side thread has reached the counts
+        engines_run.append((layer.spec.name, sel.label()))
+        return real_run(sel, layer, lowered)
+
+    cfg = layers_config(3)
+    layer_engines = parse_config(json.dumps(cfg)).engines
+    monkeypatch.setattr(runner, "count_terms", count_terms)
+    monkeypatch.setattr(runner, "_run", _run)
+    r, out = simulate_cli(tmp_path, cfg)
+    assert_clean_exit(r, 2)
+    assert "resource error: out of memory (patched into conv1's term counts)" in r.output
+    assert layers_run == ["conv0", "conv1"]
+    assert [label for name, label in engines_run if name == "conv1"] == [
+        sel.label() for sel in layer_engines]
+    assert ("conv1", "bitsim-side") in counted
+    assert not out.exists()
+
+
+def test_a_caller_waiting_on_the_side_thread_runs_its_layers_unstarted_jobs(monkeypatch):
+    # The side thread holds the raw view's oracle until the caller has
+    # run the two jobs queued behind it, the trimmed view's lowering and
+    # oracle, which it does while it waits for that oracle after dadn.
+    cfg = parse_config(json.dumps(layers_config(1)))
+    serial = serial_simulate(cfg).csv_lines()
+    busy, helped = threading.Event(), threading.Event()
+    runs = []
+    real_oracle, real_lower, real_run = runner._oracle, runner._lower, runner._run
+
+    def _oracle(cfg, layer, input, filters, trimmed):
+        thread = threading.current_thread().name
+        runs.append(("_oracle", trimmed, thread))
+        if thread == "bitsim-side":
+            busy.set()
+            assert helped.wait(JOIN_TIMEOUT_S)
+        out = real_oracle(cfg, layer, input, filters, trimmed)
+        if thread == "MainThread":
+            helped.set()
+        return out
+
+    def _lower(cfg, layer, lowered, trimmed):
+        runs.append(("_lower", trimmed, threading.current_thread().name))
+        return real_lower(cfg, layer, lowered, trimmed)
+
+    def _run(sel, layer, lowered):
+        assert busy.wait(JOIN_TIMEOUT_S)  # the side thread runs the raw oracle
+        return real_run(sel, layer, lowered)
+
+    monkeypatch.setattr(runner, "_oracle", _oracle)
+    monkeypatch.setattr(runner, "_lower", _lower)
+    monkeypatch.setattr(runner, "_run", _run)
+    assert runner.simulate(cfg).csv_lines() == serial
+    assert runs == [("_oracle", False, "bitsim-side"), ("_lower", True, "MainThread"),
+                    ("_oracle", True, "MainThread")]
+
+
+def test_a_waiting_caller_never_runs_another_layers_build(monkeypatch):
+    # Layer 1's build holds the side thread until the caller has waited
+    # for it a while, with layer 2's build unclaimed behind it. The
+    # caller runs a build only once it is due: layer k's, once layer
+    # k - 1 has run.
+    events = []  # ("build", index, thread) and ("ran", index), in order
+    claimed, layer_0_ran = threading.Event(), threading.Event()
+    real_build, real_run_layer = runner.build_layer_inputs, runner.run_layer
+
+    def build_layer_inputs(cfg, layer, index):
+        thread = threading.current_thread().name
+        events.append(("build", index, thread))
+        if index == 1 and thread == "bitsim-side":
+            claimed.set()
+            assert layer_0_ran.wait(JOIN_TIMEOUT_S)
+            time.sleep(0.2)  # the caller waits for this build meanwhile
+        return real_build(cfg, layer, index)
+
+    def run_layer(cfg, layer, *args):
+        index = int(layer.spec.name.removeprefix("conv"))
+        assert claimed.wait(JOIN_TIMEOUT_S)
+        results = real_run_layer(cfg, layer, *args)
+        events.append(("ran", index))
+        layer_0_ran.set()
+        return results
+
+    monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
+    monkeypatch.setattr(runner, "run_layer", run_layer)
+    cfg = parse_config(json.dumps(layers_config(4)))
+    doc = runner.simulate(cfg)
+    assert ("build", 1, "bitsim-side") in events
+    for at, event in enumerate(events):
+        if event[0] == "build" and event[2] == "MainThread" and event[1] > 0:
+            assert ("ran", event[1] - 1) in events[:at], events
+    assert doc.csv_lines() == serial_simulate(cfg).csv_lines()
+
+
 @pytest.mark.parametrize("outcome", ["returns", "raises"])
 def test_no_thread_is_alive_after_simulate(monkeypatch, thread_starts, outcome):
     if outcome == "raises":
@@ -815,6 +1040,21 @@ def test_each_csv_column_holds_what_it_names():
         assert norms == pytest.approx({tag: norm[tag] for tag in norms}, rel=1e-5)
         assert sorted(norms) == ["pra_fp16", "pra_red", "str"]
         assert len(row) == len(tagged) + 6
+
+
+def test_a_variant_has_one_name_in_messages_and_report_rows():
+    # mismatch messages name a variant by EngineSelector.label, the
+    # report's aggregate lines by LayerRow.key; both are variant_key,
+    # and they agree where the selector names a variant, pragmatic's
+    cfg = load_config(ROOT / "configs" / "example.json")
+    doc = runner.simulate(cfg)
+    assert len(doc.rows) == len(cfg.engines) * len(cfg.layers)
+    assert any(sel.engine == "pragmatic" for sel in cfg.engines)
+    for row, sel in zip(doc.rows, cfg.engines * len(cfg.layers)):
+        assert row.key == variant_key(row.engine, row.variant)
+        assert sel.label() == (row.key if sel.engine == "pragmatic" else sel.engine)
+        if sel.engine == "pragmatic":
+            assert sel.label() == f"pragmatic:{sel.prag.variant_name()}"
 
 
 @pytest.mark.parametrize("width", [16, 8])
