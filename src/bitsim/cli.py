@@ -15,6 +15,7 @@ import sys
 import click
 
 from .config import ConfigError, load_config
+from .geometry import Tensor3
 from .reference import ScalarModelMismatch
 from .runner import OracleMismatch, analyze, analyze_csv_lines, build_layer_input, simulate
 from .traces import DTYPE_I16, DTYPE_U8, TraceIOError, write_trace
@@ -117,7 +118,8 @@ def gen_trace_cmd(config, out, layer, seed):
     cfg = _load(config, seed)
     if not 0 <= layer < len(cfg.layers):
         raise ConfigError(f"layer index {layer} out of range")
-    tensor = build_layer_input(cfg, cfg.layers[layer], layer)
+    declared = cfg.layers[layer]  # written to its declared depth; loading zero-extends it
+    tensor = Tensor3(build_layer_input(cfg, declared, layer).data[:, :, : declared.depth])
     dtype = DTYPE_U8 if cfg.width == 8 else DTYPE_I16
     write_trace(out, tensor, dtype)
     click.echo(f"wrote {out}: dims {tensor.dims}, width {cfg.width}")

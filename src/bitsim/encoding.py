@@ -76,8 +76,10 @@ def encode(v: int) -> OneffsetStream:
 
 def essential_counts(values: np.ndarray, width: int = 16) -> np.ndarray:
     """Each value's essential-bit count: the set bits among the low
-    ``width`` bits of its magnitude, over an integer array."""
-    mags = np.abs(np.asarray(values), dtype=np.int64)  # no int64 copy of int32 input
+    ``width`` bits of its magnitude (taken in at least int32), over an
+    integer array."""
+    a = np.asarray(values)
+    mags = np.abs(a, dtype=a.dtype if a.dtype.itemsize >= 4 else np.int32)
     mags &= (1 << width) - 1
     return np.bitwise_count(mags)
 
@@ -97,16 +99,14 @@ class BitStats:
 
 def stats(trace, width: int = 16) -> BitStats:
     """Essential-bit statistics over all values and over nonzero ones."""
-    values = np.asarray(trace, dtype=np.int64).ravel()
+    values = np.asarray(trace)
     if values.size == 0:
         raise EmptyTrace("cannot compute bit statistics of an empty trace")
-    counts = essential_counts(values, width)
-    nonzero = values != 0
-    nz_total = int(nonzero.sum())
-    frac_all = float(counts.sum()) / (values.size * width)
-    frac_nz = (
-        float(counts[nonzero].sum()) / (nz_total * width) if nz_total else None
-    )
+    # a zero value has no essential bits, so both fractions share one sum
+    total = float(essential_counts(values, width).sum())
+    nz_total = np.count_nonzero(values)
+    frac_all = total / (values.size * width)
+    frac_nz = total / (nz_total * width) if nz_total else None
     return BitStats(
         mean_essential_frac_all=frac_all,
         mean_essential_frac_nonzero=frac_nz,

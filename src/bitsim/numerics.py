@@ -84,14 +84,14 @@ def trim_tensor(values: np.ndarray, p: Precision) -> np.ndarray:
     """Zero the magnitude bits outside ``[p.lsb, p.msb]`` of each value of
     an integer array, carrying the sign through (sign-magnitude view).
 
-    Returns int32: the magnitude is masked to ``p`` before the cast, so
-    it lies below 2^16 and no cast wraps it.
+    Returns int32: the magnitude, taken in at least int32, is masked to
+    ``p`` before the cast, so it lies below 2^16 and no cast wraps it.
     """
     a = np.asarray(values)
-    mag = np.abs(a, dtype=np.int64)
+    mag = np.abs(a, dtype=a.dtype if a.dtype.itemsize >= 4 else np.int32)
     mag &= p.mask
-    mag = mag.astype(np.int32)
-    return np.where(a < 0, -mag, mag)
+    mag = mag.astype(np.int32, copy=False)
+    return np.negative(mag, out=mag, where=a < 0)
 
 
 def quantize8(x, q: QuantParams):

@@ -28,7 +28,7 @@ import numpy as np
 from . import geometry as geo
 from .encoding import encode
 # dispatcher_fetch_cycles (NM_C) is also public under this module's name
-from .geometry import BRICK, PALLET, LayerSpec, dispatcher_fetch_cycles, output_dims
+from .geometry import BRICK, PALLET, LayerSpec, Tensor3, dispatcher_fetch_cycles, output_dims
 from .numerics import Precision
 from .reference import (
     CycleReport,
@@ -37,6 +37,7 @@ from .reference import (
     ScalarModelMismatch,
     ViewLowering,
     dadn_terms,
+    im2col,
     read_only,
     sb_read_count,
 )
@@ -222,27 +223,22 @@ def column_costs(masks: np.ndarray, l_bits: int) -> np.ndarray:
 
 
 def _layer_costs(values: np.ndarray, spec: LayerSpec, l_bits: int) -> np.ndarray:
-    """Column costs arranged (pallet, brick-step, window) from the input.
+    """Column costs in uint8, arranged (pallet, brick-step, window), from the input.
 
     A brick's cost depends on its 16 neurons alone, so every brick of the
-    input is scheduled once and its cost gathered into each window that
-    reads it. Bricks of the zero border, and idle lanes past the row
-    edge, cost one cycle, as an all-zero mask does.
+    input is scheduled once and :func:`im2col` gathers its cost into each
+    window that reads it. Reads of the zero border, and idle lanes past
+    the row edge, cost one cycle, as an all-zero mask does.
     """
     ox, oy, _ = output_dims(spec)
     nb = -(-ox // PALLET)
-    s, pad = spec.s, spec.pad
+    steps = geo.num_brick_steps(spec)
     mags = np.abs(values).astype(np.uint16).reshape(spec.ny, spec.nx, spec.i // BRICK, BRICK)
-    per_brick = column_costs(mags, l_bits)
-    # One more column of ones past the border stands in for idle lanes.
-    per_brick = np.pad(per_brick, ((pad, pad), (pad, pad + 1), (0, 0)), constant_values=1)
-    rows = (np.arange(oy) * s)[:, None] + np.arange(spec.fy)  # (wy, by)
-    wx = np.arange(nb * PALLET).reshape(nb, 1, PALLET)
-    cols = np.where(wx < ox, wx * s + np.arange(spec.fx)[:, None], -1)  # (nb, bx, window)
-    depth = np.arange(spec.i // BRICK)[:, None]
-    # (wy, nb, by, bx, d, window) -> (pallet, step, window)
-    costs = per_brick[rows[:, None, :, None, None, None], cols[None, :, None, :, None, :], depth]
-    return costs.reshape(oy * nb, geo.num_brick_steps(spec), PALLET).astype(np.int64)
+    per_brick = Tensor3(column_costs(mags, l_bits))
+    costs = np.ones((oy, nb * PALLET, steps), dtype=np.uint8)  # ones past ox: idle lanes
+    costs[:, :ox] = np.maximum(im2col(per_brick, spec), 1).reshape(oy, ox, steps)
+    # (wy, nb, window, step) -> (pallet, step, window)
+    return np.ascontiguousarray(costs.reshape(oy * nb, PALLET, steps).transpose(0, 2, 1))
 
 
 def _sampled_streams(view: ViewLowering):
@@ -488,7 +484,7 @@ def pragmatic_layer(
     nm_c = lowered.nm_cycles
     n_steps = costs.shape[0] * costs.shape[1]
     if cfg.sync == "pallet":
-        phase_cycles = costs.max(axis=2)  # slowest column per phase
+        phase_cycles = costs.max(axis=2).astype(np.int64)  # slowest column per phase
         slots = np.maximum(phase_cycles, nm_c)
         cycles = int(slots.sum())
         stall = int((slots - phase_cycles).sum())

@@ -234,10 +234,11 @@ def _clipped(offset: int, s: int, count: int, n: int) -> tuple[slice, slice]:
 
 
 def im2col(input: Tensor3, spec: LayerSpec, top: int = 0, rows: int | None = None) -> np.ndarray:
-    """Window matrix ``(rows*ox, fy*fx*i)`` of the output rows ``top`` to
+    """Window matrix ``(rows*ox, fy*fx*c)`` of the output rows ``top`` to
     ``top + rows`` (by default every row from ``top`` on), with virtual
     zero padding, in the int32 of :class:`Tensor3`. Its rows are those of
-    the whole matrix from window ``top * ox`` on.
+    the whole matrix from window ``top * ox`` on. Each tap gives the
+    ``c = input.i`` channels: neurons, or a per-brick map such as costs.
 
     One copy per filter tap: the windows whose reads of that tap fall in
     the input take one strided 2-D slice of it; the rest stay zero. No
@@ -245,13 +246,13 @@ def im2col(input: Tensor3, spec: LayerSpec, top: int = 0, rows: int | None = Non
     """
     ox, oy, _ = output_dims(spec)
     rows = oy - top if rows is None else rows
-    cols = np.zeros((rows, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
+    cols = np.zeros((rows, ox, spec.fy, spec.fx, input.i), dtype=np.int32)
     for by in range(spec.fy):
         out_y, in_y = _clipped(top * spec.s + by - spec.pad, spec.s, rows, spec.ny)
         for bx in range(spec.fx):
             out_x, in_x = _clipped(bx - spec.pad, spec.s, ox, spec.nx)
             cols[out_y, out_x, by, bx] = input.data[in_y, in_x]
-    return cols.reshape(rows * ox, spec.fy * spec.fx * spec.i)
+    return cols.reshape(rows * ox, spec.fy * spec.fx * input.i)
 
 
 # Every integer of magnitude below 2^24 is exact in float32, and below

@@ -67,7 +67,7 @@ def build_layer_input(cfg: ExperimentConfig, layer: LayerConfig, index: int) -> 
                 f"({spec.nx},{spec.ny},{depth})"
             )
         if tensor.i < spec.i:
-            padded = np.zeros((spec.ny, spec.nx, spec.i), dtype=np.int64)
+            padded = np.zeros((spec.ny, spec.nx, spec.i), dtype=np.int32)
             padded[:, :, : tensor.i] = tensor.data
             tensor = Tensor3(padded)
         lo, hi = container_bounds(cfg.width)

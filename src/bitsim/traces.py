@@ -237,5 +237,5 @@ def read_trace(path) -> tuple[Tensor3, int]:
         raise TraceIOError(
             f"{path}: payload is {len(payload)} bytes, dims imply {expected}"
         )
-    values = np.frombuffer(payload, dtype=np_dtype).astype(np.int64)
+    values = np.frombuffer(payload, dtype=np_dtype).astype(np.int32)
     return Tensor3(values.reshape(y, x, i)), dtype

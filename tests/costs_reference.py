@@ -42,11 +42,12 @@ def loop_column_costs(masks: np.ndarray, l_bits: int) -> np.ndarray:
 
 
 def row_loop_im2col(input: Tensor3, spec: LayerSpec) -> np.ndarray:
-    """Window matrix ``(oy*ox, fy*fx*i)`` in int32, one copy per tap and
-    output row; reads outside the input stay zero."""
+    """Window matrix ``(oy*ox, fy*fx*c)`` of the ``c = input.i`` channels
+    in int32, one copy per tap and output row; reads outside the input
+    stay zero."""
     ox, oy, _ = output_dims(spec)
     data = input.data
-    cols = np.zeros((oy, ox, spec.fy, spec.fx, spec.i), dtype=np.int32)
+    cols = np.zeros((oy, ox, spec.fy, spec.fx, input.i), dtype=np.int32)
     for by in range(spec.fy):
         for bx in range(spec.fx):
             for l in range(oy):
@@ -56,7 +57,7 @@ def row_loop_im2col(input: Tensor3, spec: LayerSpec) -> np.ndarray:
                 xs = np.arange(ox) * spec.s + bx - spec.pad
                 ok = (xs >= 0) & (xs < spec.nx)
                 cols[l, ok, by, bx, :] = data[y, xs[ok], :]
-    return cols.reshape(oy * ox, spec.fy * spec.fx * spec.i)
+    return cols.reshape(oy * ox, spec.fy * spec.fx * input.i)
 
 
 def layer_masks(x: np.ndarray, spec: LayerSpec) -> np.ndarray:

@@ -475,16 +475,30 @@ class TestGenTraceCommand:
         tensor, _ = read_trace(out)
         assert tensor.dims == (8, 8, 16)
 
-    def test_trace_file_feeds_simulation(self, tmp_path):
-        cfg = base_config()
+    @pytest.mark.parametrize("width", [16, 8])
+    @pytest.mark.parametrize("depth", [3, 16, 20])
+    def test_trace_file_feeds_simulation(self, tmp_path, depth, width):
+        # the trace holds the declared channels, and a config that reads it
+        # runs as the synthetic config that wrote it
+        cfg = base_config(width=width)
+        cfg["layers"][0]["i"] = depth
+        if width == 8:
+            cfg["layers"][0]["quant"] = {"vmin": 0.0, "vmax": 500.0}
         path = write_config(tmp_path, cfg)
         trace_path = tmp_path / "conv1.prgt"
-        CliRunner().invoke(main, ["gen-trace", str(path), "-o", str(trace_path)])
-        cfg_file = base_config(trace={"kind": "file", "path": str(trace_path)})
-        path2 = write_config(tmp_path, cfg_file, "cfg2.json")
-        out = tmp_path / "f.csv"
-        r = CliRunner().invoke(main, ["simulate", str(path2), "--out", str(out)])
+        r = CliRunner().invoke(main, ["gen-trace", str(path), "-o", str(trace_path)])
         assert r.exit_code == 0, r.output
+        assert read_trace(trace_path)[0].dims == (8, 8, depth)
+        path2 = write_config(tmp_path, dict(cfg, trace={"kind": "file", "path": str(trace_path)}),
+                             "cfg2.json")
+        for command in ("simulate", "analyze"):
+            csv = []
+            for config in (path, path2):
+                out = tmp_path / f"{config.stem}-{command}.csv"
+                r = CliRunner().invoke(main, [command, str(config), "--out", str(out)])
+                assert r.exit_code == 0, r.output
+                csv.append(out.read_bytes())
+            assert csv[0] == csv[1], command
 
     def test_layer_index_out_of_range(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bitsim.encoding import EmptyTrace, OneffsetStream, encode, essential_counts, stats
 from bitsim.numerics import Precision
@@ -97,3 +97,21 @@ class TestStats:
     def test_empty_raises(self):
         with pytest.raises(EmptyTrace):
             stats([], width=16)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([np.int16, np.int32, np.int64, np.uint16]),
+           st.sampled_from([8, 16]))
+    def test_equals_per_value_counts(self, data, dtype, width):
+        # every container end, and at width 8 values past 8 bits
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        value = st.one_of(st.sampled_from([lo, hi, -32768, 32767, 65535, 256, -256, 0]),
+                          st.integers(lo, hi))
+        values = data.draw(st.lists(value.filter(lambda v: lo <= v <= hi),
+                                    min_size=1, max_size=40))
+        s = stats(np.array(values, dtype=dtype), width)
+        total = sum(essential_count(v, width) for v in values)
+        nonzero = sum(v != 0 for v in values)
+        assert s.mean_essential_frac_all == total / (len(values) * width)
+        assert s.mean_essential_frac_nonzero == (
+            total / (nonzero * width) if nonzero else None)
+        assert s.zero_fraction == 1.0 - nonzero / len(values)

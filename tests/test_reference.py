@@ -345,22 +345,26 @@ def _input_size(o: int, f: int, s: int, pad: int) -> int:
 @given(
     st.integers(1, 9), st.integers(1, 9), st.sampled_from([16, 32]),
     st.integers(1, 7), st.integers(1, 7), st.integers(1, 9), st.integers(0, 8),
-    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 1, 3, 8]), st.integers(0, 2**32 - 1),
 )
 # a 7-wide filter on a 3-wide input with pad 2: tap 0 reads left of the input
-@example(ox=1, oy=1, i=16, fx=7, fy=7, s=1, pad=2, seed=0)
-def test_im2col_equals_the_row_loop(ox, oy, i, fx, fy, s, pad, seed):
+@example(ox=1, oy=1, i=16, fx=7, fy=7, s=1, pad=2, depth=None, seed=0)
+def test_im2col_equals_the_row_loop(ox, oy, i, fx, fy, s, pad, depth, seed):
     # strides past the filter (s > fx) skip input columns; pads at or past
     # the filter (pad >= fx) give windows that read only the zero border,
     # and a filter wider than the input and one pad gives taps that no
-    # window reads inside the input
+    # window reads inside the input. A map of ``depth`` channels in place
+    # of the layer's ``i`` (as the per-brick column costs are) gives
+    # ``depth`` columns per tap.
     nx, ny = _input_size(ox, fx, s, pad), _input_size(oy, fy, s, pad)
     spec = LayerSpec(nx=nx, ny=ny, i=i, n=1, fx=fx, fy=fy, s=s, pad=pad)
     rng = np.random.default_rng(seed)
-    t = Tensor3(rng.integers(-32768, 32768, size=(ny, nx, i)))
+    c = i if depth is None else depth
+    t = Tensor3(rng.integers(-32768, 32768, size=(ny, nx, c)))
     got = im2col(t, spec)
     want = row_loop_im2col(t, spec)
     assert got.dtype == want.dtype == np.int32
+    assert got.shape[1] == fy * fx * c
     assert np.array_equal(got, want)
 
 
