@@ -166,6 +166,8 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
             for k in ("nx", "ny", "i", "n", "fx", "fy")}
     dims.update({k: _strict(obj.get(k, default), int, f"'{k}' in {where}")
                  for k, default in (("s", 1), ("pad", 0))})
+    if dims["i"] < 1:  # checked before the depth is zero-extended to a brick
+        raise ConfigError(f"'i' in {where} must be positive, got {dims['i']}")
     name = obj.get("name", f"layer{index}")
     if not isinstance(name, str):
         raise ConfigError(f"'name' in {where} must be a string, got {name!r}")

@@ -330,16 +330,17 @@ def simulate_column_sync(
     nondecreasing in ``R``, so scanning from a lower bound and raising
     ``R`` to the terms again rises monotonically to the least solution,
     which is the schedule; the first step whose bound rose is exact, and
-    the scan resumes there. Steps go in windows of ``SCAN_WINDOW``.
+    the scan resumes there. Steps go in windows of ``SCAN_WINDOW``, each
+    widened to int64 on its own, so ``costs`` may stay narrow.
 
     Only ``ssr_count < 1`` or ``pallet_buffer < 1`` can stall a column
     forever, so those raise :class:`DeadlockDetected` up front. With
     ``record``, ``start_cycles`` holds ``S`` and ``grants`` names the
     column granted each read (:func:`_grants`).
     """
-    costs = np.asarray(costs).astype(np.int64, copy=False)
+    costs = np.asarray(costs)
     n_steps, n_cols = costs.shape
-    busy = [int(b) for b in costs.sum(axis=0)]
+    busy = [int(b) for b in costs.sum(axis=0, dtype=np.int64)]
     if not n_steps or not n_cols:
         return ColumnSchedule(
             total_cycles=0, sb_reads=0, column_busy=busy,
@@ -385,7 +386,8 @@ def _least_schedule(costs: np.ndarray, nm_cycles: int, lag: int, record: bool):
     finish = np.zeros(n_cols, dtype=np.int64)  # F of the last exact step
     read = -1                                  # R of the last exact step
     for w0 in range(0, n_steps, SCAN_WINDOW):
-        cost = costs[w0:w0 + SCAN_WINDOW]
+        # int64: an unsigned cumsum would make the differences below float
+        cost = costs[w0:w0 + SCAN_WINDOW].astype(np.int64)
         size = len(cost)
         done = np.cumsum(cost, axis=0)         # each column's cost to step end
         ahead = done - cost                    # ... and to step start

@@ -7,20 +7,13 @@ layer and shared by every variant that reads it. Each engine's output
 is checked against the brute-force oracle on its own input view; a
 mismatch is an engine bug and aborts the run.
 
-``simulate`` keeps one side thread beside the main thread, which runs
-the engines. The oracle shares no code with the engines and reads only
-the layer's inputs, and each layer's inputs come from generators of
-their own. So a layer's input build, its oracles and its term counts
-are jobs, and so is a large layer's lowering of each view after the
-first: a large layer queues them on the side thread, which draws the
-next layer's inputs and then works through layer k's oracles, later
-views and term counts while layer k's engines run, and a small layer's
-run on the main thread when due. A main thread that waits for a job the
-side thread runs first runs its layer's view jobs nobody has started.
-At most two layers' inputs are alive at once. Each view is lowered in
-bands of output rows (see :class:`~bitsim.reference.ViewLowering`), so
-two lowerings, or a lowering and an oracle, running side by side stay
-small in memory.
+``simulate`` runs the layers in turn beside one side thread, which
+draws the next layer's inputs and, for a large layer, works through its
+oracles, later views and term counts while its engines run on the main
+thread (see :func:`run_layer`). At most two layers' inputs are alive at
+once. Each view is lowered in bands of output rows (see
+:class:`~bitsim.reference.ViewLowering`), so two lowerings, or a
+lowering and an oracle, running side by side stay small in memory.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ import numpy as np
 from .analysis import ENGINE_TAGS, ReportDocument, TermCounts, count_terms, report
 from .config import EngineSelector, ExperimentConfig, LayerConfig
 from .encoding import BitStats, stats
-from .geometry import FilterSet, Tensor3, container_bounds, output_dims
+from .geometry import FilterSet, Tensor3, container_bounds, num_pairs
 from .numerics import trim_tensor
 from .pragmatic import pragmatic_layer
 from .reference import EngineResult, LayerLowering, conv_oracle, dadn_cycles, dadn_layer
@@ -152,41 +145,78 @@ def _lower(cfg: ExperimentConfig, layer: LayerConfig, lowered: LayerLowering,
         lowered.view(None)
 
 
-def _layer_jobs(cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3,
-                filters: FilterSet, side: _SideThread | None = None,
-                ) -> tuple[LayerLowering, dict[bool, tuple[_Job | None, _Job]]]:
-    """The layer's lowering and, per input view the engines read, in the
-    order they first read it, its lowering and its oracle as jobs, queued
-    in that order on ``side`` if given. The first view's lowering is no
-    job: the engines lower it when they first read it. Nor is any view's
-    without ``side``."""
-    lowered = LayerLowering(input, filters, layer.spec, cfg.width, cfg.out_shift)
-    make = _Job if side is None else side.submit
-    views: dict[bool, tuple[_Job | None, _Job]] = {}
-    for trimmed in dict.fromkeys(map(_reads_trimmed, cfg.engines)):
-        lower = make(_lower, cfg, layer, lowered, trimmed) if views and side else None
-        views[trimmed] = lower, make(_oracle, cfg, layer, input, filters, trimmed)
-    return lowered, views
+class _Job:
+    """One call, run once by whoever first takes the job's lock, which is
+    held while it runs: the side thread, if it is queued there, or the
+    caller of :meth:`result`. Once run, it drops the call and keeps the
+    outcome."""
+
+    def __init__(self, fn: Callable, *args):
+        self.fn, self.args = fn, args
+        self._lock = threading.Lock()
+        self.outcome = None
+
+    def run(self, blocking: bool = True) -> bool:
+        """Runs the call unless it has run; False, without running it,
+        if another thread holds the job and ``blocking`` is off."""
+        if not self._lock.acquire(blocking):
+            return False
+        if self.fn is not None:  # a dropped call has run
+            try:
+                self.outcome = self.fn(*self.args)
+            except BaseException as e:  # raised again by result, on the caller
+                self.outcome = e
+            self.fn = self.args = None
+        self._lock.release()
+        return True
+
+    def result(self, others: Iterable[_Job] = ()):
+        """The job's value, or what it raised, raised again. A job nobody
+        has started runs here. While another thread runs it, the caller
+        runs the jobs of ``others`` nobody has started, in order, until it
+        is done, and then waits for it: ``others`` are its layer's jobs,
+        never another layer's build, which would keep a third layer's
+        inputs alive."""
+        if not self.run(blocking=False):
+            for job in others:
+                if not self._lock.locked():
+                    break
+                job.run(blocking=False)
+            self.run()  # waits for the thread that runs it
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
 
 
 def run_layer(
     cfg: ExperimentConfig, layer: LayerConfig, input: Tensor3, filters: FilterSet,
-    jobs: tuple[LayerLowering, dict[bool, tuple[_Job | None, _Job]]] | None = None,
-) -> list[EngineResult]:
-    """Every engine variant of the run on one layer, in config order.
+    make: Callable[..., _Job] = _Job,
+) -> tuple[list[EngineResult], tuple[TermCounts, BitStats]]:
+    """Every engine variant of the run on one layer, in config order, and
+    the layer's term counts and essential-bit statistics.
 
     Each input view is lowered once and shared by the variants that read
-    it. ``jobs`` is the layer's lowering and its view jobs
-    (:func:`_layer_jobs`); by default none is queued. A view's lowering
-    job, if any, is asked for before the first engine that reads the
-    view, and each engine's output is compared with the outcome of its
-    view's oracle job once the engine has run. A job runs once: here
+    it. ``make`` makes the layer's jobs (:class:`_Job`), in this order:
+    per input view, in the order the engines first read them, the view's
+    lowering (past the first view, which the engines lower when they
+    first read it) and its oracle, then the term counts. The default
+    queues none; :meth:`_SideThread.submit` queues them on the side
+    thread. A view's lowering job is asked for before the first engine
+    that reads the view, each engine's output is compared with the
+    outcome of its view's oracle job once the engine has run, and the
+    counts are asked for once every engine has run. A job runs once: here
     when it is due and nobody has started it, else on the side thread;
-    while this waits for one there, it runs the layer's view jobs nobody
-    has started (:meth:`_Job.result`). Raises :class:`OracleMismatch` if
-    any engine disagrees with the brute-force convolution on its view.
+    while this waits for a view job there, it runs the layer's view jobs
+    nobody has started (:meth:`_Job.result`). Raises
+    :class:`OracleMismatch` if any engine disagrees with the brute-force
+    convolution on its view.
     """
-    lowered, views = jobs or _layer_jobs(cfg, layer, input, filters)
+    lowered = LayerLowering(input, filters, layer.spec, cfg.width, cfg.out_shift)
+    views: dict[bool, tuple[_Job | None, _Job]] = {}
+    for trimmed in dict.fromkeys(map(_reads_trimmed, cfg.engines)):
+        lower = make(_lower, cfg, layer, lowered, trimmed) if views else None
+        views[trimmed] = lower, make(_oracle, cfg, layer, input, filters, trimmed)
+    counts = make(_layer_terms, cfg, layer, input)
     queued = [job for pair in views.values() for job in pair if job]  # in queue order
     results = []
     for sel in cfg.engines:
@@ -200,7 +230,8 @@ def run_layer(
                 f"{layer.spec.name!r}"
             )
         results.append(result)
-    return results
+    lowered = views = queued = oracle = None  # freed before the counts run
+    return results, counts.result()
 
 
 def _layer_terms(cfg: ExperimentConfig, layer: LayerConfig,
@@ -221,53 +252,6 @@ def _other_cpus() -> tuple[set[int], set[int]] | None:
         return None
     others = allowed - {here}
     return (allowed, others) if others else None
-
-
-class _Job:
-    """One call, run once by whoever first takes its own lock (never
-    released): the side thread, if it is queued there, or the caller of
-    :meth:`result`. Once run, it drops the call and keeps the outcome."""
-
-    def __init__(self, fn: Callable, *args):
-        self.fn, self.args = fn, args
-        self._claim = threading.Lock()
-        self._pending = threading.Lock()  # held until the job has run
-        self._pending.acquire()  # cheaper than an Event by about 3.5 us a job
-        self.outcome = None
-
-    def claim(self) -> bool:
-        """Whether the caller is the first to claim the job, and so runs it."""
-        return self._claim.acquire(blocking=False)
-
-    def run(self) -> None:
-        try:
-            self.outcome = self.fn(*self.args)
-        except BaseException as e:  # raised again by result, on the caller
-            self.outcome = e
-        finally:
-            self.fn = self.args = None
-            self._pending.release()
-
-    def result(self, others: Iterable[_Job] = ()):
-        """The job's value, or what it raised, raised again. A job nobody
-        has claimed runs here. While another thread runs it, the caller
-        runs the jobs of ``others`` nobody has claimed, in order, until it
-        is done, and then waits for it: ``others`` are its layer's jobs,
-        never another layer's build, which would keep a third layer's
-        inputs alive."""
-        if self.claim():
-            self.run()
-        else:
-            for job in others:
-                if not self._pending.locked():
-                    break
-                if job.claim():
-                    job.run()
-            with self._pending:  # free once the claimant has run it
-                pass
-        if isinstance(self.outcome, BaseException):
-            raise self.outcome
-        return self.outcome
 
 
 class _SideThread:
@@ -333,8 +317,8 @@ class _SideThread:
             except OSError:
                 pass
         while (job := self._queue.get()) is not None:  # None: closed
-            if not self._closed and job.claim():
-                job.run()
+            if not self._closed:
+                job.run(blocking=False)
             del job  # not kept, with its outcome, while the queue is empty
 
     def close(self) -> None:
@@ -353,35 +337,22 @@ SIDE_MIN_MACS = 1 << 24
 
 
 def _on_side(layer: LayerConfig) -> bool:
-    spec = layer.spec
-    ox, oy, _ = output_dims(spec)
-    return oy * ox * spec.n * spec.fy * spec.fx * spec.i >= SIDE_MIN_MACS
+    return num_pairs(layer.spec) >= SIDE_MIN_MACS
 
 
 def simulate(cfg: ExperimentConfig) -> ReportDocument:
     """Run the full layer x engine grid, verifying every output.
 
-    Each layer's input build, each of its oracles, one per input view
-    in the order the engines first read the views, and its term counts
-    are jobs (:class:`_Job`). A layer of at least :data:`SIDE_MIN_MACS`
-    multiply-accumulates queues its jobs on one side thread, which runs
-    them in order, and makes the lowering of each view after its first a
-    job too (:func:`_layer_jobs`): by the time the main thread lowers
-    layer k's first view, the next layer's build is queued, and behind it
-    layer k's first oracle, then per later view its lowering and its
-    oracle, then its term counts. A smaller layer's jobs are never
-    queued, and its views are lowered when first read. Every job the
-    side thread has not started when it is due runs on the main thread;
-    one it has started is waited for, once the main thread has run the
-    layer's view jobs nobody has started, never another layer's build.
-    At most two layers' inputs are alive: layer k's and the next layer's
-    build.
-
-    Outputs are compared on the main thread, in config order, and the
-    term counts are asked for once the layer's engines have run, so a
-    failed build, lowering, oracle or count and a mismatch raise as in a
-    serial loop, the first one first. The side thread is joined before this
-    returns or raises.
+    Each layer runs in :func:`run_layer`, in config order, and each
+    layer's input build is a job (:class:`_Job`), made as the layer
+    before it starts, so that the next layer's inputs are drawn while
+    this one runs. A layer of at least :data:`SIDE_MIN_MACS`
+    multiply-accumulates queues its build and its own jobs on one side
+    thread, which runs them in order; a smaller layer's run on the main
+    thread when due. At most two layers' inputs are alive: layer k's and
+    the next layer's build. The side thread is joined, by
+    :meth:`_SideThread.close`, before this returns or raises, and every
+    failure raises as in a serial loop, the first one first.
 
     Raises :class:`OracleMismatch` if any engine disagrees with the
     brute-force convolution on its input view.
@@ -399,15 +370,11 @@ def simulate(cfg: ExperimentConfig) -> ReportDocument:
     try:
         for index, (layer, ahead) in enumerate(zip(cfg.layers, [*cfg.layers[1:], None])):
             next_build = ahead and make(ahead)(build_layer_inputs, cfg, ahead, index + 1)
-            input, filters = build.result()
-            jobs = _layer_jobs(cfg, layer, input, filters, side if _on_side(layer) else None)
-            counts = make(layer)(_layer_terms, cfg, layer, input)
-            baseline = dadn_cycles(layer.spec)
-            for result in run_layer(cfg, layer, input, filters, jobs):
-                rows.append((layer.spec.name, result, baseline))
-            input = filters = jobs = None  # freed before layer k+2's build
-            terms[layer.spec.name], bits[layer.spec.name] = counts.result()
-            build = next_build
+            name, baseline = layer.spec.name, dadn_cycles(layer.spec)
+            results, (terms[name], bits[name]) = run_layer(
+                cfg, layer, *build.result(), make(layer))
+            rows += [(name, result, baseline) for result in results]
+            build = next_build  # layer k's inputs freed before layer k+2's build
     finally:
         side.close()
     return report(rows, terms, bits, cfg.width)

@@ -665,6 +665,21 @@ class TestNoTraceback:
         assert_clean_exit(r, 1)
         assert "more than 2147483647" in r.output
 
+    @pytest.mark.parametrize("command", ["validate", "simulate", "analyze", "gen-trace"])
+    @pytest.mark.parametrize("depth", [0, -5])
+    def test_a_depth_below_one_is_a_config_error(self, tmp_path, command, depth):
+        # checked as declared: zero-extension to a brick would make it 16
+        cfg = base_config()
+        cfg["layers"][0]["i"] = depth
+        trace = tmp_path / "t.prgt"
+        args = [command, str(write_config(tmp_path, cfg))]
+        if command == "gen-trace":
+            args += ["-o", str(trace)]
+        r = CliRunner().invoke(main, args)
+        assert_clean_exit(r, 1)
+        assert f"'i' in layers[0] must be positive, got {depth}" in r.output
+        assert not trace.exists()
+
     @pytest.mark.parametrize("command", ["validate", "analyze", "gen-trace"])
     def test_out_of_memory_while_loading_is_a_resource_error(self, tmp_path, monkeypatch,
                                                              command):
@@ -721,5 +736,5 @@ def test_config_with_one_value_replaced_exits_cleanly(slot, value):
     with runner.isolated_filesystem():  # output.csv may name any file
         with open("cfg.json", "w") as fh:
             json.dump(doc, fh)
-        for command in ("simulate", "analyze"):
-            assert_clean_exit(runner.invoke(main, [command, "cfg.json"]))
+        for args in (["validate"], ["simulate"], ["analyze"], ["gen-trace", "-o", "t.prgt"]):
+            assert_clean_exit(runner.invoke(main, [*args, "cfg.json"]))

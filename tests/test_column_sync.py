@@ -1,5 +1,6 @@
 """The max-plus column-sync solver against the two arbiter references."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,24 @@ def test_matches_event_reference_on_a_whole_vgg_conv3_1_view(monkeypatch):
             simulate_column_sync(costs, nm_cycles, ssr_count, buffer, record=True),
             event_column_sync(costs, nm_cycles, ssr_count, buffer, record=True),
         )
+
+
+@pytest.mark.parametrize("ssr_count", [1, None])
+def test_narrow_costs_are_widened_a_window_at_a_time(ssr_count):
+    # a view keeps its column costs in uint8; the solver takes less
+    # memory than an int64 copy of them, and schedules them as that copy
+    costs = np.random.default_rng(4).integers(0, 40, size=(20000, 16)).astype(np.uint8)
+    wide = costs.astype(np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_column_sync(costs, 2, ssr_count, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < wide.nbytes
+    assert_same_schedule(simulate_column_sync(costs, 2, ssr_count, None, record=True),
+                         simulate_column_sync(wide, 2, ssr_count, None, record=True))
 
 
 @pytest.mark.parametrize("limit", [60, 10**18, 2**63, 10**30])

@@ -335,7 +335,7 @@ def test_shared_lowering_equals_a_lowering_per_variant(layer, engines):
         trace_kind="synthetic", trace_sigma=1.0, trace_relu=True, trace_paths=[],
         synapse_sigma=1.0, csv_path=None,
     )
-    shared = run_layer(cfg, lc, t, f)
+    shared, _ = run_layer(cfg, lc, t, f)
     assert len(shared) == len(engines)
     for sel, got in zip(engines, shared):
         alone = run_engine(sel, t, f, lc, width, out_shift)

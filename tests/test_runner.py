@@ -1,10 +1,10 @@
-"""``simulate`` makes each layer's input build, oracles and term counts
-``_Job``s, and a large layer's lowering of each view after its first:
-a large layer queues them on one side thread and a small one runs them
-when due. The report equals a serial loop's, each job runs once, each view
-is lowered once, at most two layers' inputs are alive, a failure ends in
-the serial loop's exception and exit code, and no thread outlives the
-call."""
+"""``simulate`` makes each layer's input build a ``_Job``, and
+``run_layer`` makes its oracles, its lowering of each view after its
+first and its term counts ones: a large layer queues them on one side
+thread and a small one runs them when due. The report equals a serial
+loop's, each job runs once, each view is lowered once, at most two
+layers' inputs are alive, a failure ends in the serial loop's exception
+and exit code, and no thread outlives the call."""
 
 import csv
 import dataclasses
@@ -78,11 +78,10 @@ def serial_simulate(cfg):
     counted in turn, on this thread."""
     rows, terms, bits = [], {}, {}
     for index, layer in enumerate(cfg.layers):
-        input, filters = runner.build_layer_inputs(cfg, layer, index)
-        baseline = dadn_cycles(layer.spec)
-        for result in runner.run_layer(cfg, layer, input, filters):
-            rows.append((layer.spec.name, result, baseline))
-        terms[layer.spec.name], bits[layer.spec.name] = runner._layer_terms(cfg, layer, input)
+        name, baseline = layer.spec.name, dadn_cycles(layer.spec)
+        results, (terms[name], bits[name]) = runner.run_layer(
+            cfg, layer, *runner.build_layer_inputs(cfg, layer, index))
+        rows += [(name, result, baseline) for result in results]
     return report(rows, terms, bits, cfg.width)
 
 
@@ -167,12 +166,11 @@ def patterns(test):
 
 @patterns
 def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
-    # Every layer's build, oracles and term counts are jobs, each run
-    # once; so is a big layer's lowering of each view after its first.
-    # A big layer queues its jobs on the side thread, one build ahead;
-    # layer 0's build is due at once and is never queued. A small
-    # layer's jobs are never queued, so they run on the main thread
-    # when due.
+    # Every layer's build, oracles, lowering of each view after its
+    # first and term counts are jobs, each run once. A big layer queues
+    # its jobs on the side thread, one build ahead; layer 0's build is
+    # due at once and is never queued. A small layer's jobs are never
+    # queued, so they run on the main thread when due.
     cfg = sized_layers(pattern)
     views = list(dict.fromkeys(map(runner._reads_trimmed, cfg.engines)))
     runs, submitted = [], []
@@ -213,11 +211,10 @@ def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
         doc = runner.simulate(cfg)
         assert threading.active_count() == before
     names = [layer.spec.name for layer in cfg.layers]
-    big = {name for name, on_side in zip(names, pattern) if on_side}
     jobs = [(fn, name, None) for fn in ("build_layer_inputs", "_layer_terms")
             for name in names] + [
         ("_oracle", name, trimmed) for name in names for trimmed in views] + [
-        ("_lower", name, trimmed) for name in names if name in big for trimmed in views[1:]]
+        ("_lower", name, trimmed) for name in names for trimmed in views[1:]]
     assert sorted(run[:3] for run in runs) == sorted(jobs)
     assert submitted == queue_order(cfg, pattern)
     for fn, name, _, thread in runs:
@@ -228,9 +225,9 @@ def test_mixed_layer_sizes_equal_a_serial_loop(pattern):
 
 @patterns
 def test_each_view_is_lowered_once_whichever_thread_lowers_it(pattern):
-    # The engines lower a layer's first view on the main thread; a big
-    # layer's later views are lowered by their jobs, on either thread,
-    # and a small layer's by the first engine that reads them. The two
+    # The engines lower a layer's first view on the main thread; its
+    # later views are lowered by their jobs, on either thread for a big
+    # layer and on the main thread for a small one. The two
     # threads switch often, so that they interleave in the layer's
     # lowering, which both write.
     cfg = sized_layers(pattern)
@@ -850,6 +847,53 @@ def test_a_caller_waiting_on_the_side_thread_runs_its_layers_unstarted_jobs(monk
                     ("_oracle", True, "MainThread")]
 
 
+def test_run_layer_without_a_side_thread_runs_its_jobs_in_turn_with_the_engines(
+        monkeypatch):
+    # With its default, unqueued jobs, run_layer runs each on the calling
+    # thread when due: a view's lowering before the first engine that
+    # reads the view, its oracle once that engine has run, and the term
+    # counts once every engine has run.
+    cfg = parse_config(json.dumps(layers_config(1)))
+    layer = cfg.layers[0]
+    runs = []
+    real_oracle, real_lower = runner._oracle, runner._lower
+    real_run, real_terms = runner._run, runner._layer_terms
+
+    def _oracle(cfg, layer, input, filters, trimmed):
+        runs.append(("_oracle", trimmed, threading.current_thread().name))
+        return real_oracle(cfg, layer, input, filters, trimmed)
+
+    def _lower(cfg, layer, lowered, trimmed):
+        runs.append(("_lower", trimmed, threading.current_thread().name))
+        return real_lower(cfg, layer, lowered, trimmed)
+
+    def _run(sel, layer, lowered):
+        runs.append(("_run", sel.label(), threading.current_thread().name))
+        return real_run(sel, layer, lowered)
+
+    def _layer_terms(cfg, layer, input):
+        runs.append(("_layer_terms", None, threading.current_thread().name))
+        return real_terms(cfg, layer, input)
+
+    for name, patched in [("_oracle", _oracle), ("_lower", _lower), ("_run", _run),
+                          ("_layer_terms", _layer_terms)]:
+        monkeypatch.setattr(runner, name, patched)
+    before = threading.active_count()
+    inputs = runner.build_layer_inputs(cfg, layer, 0)
+    results, (terms, bits) = runner.run_layer(cfg, layer, *inputs)
+    assert threading.active_count() == before
+    labels = [sel.label() for sel in cfg.engines]
+    assert labels[:2] == ["dadn", "stripes"]  # the raw view's engine, then the trimmed one's
+    assert [run[:2] for run in runs] == [
+        ("_run", "dadn"), ("_oracle", False),
+        ("_lower", True), ("_run", "stripes"), ("_oracle", True),
+        *(("_run", label) for label in labels[2:]), ("_layer_terms", None)]
+    assert {thread for *_, thread in runs} == {threading.current_thread().name}
+    assert [(r.engine, r.variant) for r in results] == [
+        (row.engine, row.variant) for row in runner.simulate(cfg).rows]
+    assert (terms, bits) == real_terms(cfg, layer, inputs[0])
+
+
 def test_a_waiting_caller_never_runs_another_layers_build(monkeypatch):
     # Layer 1's build holds the side thread until the caller has waited
     # for it a while, with layer 2's build unclaimed behind it. The
@@ -1005,8 +1049,8 @@ def test_each_csv_column_holds_what_it_names():
     runs = []
     for index, layer in enumerate(cfg.layers):
         input, filters = runner.build_layer_inputs(cfg, layer, index)
-        for result in runner.run_layer(cfg, layer, input, filters):
-            runs.append((layer.spec.name, result, dadn_cycles(layer.spec)))
+        results, _ = runner.run_layer(cfg, layer, input, filters)
+        runs += [(layer.spec.name, result, dadn_cycles(layer.spec)) for result in results]
     rows = list(csv.DictReader(runner.simulate(cfg).csv_lines()))
     assert len(rows) == len(runs)
     counters = [field.name for field in dataclasses.fields(CycleReport)]
