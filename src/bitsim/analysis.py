@@ -13,25 +13,34 @@ terms (single-bit partial products):
 Totals include synapse reuse: each neuron use is multiplied by every
 filter. For 8-bit containers the same tags apply with width 8 (the
 ``fp16`` name keeps the raw-container meaning).
+
+This module writes both CSVs, ``simulate``'s
+(:meth:`ReportDocument.csv_lines`) and ``analyze``'s
+(:func:`analyze_csv_lines`), and the ``simulate`` table. Every CSV cell
+is written by one rule, :func:`csv_line`'s: a float to 6 significant
+digits, None as an empty cell, any other value by ``str``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .encoding import BitStats
 from .geometry import LayerSpec, Tensor3, num_pairs, window_sum
 from .numerics import MissingProfile, Precision, trim_tensor
 from .reference import CycleReport, EngineResult, dadn_terms, effectual_terms, variant_key
 
 ENGINE_TAGS = ("dadn", "zn", "cvn", "str", "pra_fp16", "pra_red")
+# The engine tags whose term counts analyze also writes over the baseline's.
+NORM_TAGS = ("str", "pra_fp16", "pra_red")
 
 # The CycleReport counters simulate's CSV writes, in column order: both
-# the header and each row's values, formatted in one call, come from
-# these names.
+# the header and each row's values come from these names.
 COUNTER_COLUMNS = (
     "compute_cycles",
     "stall_cycles",
@@ -41,7 +50,24 @@ COUNTER_COLUMNS = (
     "effectual_terms",
 )
 _counters = attrgetter(*COUNTER_COLUMNS)
-_COUNTERS_CSV = ",".join(["%s"] * len(COUNTER_COLUMNS))
+
+ANALYZE_CSV_COLUMNS = (
+    "layer",
+    "width",
+    "pairs",
+    *(f"terms_{tag}" for tag in ENGINE_TAGS),
+    *(f"norm_{tag}" for tag in NORM_TAGS),
+    "essential_frac_all",
+    "essential_frac_nz",
+    "zero_fraction",
+)
+
+
+def csv_line(values: Iterable) -> str:
+    """One CSV line of report cells: a float to 6 significant digits,
+    None as an empty cell, any other value by ``str``."""
+    return ",".join("" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v)
+                    for v in values)
 
 
 @dataclass(frozen=True)
@@ -129,8 +155,8 @@ class ReportDocument:
     )
 
     def aggregate_speedups(self) -> dict[str, float]:
-        """Time-weighted speedup per engine variant: total baseline cycles
-        over total variant cycles (how whole-network averages compose)."""
+        """Time-weighted speedup per design point (:attr:`LayerRow.key`): total
+        baseline over total own cycles, as whole-network averages compose."""
         base: dict[str, int] = {}
         own: dict[str, int] = {}
         for row in self.rows:
@@ -147,22 +173,13 @@ class ReportDocument:
         return {k: float(np.exp(np.mean(np.log(v)))) for k, v in acc.items()}
 
     def csv_lines(self) -> list[str]:
-        lines = [",".join(self.CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.layer,
-                        r.engine,
-                        r.variant,
-                        str(r.width),
-                        _COUNTERS_CSV % _counters(r.report),
-                        f"{r.speedup:.6g}",
-                        "1",  # oracle_ok: a mismatch aborts the run before any row
-                    ]
-                )
-            )
-        return lines
+        """The ``simulate`` CSV: a header of :attr:`CSV_COLUMNS`, then one
+        line per row. ``oracle_ok`` is 1: a mismatch aborts the run
+        before any row."""
+        return [csv_line(self.CSV_COLUMNS), *(
+            csv_line([r.layer, r.engine, r.variant, r.width, *_counters(r.report),
+                      r.speedup, 1])
+            for r in self.rows)]
 
     def table(self) -> str:
         """Human-readable summary table."""
@@ -223,3 +240,23 @@ def report(
         term_counts=dict(term_counts or {}),
         bit_stats=dict(bit_stats or {}),
     )
+
+
+def analyze_csv_lines(cfg: ExperimentConfig, terms: dict[str, TermCounts],
+                      bits: dict[str, BitStats]) -> list[str]:
+    """The ``analyze`` CSV: a header of :data:`ANALYZE_CSV_COLUMNS`, then
+    one line per layer, in config order, of its term counts per engine
+    tag, those of :data:`NORM_TAGS` over the baseline's, and its
+    essential-bit statistics."""
+    lines = [csv_line(ANALYZE_CSV_COLUMNS)]
+    for layer in cfg.layers:
+        name = layer.spec.name
+        tc, bs = terms[name], bits[name]
+        norm = tc.normalized()
+        lines.append(csv_line([
+            name, cfg.width, tc.pairs,
+            *(tc.totals[tag] for tag in ENGINE_TAGS),
+            *(norm[tag] for tag in NORM_TAGS),
+            bs.mean_essential_frac_all, bs.mean_essential_frac_nonzero, bs.zero_fraction,
+        ]))
+    return lines

@@ -14,10 +14,11 @@ import sys
 
 import click
 
+from .analysis import analyze_csv_lines
 from .config import ConfigError, load_config
 from .geometry import Tensor3
 from .reference import ScalarModelMismatch
-from .runner import OracleMismatch, analyze, analyze_csv_lines, build_layer_input, simulate
+from .runner import OracleMismatch, analyze, build_layer_input, simulate
 from .traces import DTYPE_I16, DTYPE_U8, TraceIOError, write_trace
 
 EXIT_OK = 0

@@ -76,8 +76,7 @@ class EngineSelector:
     prag: PragConfig | None = None
 
     def label(self) -> str:
-        """The :func:`~bitsim.reference.variant_key` of the variant, which
-        names a pragmatic one only."""
+        """The :func:`~bitsim.reference.variant_key` of the variant."""
         return variant_key(self.engine,
                            self.prag.variant_name() if self.engine == "pragmatic" else "")
 
@@ -164,10 +163,11 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
         raise ConfigError(f"{where} must be an object, got {obj!r}")
     dims = {k: _strict(_require(obj, k, where), int, f"'{k}' in {where}")
             for k in ("nx", "ny", "i", "n", "fx", "fy")}
+    for k, v in dims.items():  # i checked before it is zero-extended to a brick
+        if v < 1:
+            raise ConfigError(f"'{k}' in {where} must be positive, got {v}")
     dims.update({k: _strict(obj.get(k, default), int, f"'{k}' in {where}")
                  for k, default in (("s", 1), ("pad", 0))})
-    if dims["i"] < 1:  # checked before the depth is zero-extended to a brick
-        raise ConfigError(f"'i' in {where} must be positive, got {dims['i']}")
     name = obj.get("name", f"layer{index}")
     if not isinstance(name, str):
         raise ConfigError(f"'name' in {where} must be a string, got {name!r}")

@@ -72,8 +72,9 @@ class LayerSpec:
     name: str = ""
 
     def __post_init__(self):
-        if min(self.nx, self.ny, self.i, self.n, self.fx, self.fy) < 1:
-            raise ValueError("layer dimensions must be positive")
+        for k in ("nx", "ny", "i", "n", "fx", "fy"):
+            if getattr(self, k) < 1:
+                raise ValueError(f"{k!r} must be positive, got {getattr(self, k)}")
         if self.s < 1:
             raise ValueError(f"stride must be >= 1, got {self.s}")
         if self.pad < 0:
@@ -110,6 +111,19 @@ def output_dims(spec: LayerSpec) -> tuple[int, int, int]:
     return span_x // spec.s + 1, span_y // spec.s + 1, spec.n
 
 
+def _set_values(obj, axes: tuple[str, ...], lo: int, hi: int, container: str) -> None:
+    """Sets ``obj.data`` to a contiguous int32 copy of itself, checked to
+    hold one dimension per name in ``axes`` and integers in ``lo..hi``."""
+    a = np.asarray(obj.data)
+    if a.ndim != len(axes):
+        raise ValueError(f"expected {len(axes)} dims {axes}, got shape {a.shape}")
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError("values must be integers")
+    if a.size and (a.min() < lo or a.max() > hi):
+        raise ValueError(f"values exceed the {container} container")
+    object.__setattr__(obj, "data", np.ascontiguousarray(a, dtype=np.int32))
+
+
 @dataclass(frozen=True)
 class Tensor3:
     """3D array of signed 16-bit values, ``(y, x, i)`` C-order, ``i`` fastest."""
@@ -117,14 +131,7 @@ class Tensor3:
     data: np.ndarray  # shape (y, x, i), integer dtype
 
     def __post_init__(self):
-        a = np.asarray(self.data)
-        if a.ndim != 3:
-            raise ValueError(f"expected 3 dims, got shape {a.shape}")
-        if not np.issubdtype(a.dtype, np.integer):
-            raise ValueError("values must be integers")
-        if a.size and (a.min() < CONTAINER_MIN or a.max() > CONTAINER_MAX):
-            raise ValueError("values exceed the 16-bit container")
-        object.__setattr__(self, "data", np.ascontiguousarray(a, dtype=np.int32))
+        _set_values(self, ("y", "x", "i"), CONTAINER_MIN, CONTAINER_MAX, "16-bit")
 
     @property
     def x(self) -> int:
@@ -154,15 +161,10 @@ class Tensor3:
 class FilterSet:
     """``n`` filters of identical ``(fy, fx, i)`` shape, signed 16-bit."""
 
-    data: np.ndarray  # shape (n, fy, fx, i)
+    data: np.ndarray  # shape (n, fy, fx, i), integer dtype
 
     def __post_init__(self):
-        a = np.asarray(self.data)
-        if a.ndim != 4:
-            raise ValueError(f"expected 4 dims (n, fy, fx, i), got {a.shape}")
-        if a.size and (a.min() < INT16_MIN or a.max() > INT16_MAX):
-            raise ValueError("synapses exceed the signed 16-bit container")
-        object.__setattr__(self, "data", np.ascontiguousarray(a, dtype=np.int32))
+        _set_values(self, ("n", "fy", "fx", "i"), INT16_MIN, INT16_MAX, "signed 16-bit")
 
     @property
     def n(self) -> int:

@@ -99,9 +99,11 @@ class EngineResult:
 
 
 def variant_key(engine: str, variant: str) -> str:
-    """``engine:variant``, or the engine alone where it has no variant:
-    how an engine variant is named in the report and its messages."""
-    return f"{engine}:{variant}" if variant else engine
+    """The design point a config names, as the report's aggregate lines
+    and the run's messages name it: ``engine:variant`` for a pragmatic
+    variant, else the engine alone. A stripes result's variant is its
+    layer's precision, so one stripes design spans several variants."""
+    return f"{engine}:{variant}" if engine == "pragmatic" and variant else engine
 
 
 def check_shapes(input: Tensor3, filters: FilterSet, spec: LayerSpec):

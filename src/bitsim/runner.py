@@ -21,11 +21,11 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable, Iterable
-from operator import itemgetter
 
 import numpy as np
 
-from .analysis import ENGINE_TAGS, ReportDocument, TermCounts, count_terms, report
+from .analysis import ReportDocument, TermCounts, count_terms, report
+from .analysis import analyze_csv_lines  # noqa: F401  (its callers import it from here too)
 from .config import EngineSelector, ExperimentConfig, LayerConfig
 from .encoding import BitStats, stats
 from .geometry import FilterSet, Tensor3, container_bounds, num_pairs
@@ -389,50 +389,3 @@ def analyze(cfg: ExperimentConfig) -> tuple[dict[str, TermCounts], dict]:
         terms[layer.spec.name], bits[layer.spec.name] = _layer_terms(cfg, layer, input)
     return terms, bits
 
-
-# The engine tags whose term counts analyze also writes over the baseline's.
-NORM_TAGS = ("str", "pra_fp16", "pra_red")
-# A row's terms_* and norm_* fields, in column order, each group in one call
-_terms, _norms = itemgetter(*ENGINE_TAGS), itemgetter(*NORM_TAGS)
-_TERMS_CSV = ",".join(["%s"] * len(ENGINE_TAGS))
-_NORMS_CSV = ",".join(["%.6g"] * len(NORM_TAGS))
-
-ANALYZE_CSV_COLUMNS = (
-    "layer",
-    "width",
-    "pairs",
-    *(f"terms_{tag}" for tag in ENGINE_TAGS),
-    *(f"norm_{tag}" for tag in NORM_TAGS),
-    "essential_frac_all",
-    "essential_frac_nz",
-    "zero_fraction",
-)
-
-
-def analyze_csv_lines(cfg: ExperimentConfig, terms, bits) -> list[str]:
-    """The ``analyze`` CSV: a header of :data:`ANALYZE_CSV_COLUMNS`, then
-    one line per layer, in config order, of its term counts per engine
-    tag, those of :data:`NORM_TAGS` over the baseline's, and its
-    essential-bit statistics."""
-    lines = [",".join(ANALYZE_CSV_COLUMNS)]
-    for layer in cfg.layers:
-        name = layer.spec.name
-        tc, bs = terms[name], bits[name]
-        nz = "" if bs.mean_essential_frac_nonzero is None else (
-            f"{bs.mean_essential_frac_nonzero:.6g}"
-        )
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    str(cfg.width),
-                    str(tc.pairs),
-                    _TERMS_CSV % _terms(tc.totals),
-                    _NORMS_CSV % _norms(tc.normalized()),
-                    f"{bs.mean_essential_frac_all:.6g}",
-                    nz,
-                    f"{bs.zero_fraction:.6g}",
-                ]
-            )
-        )
-    return lines

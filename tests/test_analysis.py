@@ -8,6 +8,7 @@ from bitsim.analysis import (
     LayerRow,
     ReportDocument,
     count_terms,
+    csv_line,
     report,
 )
 from bitsim.geometry import FilterSet, LayerSpec, Tensor3
@@ -131,7 +132,31 @@ class TestReport:
         geo = doc.geomean_speedups()["stripes"]
         assert geo == pytest.approx(np.sqrt(10 * (100 / 90)))
 
+    def test_one_stripes_design_has_one_aggregate_across_layer_precisions(self):
+        # a stripes row's variant is its layer's precision; the aggregate
+        # lines are per design point, so both layers fall in one
+        rows = [
+            ("a", make_result(10, variant="p9"), 100),
+            ("b", make_result(90, variant="p7"), 100),
+            ("a", make_result(50, "pragmatic", "2b-pallet-red"), 100),
+        ]
+        doc = report(rows)
+        agg = doc.aggregate_speedups()
+        assert agg == pytest.approx({"stripes": 200 / 100, "pragmatic:2b-pallet-red": 2.0})
+        assert doc.geomean_speedups()["stripes"] == pytest.approx(np.sqrt(10 * (100 / 90)))
+        assert [line.split()[0] for line in doc.table().splitlines()
+                if line.startswith("  ")] == ["pragmatic:2b-pallet-red", "stripes"]
+        assert [r.variant for r in doc.rows] == ["p9", "p7", "2b-pallet-red"]
+        assert [line.split(",")[2] for line in doc.csv_lines()[1:]] == [
+            "p9", "p7", "2b-pallet-red"]
+
     def test_table_renders(self):
         doc = report([("conv1", make_result(50, "pragmatic", "2b-pallet-red"), 100)])
         text = doc.table()
         assert "conv1" in text and "2b-pallet-red" in text
+
+
+def test_csv_line_writes_each_cell_by_one_rule():
+    # a float to 6 significant digits, None empty, anything else by str
+    assert csv_line(["a", 3, 2.0, 0.1234567, None, np.int64(5)]) == "a,3,2,0.123457,,5"
+    assert csv_line([]) == ""

@@ -680,6 +680,15 @@ class TestNoTraceback:
         assert f"'i' in layers[0] must be positive, got {depth}" in r.output
         assert not trace.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "simulate", "analyze"])
+    @pytest.mark.parametrize("layer,field,value", [(0, "nx", 0), (1, "fy", -1)])
+    def test_a_dimension_below_one_is_a_config_error_naming_it(self, tmp_path, command,
+                                                               layer, field, value):
+        path = example_with(tmp_path, ["layers", layer, field], value)
+        r = CliRunner().invoke(main, [command, str(path)])
+        assert_clean_exit(r, 1)
+        assert f"'{field}' in layers[{layer}] must be positive, got {value}" in r.output
+
     @pytest.mark.parametrize("command", ["validate", "analyze", "gen-trace"])
     def test_out_of_memory_while_loading_is_a_resource_error(self, tmp_path, monkeypatch,
                                                              command):

@@ -150,3 +150,17 @@ def test_filterset_checks():
     spec = LayerSpec(nx=8, ny=8, i=16, n=2, fx=3, fy=3)
     assert fs.matches(spec)
     assert not fs.matches(LayerSpec(nx=8, ny=8, i=16, n=3, fx=3, fy=3))
+
+
+@pytest.mark.parametrize("values", [1.7, np.nan, 2.0])
+def test_filterset_refuses_float_synapses(values):
+    # a float array, integral or not, is refused rather than truncated
+    with pytest.raises(ValueError, match="values must be integers"):
+        FilterSet(np.full((1, 1, 1, 16), values))
+
+
+@pytest.mark.parametrize("field", ["nx", "ny", "i", "n", "fx", "fy"])
+def test_a_layer_dimension_below_one_is_named(field):
+    kw = dict(nx=4, ny=4, i=16, n=1, fx=1, fy=1)
+    with pytest.raises(ValueError, match=f"'{field}' must be positive, got 0"):
+        LayerSpec(**{**kw, field: 0})

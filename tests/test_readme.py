@@ -4,8 +4,7 @@ lists are the columns written."""
 import re
 from pathlib import Path
 
-from bitsim.analysis import ReportDocument
-from bitsim.runner import ANALYZE_CSV_COLUMNS
+from bitsim.analysis import ANALYZE_CSV_COLUMNS, ReportDocument
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -23,6 +22,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+import bitsim.analysis as analysis
 import bitsim.reference as reference
 import bitsim.runner as runner
 from bitsim.analysis import report
@@ -780,19 +780,19 @@ def test_term_counts_out_of_memory_on_the_side_thread_is_a_resource_error(
     # the error surfaces once all of them have run, and before conv2's,
     # as in a serial loop
     counted, engines_run = [], []
+    reached = threading.Event()  # the side thread has reached conv1's counts
     real_count, real_run = runner.count_terms, runner._run
 
     def count_terms(input, spec, *args):
         counted.append((spec.name, threading.current_thread().name))
         if spec.name == "conv1":
+            reached.set()
             raise MemoryError("patched into conv1's term counts")
         return real_count(input, spec, *args)
 
     def _run(sel, layer, lowered):
         if layer.spec.name == "conv1" and sel == layer_engines[-1]:
-            deadline = time.monotonic() + JOIN_TIMEOUT_S
-            while ("conv1", "bitsim-side") not in counted and time.monotonic() < deadline:
-                time.sleep(0.001)  # the side thread has reached the counts
+            reached.wait(JOIN_TIMEOUT_S)
         engines_run.append((layer.spec.name, sel.label()))
         return real_run(sel, layer, lowered)
 
@@ -895,13 +895,14 @@ def test_run_layer_without_a_side_thread_runs_its_jobs_in_turn_with_the_engines(
 
 
 def test_a_waiting_caller_never_runs_another_layers_build(monkeypatch):
-    # Layer 1's build holds the side thread until the caller has waited
-    # for it a while, with layer 2's build unclaimed behind it. The
+    # Layer 1's build holds the side thread until the caller has started
+    # to wait for it, with layer 2's build unclaimed behind it. The
     # caller runs a build only once it is due: layer k's, once layer
     # k - 1 has run.
     events = []  # ("build", index, thread) and ("ran", index), in order
-    claimed, layer_0_ran = threading.Event(), threading.Event()
+    claimed, layer_0_ran, waiting = threading.Event(), threading.Event(), threading.Event()
     real_build, real_run_layer = runner.build_layer_inputs, runner.run_layer
+    real_job_run = runner._Job.run
 
     def build_layer_inputs(cfg, layer, index):
         thread = threading.current_thread().name
@@ -909,8 +910,14 @@ def test_a_waiting_caller_never_runs_another_layers_build(monkeypatch):
         if index == 1 and thread == "bitsim-side":
             claimed.set()
             assert layer_0_ran.wait(JOIN_TIMEOUT_S)
-            time.sleep(0.2)  # the caller waits for this build meanwhile
+            assert waiting.wait(JOIN_TIMEOUT_S)
         return real_build(cfg, layer, index)
+
+    def job_run(job, blocking=True):
+        args = job.args  # None once the job has run
+        if blocking and args and job.fn is build_layer_inputs and args[2] == 1:
+            waiting.set()  # the caller blocks on build 1 from here
+        return real_job_run(job, blocking)
 
     def run_layer(cfg, layer, *args):
         index = int(layer.spec.name.removeprefix("conv"))
@@ -922,6 +929,7 @@ def test_a_waiting_caller_never_runs_another_layers_build(monkeypatch):
 
     monkeypatch.setattr(runner, "build_layer_inputs", build_layer_inputs)
     monkeypatch.setattr(runner, "run_layer", run_layer)
+    monkeypatch.setattr(runner._Job, "run", job_run)
     cfg = parse_config(json.dumps(layers_config(4)))
     doc = runner.simulate(cfg)
     assert ("build", 1, "bitsim-side") in events
@@ -1088,17 +1096,37 @@ def test_each_csv_column_holds_what_it_names():
 
 def test_a_variant_has_one_name_in_messages_and_report_rows():
     # mismatch messages name a variant by EngineSelector.label, the
-    # report's aggregate lines by LayerRow.key; both are variant_key,
-    # and they agree where the selector names a variant, pragmatic's
+    # report's aggregate lines by LayerRow.key; both are variant_key of
+    # the design point, for every engine, though a stripes row's variant
+    # is its layer's precision
     cfg = load_config(ROOT / "configs" / "example.json")
     doc = runner.simulate(cfg)
     assert len(doc.rows) == len(cfg.engines) * len(cfg.layers)
-    assert any(sel.engine == "pragmatic" for sel in cfg.engines)
+    assert {sel.engine for sel in cfg.engines} == {"dadn", "stripes", "pragmatic"}
+    assert len({row.variant for row in doc.rows if row.engine == "stripes"}) > 1
     for row, sel in zip(doc.rows, cfg.engines * len(cfg.layers)):
         assert row.key == variant_key(row.engine, row.variant)
-        assert sel.label() == (row.key if sel.engine == "pragmatic" else sel.engine)
+        assert sel.label() == row.key
         if sel.engine == "pragmatic":
             assert sel.label() == f"pragmatic:{sel.prag.variant_name()}"
+
+
+def test_a_layer_with_no_nonzero_neuron_writes_an_empty_essential_frac_nz(tmp_path):
+    path = tmp_path / "dark.prgt"
+    write_trace(path, Tensor3(np.zeros((4, 4, 16), dtype=np.int32)))
+    layer = {"name": "dark", "nx": 4, "ny": 4, "i": 16, "n": 2, "fx": 1, "fy": 1,
+             "precision": {"width": 7}}
+    cfg = parse_config(json.dumps(base_config(
+        layers=[layer], trace={"kind": "file", "path": str(path)})))
+    terms, bits = runner.analyze(cfg)
+    assert bits["dark"].mean_essential_frac_nonzero is None
+    (row,) = csv.DictReader(runner.analyze_csv_lines(cfg, terms, bits))
+    assert (row["essential_frac_all"], row["essential_frac_nz"], row["zero_fraction"]) == (
+        "0", "", "1")
+
+
+def test_runner_hands_out_the_analyze_writer_of_analysis():
+    assert runner.analyze_csv_lines is analysis.analyze_csv_lines
 
 
 @pytest.mark.parametrize("width", [16, 8])
