@@ -18,7 +18,8 @@ This module writes both CSVs, ``simulate``'s
 (:meth:`ReportDocument.csv_lines`) and ``analyze``'s
 (:func:`analyze_csv_lines`), and the ``simulate`` table. Every CSV cell
 is written by one rule, :func:`csv_line`'s: a float to 6 significant
-digits, None as an empty cell, any other value by ``str``.
+digits, None as an empty cell, a string quoted as RFC 4180 asks, any
+other value by ``str``.
 """
 
 from __future__ import annotations
@@ -63,11 +64,18 @@ ANALYZE_CSV_COLUMNS = (
 )
 
 
+def _text(cell: str) -> str:
+    """``cell``, quoted as RFC 4180 asks if it holds ``,``, ``"``, CR or LF."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def csv_line(values: Iterable) -> str:
     """One CSV line of report cells: a float to 6 significant digits,
-    None as an empty cell, any other value by ``str``."""
-    return ",".join("" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v)
-                    for v in values)
+    None as an empty cell, a string by :func:`_text`, any other value by ``str``."""
+    return ",".join("" if v is None else f"{v:.6g}" if isinstance(v, float)
+                    else _text(v) if isinstance(v, str) else str(v) for v in values)
 
 
 @dataclass(frozen=True)

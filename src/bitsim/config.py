@@ -25,9 +25,9 @@ The schema (documented in the README) is deliberately flat:
     }
 
 List-valued pragmatic fields expand into a deterministic grid (product
-in field order l_bits, sync, ssrs, trim). ``ssrs`` accepts an integer or
-"inf"; ``pallet_buffer`` an integer, "inf", or null for the automatic
-ssrs+1 sizing.
+in field order l_bits, sync, ssrs, trim; no list may be empty). ``ssrs``
+accepts an integer or "inf"; ``pallet_buffer`` an integer, "inf", or
+null for the automatic ssrs+1 sizing.
 """
 
 from __future__ import annotations
@@ -102,47 +102,50 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-# Conversions that can fail on a JSON value of the wrong kind.
-_BAD_VALUE = (TypeError, ValueError, OverflowError)
+_NOUNS = {int: "an integer", bool: "true or false", float: "a number",
+          str: "a string", list: "a list", dict: "an object"}
 
 
 def _strict(value, kind: type, what: str):
-    """``value`` as JSON gave it, if that is ``kind`` (``int`` or ``bool``).
+    """``value`` as JSON gave it, if it has the JSON type ``kind``: ``int``,
+    ``bool``, ``float`` (any JSON number), ``str``, ``list`` or ``dict``.
 
-    No cast: a float, a string or a JSON boolean where an integer belongs
-    (or anything but a boolean where a flag belongs) would otherwise
-    become a different valid value.
+    The one type check of every config field, and no cast: a float, a
+    string or a JSON boolean where an integer belongs, a string or a
+    boolean where a number belongs, or anything but a boolean where a flag
+    belongs would otherwise become a different valid value.
     """
-    if type(value) is not kind:  # JSON's true and false are not integers
-        noun = "an integer" if kind is int else "true or false"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    # JSON's true and false are not numbers; any other number is a float
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ConfigError(f"{what} must be {_NOUNS[kind]}, got {value!r}")
     return value
 
 
 def _finite(value, what: str) -> float:
     try:
-        out = float(value)
-    except _BAD_VALUE:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+        out = float(_strict(value, float, what))
+    except OverflowError:  # an integer past the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return out
 
 
 def _parse_precision(obj, where: str) -> Precision:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'precision' must be an object in {where}")
+    _strict(obj, dict, f"'precision' in {where}")
     fields = {k: _strict(obj[k], int, f"'precision.{k}' in {where}")
               for k in ("msb", "lsb", "width") if k in obj}
+    if ("msb" in fields) == ("width" in fields):
+        raise ConfigError(
+            f"'precision' in {where} needs one of 'msb' and 'width', got {obj!r}"
+        )
     lsb = fields.get("lsb", 0)
     try:
         if "msb" in fields:
             return Precision(fields["msb"], lsb)
-        if "width" in fields:
-            return Precision.from_width(fields["width"], lsb)
+        return Precision.from_width(fields["width"], lsb)
     except ValueError as e:
         raise ConfigError(f"bad precision in {where}: {e}") from e
-    raise ConfigError(f"'precision' needs 'msb' or 'width' in {where}")
 
 
 def _check_size(spec: LayerSpec, where: str):
@@ -159,8 +162,7 @@ def _check_size(spec: LayerSpec, where: str):
 
 def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
     where = f"layers[{index}]"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    _strict(obj, dict, where)
     dims = {k: _strict(_require(obj, k, where), int, f"'{k}' in {where}")
             for k in ("nx", "ny", "i", "n", "fx", "fy")}
     for k, v in dims.items():  # i checked before it is zero-extended to a brick
@@ -168,12 +170,10 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
             raise ConfigError(f"'{k}' in {where} must be positive, got {v}")
     dims.update({k: _strict(obj.get(k, default), int, f"'{k}' in {where}")
                  for k, default in (("s", 1), ("pad", 0))})
-    name = obj.get("name", f"layer{index}")
-    if not isinstance(name, str):
-        raise ConfigError(f"'name' in {where} must be a string, got {name!r}")
+    name = _strict(obj.get("name", f"layer{index}"), str, f"'name' in {where}")
     try:
         spec = LayerSpec.normalized(**dims, act=obj.get("act", "identity"), name=name)
-    except _BAD_VALUE as e:
+    except ValueError as e:
         raise ConfigError(f"bad geometry in {where}: {e}") from e
     _check_size(spec, where)
     precision = _parse_precision(_require(obj, "precision", where), where)
@@ -181,10 +181,11 @@ def _parse_layer(obj: dict, index: int, width: int) -> LayerConfig:
         raise ConfigError(f"{where}: precision window exceeds the 8-bit container")
     quant = None
     if "quant" in obj:
-        q = _object(obj, "quant", {})
+        q = _strict(obj["quant"], dict, f"'quant' in {where}")
+        vmin, vmax = (_finite(_require(q, k, where), f"'{k}' in {where}")
+                      for k in ("vmin", "vmax"))
         try:
-            quant = QuantParams(_finite(_require(q, "vmin", where), f"'vmin' in {where}"),
-                                _finite(_require(q, "vmax", where), f"'vmax' in {where}"))
+            quant = QuantParams(vmin, vmax)
         except ValueError as e:
             raise ConfigError(f"bad quant params in {where}: {e}") from e
     if width == 8 and quant is None:
@@ -206,15 +207,13 @@ def _natural(obj: dict, key: str, default: int) -> int:
     return value
 
 
-def _object(obj: dict, key: str, default: dict) -> dict:
-    value = obj.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{key}' must be an object, got {value!r}")
+def _listify(value, what: str) -> list:
+    """A nonempty JSON list as it is, any other value as a list of one."""
+    if not isinstance(value, list):
+        return [value]
+    if not value:
+        raise ConfigError(f"{what} must be a nonempty list")
     return value
-
-
-def _listify(value) -> list:
-    return value if isinstance(value, list) else [value]
 
 
 def _count_or_unbounded(value, what: str):
@@ -227,33 +226,30 @@ def _count_or_unbounded(value, what: str):
 def _parse_engines(objs, where="engines") -> list[EngineSelector]:
     selectors: list[EngineSelector] = []
     for idx, obj in enumerate(objs):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{where}[{idx}] must be an object, got {obj!r}")
-        kind = _require(obj, "engine", f"{where}[{idx}]")
+        at = f"{where}[{idx}]"
+        kind = _require(_strict(obj, dict, at), "engine", at)
         if kind in ("dadn", "stripes"):
             selectors.append(EngineSelector(engine=kind))
         elif kind == "pragmatic":
-            grid = itertools.product(
-                _listify(obj.get("l_bits", 2)),
-                _listify(obj.get("sync", "pallet")),
-                _listify(obj.get("ssrs", 1)),
-                _listify(obj.get("trim", "profile")),
-            )
-            at = f"{where}[{idx}]"
+            grid = itertools.product(*(
+                _listify(obj.get(key, default), f"'{key}' in {at}")
+                for key, default in (("l_bits", 2), ("sync", "pallet"), ("ssrs", 1),
+                                     ("trim", "profile"))
+            ))
             buffer = _count_or_unbounded(obj.get("pallet_buffer"), f"'pallet_buffer' in {at}")
             for l_bits, sync, ssrs, trim in grid:
                 l_bits = _strict(l_bits, int, f"'l_bits' in {at}")
+                sync = _strict(sync, str, f"'sync' in {at}")
                 ssrs = _count_or_unbounded(ssrs, f"'ssrs' in {at}")
+                trim = _strict(trim, str, f"'trim' in {at}")
                 try:
-                    cfg = PragConfig(l_bits=l_bits, sync=str(sync), ssr_count=ssrs,
-                                     pallet_buffer=buffer, trim=str(trim))
-                except _BAD_VALUE as e:
+                    cfg = PragConfig(l_bits=l_bits, sync=sync, ssr_count=ssrs,
+                                     pallet_buffer=buffer, trim=trim)
+                except ValueError as e:
                     raise ConfigError(f"bad pragmatic config in {at}: {e}") from e
                 selectors.append(EngineSelector(engine="pragmatic", prag=cfg))
         else:
-            raise ConfigError(f"unknown engine {kind!r} in {where}[{idx}]")
-    if not selectors:
-        raise ConfigError("at least one engine is required")
+            raise ConfigError(f"unknown engine {kind!r} in {at}")
     return selectors
 
 
@@ -262,15 +258,13 @@ def parse_config(text: str) -> ExperimentConfig:
         obj = json.loads(text)
     except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-
+    _strict(obj, dict, "config root")
     width = _strict(obj.get("width", 16), int, "'width'")
     if width not in (8, 16):
-        raise ConfigError(f"'width' must be 8 or 16, got {obj.get('width')!r}")
+        raise ConfigError(f"'width' must be 8 or 16, got {width!r}")
 
-    layer_objs = _require(obj, "layers", "config")
-    if not isinstance(layer_objs, list) or not layer_objs:
+    layer_objs = _strict(_require(obj, "layers", "config"), list, "'layers'")
+    if not layer_objs:
         raise ConfigError("'layers' must be a nonempty list")
     layers = [_parse_layer(lo, i, width) for i, lo in enumerate(layer_objs)]
     first_of: dict[str, int] = {}
@@ -283,7 +277,7 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         first_of[name] = index
 
-    engines = _parse_engines(_listify(_require(obj, "engines", "config")))
+    engines = _parse_engines(_listify(_require(obj, "engines", "config"), "'engines'"))
 
     seed = _natural(obj, "seed", 0)
     out_shift = _natural(obj, "out_shift", 0)
@@ -292,7 +286,7 @@ def parse_config(text: str) -> ExperimentConfig:
             f"'out_shift' must be at most {MAX_OUT_SHIFT} (accumulators are int64), "
             f"got {out_shift}"
         )
-    trace = _object(obj, "trace", {"kind": "synthetic", "sigma": 100.0, "relu": True})
+    trace = _strict(obj.get("trace", {}), dict, "'trace'")
     kind = trace.get("kind", "synthetic")
     paths: list[str] = []
     sigma, relu = 100.0, True
@@ -303,16 +297,10 @@ def parse_config(text: str) -> ExperimentConfig:
         relu = _strict(trace.get("relu", True), bool, "'trace.relu'")
     elif kind == "file":
         if "paths" in trace:
-            if not isinstance(trace["paths"], list):
-                raise ConfigError(f"'trace.paths' must be a list, got {trace['paths']!r}")
-            for index, path in enumerate(trace["paths"]):
-                if not isinstance(path, str):
-                    raise ConfigError(f"'trace.paths[{index}]' must be a string, got {path!r}")
-            paths = list(trace["paths"])
+            paths = [_strict(path, str, f"'trace.paths[{index}]'") for index, path
+                     in enumerate(_strict(trace["paths"], list, "'trace.paths'"))]
         elif "path" in trace:
-            if not isinstance(trace["path"], str):
-                raise ConfigError(f"'trace.path' must be a string, got {trace['path']!r}")
-            paths = [trace["path"]]
+            paths = [_strict(trace["path"], str, "'trace.path'")]
         if len(paths) != len(layers):
             raise ConfigError(
                 f"'trace.paths' needs one path per layer ({len(layers)}), got {len(paths)}"
@@ -323,10 +311,9 @@ def parse_config(text: str) -> ExperimentConfig:
     synapse_sigma = _finite(obj.get("synapse_sigma", 20.0), "'synapse_sigma'")
     if synapse_sigma < 0:
         raise ConfigError(f"'synapse_sigma' must be non-negative, got {synapse_sigma}")
-    output = _object(obj, "output", {})
-    csv_path = output.get("csv")
-    if csv_path is not None and not isinstance(csv_path, str):
-        raise ConfigError(f"'output.csv' must be a path string, got {csv_path!r}")
+    csv_path = _strict(obj.get("output", {}), dict, "'output'").get("csv")
+    if csv_path is not None:
+        _strict(csv_path, str, "'output.csv'")
     return ExperimentConfig(
         layers=layers,
         engines=engines,

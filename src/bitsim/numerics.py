@@ -9,6 +9,7 @@ saturation happens once, at the activation stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,8 @@ from .geometry import INT16_MAX, INT16_MIN
 
 
 class DegenerateRange(ValueError):
-    """Quantization interval with vmax <= vmin."""
+    """Quantization interval with vmax <= vmin, or one too wide for
+    :func:`quantize8` to scale in float64."""
 
 
 class MissingProfile(ValueError):
@@ -74,6 +76,8 @@ class QuantParams:
     def __post_init__(self):
         if not self.vmax > self.vmin:
             raise DegenerateRange(f"vmax must exceed vmin, got {self}")
+        if not math.isfinite((self.vmax - self.vmin) * 255.0):  # quantize8's scale
+            raise DegenerateRange(f"vmax - vmin times 255 must be finite, got {self}")
 
     @property
     def step(self) -> float:

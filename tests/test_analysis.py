@@ -1,3 +1,5 @@
+import csv
+import io
 import weakref
 
 import numpy as np
@@ -160,3 +162,11 @@ def test_csv_line_writes_each_cell_by_one_rule():
     # a float to 6 significant digits, None empty, anything else by str
     assert csv_line(["a", 3, 2.0, 0.1234567, None, np.int64(5)]) == "a,3,2,0.123457,,5"
     assert csv_line([]) == ""
+
+
+def test_csv_line_quotes_a_string_holding_a_separator_a_quote_or_a_line_break():
+    # RFC 4180: such a cell is quoted and its quotes doubled; others stay bare
+    line = csv_line(["conv,1", 'a"b', "x\ny", "c\rd", 2.0, None, "plain"])
+    assert line == '"conv,1","a""b","x\ny","c\rd",2,,plain'
+    assert next(csv.reader(io.StringIO(line, newline=""))) == [
+        "conv,1", 'a"b', "x\ny", "c\rd", "2", "", "plain"]

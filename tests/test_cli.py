@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -52,10 +53,12 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return path
 
 
-def example_with(tmp_path, path, value):
-    """``configs/example.json`` with the value at ``path`` replaced, written
-    to ``tmp_path``."""
-    cfg = json.loads((CONFIGS / "example.json").read_text())
+def example_with(tmp_path, path, value, name="example.json"):
+    """``configs/<name>`` with the value at ``path`` (the whole document
+    for an empty ``path``) replaced, written to ``tmp_path``."""
+    if not path:
+        return write_config(tmp_path, value)
+    cfg = json.loads((CONFIGS / name).read_text())
     node = cfg
     for key in path[:-1]:
         node = node[key]
@@ -219,39 +222,61 @@ class TestSimulateCommand:
         assert "config error:" in r.output
 
     @pytest.mark.parametrize(
-        "path, value, field",
+        "path, value, field, noun",
         [
-            (("width",), 16.9, "'width'"),
-            (("seed",), True, "'seed'"),
-            (("out_shift",), 0.0, "'out_shift'"),
-            (("layers", 0, "nx"), 18.7, "'nx' in layers[0]"),
-            (("layers", 0, "nx"), "18", "'nx' in layers[0]"),
-            (("layers", 0, "ny"), 18.0, "'ny' in layers[0]"),
-            (("layers", 0, "i"), "32", "'i' in layers[0]"),
-            (("layers", 1, "n"), 32.5, "'n' in layers[1]"),
-            (("layers", 0, "fx"), 3.0, "'fx' in layers[0]"),
-            (("layers", 0, "fy"), [3], "'fy' in layers[0]"),
-            (("layers", 0, "s"), True, "'s' in layers[0]"),
-            (("layers", 1, "pad"), False, "'pad' in layers[1]"),
-            (("layers", 0, "precision", "width"), 9.5, "'precision.width' in layers[0]"),
-            (("layers", 0, "precision", "lsb"), "0", "'precision.lsb' in layers[0]"),
-            (("layers", 1, "precision", "msb"), 6.0, "'precision.msb' in layers[1]"),
-            (("engines", 2, "l_bits"), [2.7], "'l_bits' in engines[2]"),
-            (("engines", 3, "ssrs"), [1.5], "'ssrs' in engines[3]"),
-            (("engines", 3, "pallet_buffer"), "2", "'pallet_buffer' in engines[3]"),
-            (("layers", 0, "first_layer"), "no", "'first_layer' in layers[0]"),
-            (("layers", 1, "first_layer"), 0, "'first_layer' in layers[1]"),
-            (("trace", "relu"), "false", "'trace.relu'"),
+            (("width",), 16.9, "'width'", "an integer"),
+            (("seed",), True, "'seed'", "an integer"),
+            (("out_shift",), 0.0, "'out_shift'", "an integer"),
+            (("layers", 0, "nx"), 18.7, "'nx' in layers[0]", "an integer"),
+            (("layers", 0, "nx"), "18", "'nx' in layers[0]", "an integer"),
+            (("layers", 0, "ny"), 18.0, "'ny' in layers[0]", "an integer"),
+            (("layers", 0, "i"), "32", "'i' in layers[0]", "an integer"),
+            (("layers", 1, "n"), 32.5, "'n' in layers[1]", "an integer"),
+            (("layers", 0, "fx"), 3.0, "'fx' in layers[0]", "an integer"),
+            (("layers", 0, "fy"), [3], "'fy' in layers[0]", "an integer"),
+            (("layers", 0, "s"), True, "'s' in layers[0]", "an integer"),
+            (("layers", 1, "pad"), False, "'pad' in layers[1]", "an integer"),
+            (("layers", 0, "precision", "width"), 9.5, "'precision.width' in layers[0]",
+             "an integer"),
+            (("layers", 0, "precision", "lsb"), "0", "'precision.lsb' in layers[0]",
+             "an integer"),
+            (("layers", 1, "precision", "msb"), 6.0, "'precision.msb' in layers[1]",
+             "an integer"),
+            (("engines", 2, "l_bits"), [2.7], "'l_bits' in engines[2]", "an integer"),
+            (("engines", 3, "ssrs"), [1.5], "'ssrs' in engines[3]", "an integer"),
+            (("engines", 3, "pallet_buffer"), "2", "'pallet_buffer' in engines[3]",
+             "an integer"),
+            (("layers", 0, "first_layer"), "no", "'first_layer' in layers[0]",
+             "true or false"),
+            (("layers", 1, "first_layer"), 0, "'first_layer' in layers[1]", "true or false"),
+            (("trace", "relu"), "false", "'trace.relu'", "true or false"),
+            (("trace", "sigma"), "900", "'trace.sigma'", "a number"),
+            (("trace", "sigma"), True, "'trace.sigma'", "a number"),
+            (("synapse_sigma",), "1e1", "'synapse_sigma'", "a number"),
+            (("synapse_sigma",), False, "'synapse_sigma'", "a number"),
+            (("layers", 0, "quant"), {"vmin": True, "vmax": 6.0}, "'vmin' in layers[0]",
+             "a number"),
+            (("layers", 0, "quant"), {"vmin": 0, "vmax": "6"}, "'vmax' in layers[0]",
+             "a number"),
+            pytest.param(("synapse_sigma",), 10**400, "'synapse_sigma'", "finite",
+                         id="synapse_sigma-10**400"),
+            (("layers", 0, "precision"), [9], "'precision' in layers[0]", "an object"),
+            ((), [], "config root", "an object"),
+            (("layers",), {}, "'layers'", "a list"),
+            (("output",), "x", "'output'", "an object"),
+            (("output", "csv"), 5, "'output.csv'", "a string"),
+            (("engines", 3, "sync"), 5, "'sync' in engines[3]", "a string"),
+            (("engines", 2, "trim"), True, "'trim' in engines[2]", "a string"),
         ],
     )
     def test_integer_and_boolean_fields_take_only_their_json_type(self, tmp_path, path,
-                                                                  value, field):
-        # a cast would run 16.9 as 16, true as 1 and "no" as true
+                                                                  value, field, noun):
+        # a cast would run 16.9 as 16, true as 1, "no" as true and "900" as 900
         out = tmp_path / "out.csv"
         r = CliRunner().invoke(main, ["simulate", str(example_with(tmp_path, path, value)),
                                       "--out", str(out)])
         assert_clean_exit(r, 1)
-        assert f"config error: {field} must be" in r.output
+        assert f"config error: {field} must be {noun}" in r.output
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])
@@ -286,6 +311,20 @@ class TestSimulateCommand:
         r = CliRunner().invoke(main, ["validate", str(write_config(tmp_path, cfg))])
         assert_clean_exit(r, 1)
         assert "'name' in layers[1] must be unique, got 'layer0'" in r.output
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("name", ["conv,1", 'conv"1', "conv\n1", "conv\r\n1"])
+    def test_a_layer_name_with_csv_specials_reads_back_intact(self, tmp_path, command,
+                                                              name):
+        # unquoted, "conv,1" shifted every later cell of its row by one
+        path = example_with(tmp_path, ("layers", 0, "name"), name)
+        out = tmp_path / "out.csv"
+        r = CliRunner().invoke(main, [command, str(path), "--out", str(out)])
+        assert_clean_exit(r, 0)
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {row[0] for row in rows} == {name, "conv2"}
 
     def test_missing_config_is_config_error(self, tmp_path):
         r = CliRunner().invoke(main, ["simulate", str(tmp_path / "none.json")])
@@ -523,6 +562,29 @@ class TestValidateCommand:
         assert r.exit_code == 1
         assert "precision" in r.output
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("engines", 2, "l_bits"), "'l_bits' in engines[2]"),
+            (("engines", 2, "sync"), "'sync' in engines[2]"),
+            (("engines", 2, "ssrs"), "'ssrs' in engines[2]"),
+            (("engines", 2, "trim"), "'trim' in engines[2]"),
+            (("engines",), "'engines'"),
+        ],
+    )
+    def test_an_empty_list_is_a_config_error(self, tmp_path, path, field):
+        # an empty grid list expanded to no variant: the entry was dropped unseen
+        r = CliRunner().invoke(main, ["validate", str(example_with(tmp_path, path, []))])
+        assert_clean_exit(r, 1)
+        assert f"config error: {field} must be a nonempty list" in r.output
+
+    def test_precision_takes_msb_or_width_not_both(self, tmp_path):
+        path = example_with(tmp_path, ("layers", 0, "precision"),
+                            {"width": 9, "lsb": 0, "msb": 3})
+        r = CliRunner().invoke(main, ["validate", str(path)])
+        assert_clean_exit(r, 1)
+        assert "'precision' in layers[0] needs one of 'msb' and 'width'" in r.output
+
 
 def assert_clean_exit(r, code=None):
     """The command ended in a documented exit code, with no traceback.
@@ -689,6 +751,23 @@ class TestNoTraceback:
         assert_clean_exit(r, 1)
         assert f"'{field}' in layers[{layer}] must be positive, got {value}" in r.output
 
+    @pytest.mark.parametrize("command", ["validate", "simulate", "analyze", "gen-trace"])
+    @pytest.mark.parametrize("vmin, vmax", [(-1.7e308, 1.7e308), (0.0, 1e306)])
+    def test_a_quant_range_past_float64_is_a_config_error(self, tmp_path, command, vmin,
+                                                          vmax):
+        # quantize8 scales by (vmax - vmin) * 255, which overflowed into a
+        # traceback from the width-8 container check
+        path = example_with(tmp_path, ("layers", 0, "quant"), {"vmin": vmin, "vmax": vmax},
+                            name="quantized.json")
+        trace = tmp_path / "t.prgt"
+        args = [command, str(path)]
+        if command == "gen-trace":
+            args += ["-o", str(trace)]
+        r = CliRunner().invoke(main, args)
+        assert_clean_exit(r, 1)
+        assert "bad quant params in layers[0]: vmax - vmin times 255" in r.output
+        assert not trace.exists()
+
     @pytest.mark.parametrize("command", ["validate", "analyze", "gen-trace"])
     def test_out_of_memory_while_loading_is_a_resource_error(self, tmp_path, monkeypatch,
                                                              command):
@@ -717,26 +796,44 @@ class TestNoTraceback:
         assert "out of memory" in r.output
 
 
-# Every place in the base config a value can be replaced at.
-SLOTS = [p for p in _slots(base_config(output={"csv": "out.csv"})) if p] + [
-    ("out_shift",), ("layers", 0, "quant"), ("trace", "kind"), ("trace", "path"),
-]
+def csv_config(width):
+    """The base config at ``width``, naming an output CSV; at width 8 its
+    layer has quant limits."""
+    doc = base_config(width=width, output={"csv": "out.csv"})
+    if width == 8:
+        doc["layers"][0]["quant"] = {"vmin": 0.0, "vmax": 800.0}
+    return doc
 
-# Any JSON value, but with small numbers: a replaced geometry field must
-# not make a layer large enough to strain memory.
+
+# Every place in the base config a value can be replaced at, and the
+# number fields of its width-8 copy, drawn as often as all the others.
+SLOTS = st.sampled_from([(16, p) for p in [
+    *(p for p in _slots(csv_config(16)) if p),
+    ("out_shift",), ("layers", 0, "quant"), ("trace", "kind"), ("trace", "path"),
+]]) | st.sampled_from([(8, p) for p in [
+    ("trace", "sigma"), ("synapse_sigma",),
+    ("layers", 0, "quant", "vmin"), ("layers", 0, "quant", "vmax"),
+]])
+
+# Any JSON value, but with small integers: a replaced geometry field must
+# not make a layer large enough to strain memory. Floats reach the ends of
+# the float64 range, where a quant range's scale overflows; half the values
+# drawn are those ends.
 small_json = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-50, 50)
-    | st.sampled_from([math.nan, math.inf]) | st.text(max_size=6),
+    | st.floats(-1.7e308, 1.7e308) | st.sampled_from([math.nan, math.inf])
+    | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
-)
+) | st.sampled_from([1.7e308, -1.7e308])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(SLOTS), small_json)
+@settings(max_examples=300, deadline=None)
+@given(SLOTS, small_json)
 def test_config_with_one_value_replaced_exits_cleanly(slot, value):
-    doc = base_config(output={"csv": "out.csv"})
+    width, slot = slot
+    doc = csv_config(width)
     node = doc
     for key in slot[:-1]:
         node = node[key]

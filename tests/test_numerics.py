@@ -101,6 +101,13 @@ class TestQuantize:
         with pytest.raises(DegenerateRange):
             QuantParams(1.0, 1.0)
 
+    def test_a_range_whose_scale_overflows_is_degenerate(self):
+        # quantize8 multiplies by 255 before it divides by the range
+        assert quantize8(7e305, QuantParams(0.0, 7e305)) == 255
+        for vmin, vmax in ((0.0, 1e306), (-1.7e308, 1.7e308)):
+            with pytest.raises(DegenerateRange):
+                QuantParams(vmin, vmax)
+
     def test_monotone_and_roundtrip_exhaustive(self):
         q = QuantParams(-3.7, 11.2)
         xs = np.linspace(q.vmin - 1, q.vmax + 1, 4001)
