@@ -190,16 +190,20 @@ class ReportDocument:
             for r in self.rows)]
 
     def table(self) -> str:
-        """Human-readable summary table."""
+        """Human-readable summary table, each layer name's control characters
+        escaped as ``repr`` escapes them, in a column as wide as the longest."""
+        names = {n: "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in n)
+                 for n in [*(r.layer for r in self.rows), *self.term_counts]}
+        w = max([12, *map(len, names.values())])
         header = (
-            f"{'layer':<12} {'engine':<10} {'variant':<16} {'cycles':>10} "
+            f"{'layer':<{w}} {'engine':<10} {'variant':<16} {'cycles':>10} "
             f"{'stall':>8} {'sb':>6} {'terms':>12} {'eff.terms':>12} {'speedup':>8}"
         )
         out = [header, "-" * len(header)]
         for r in self.rows:
             rep = r.report
             out.append(
-                f"{r.layer:<12} {r.engine:<10} {r.variant:<16} {rep.compute_cycles:>10} "
+                f"{names[r.layer]:<{w}} {r.engine:<10} {r.variant:<16} {rep.compute_cycles:>10} "
                 f"{rep.stall_cycles:>8} {rep.sb_reads:>6} {rep.total_terms:>12} "
                 f"{rep.effectual_terms:>12} {r.speedup:>8.3f}"
             )
@@ -213,7 +217,7 @@ class ReportDocument:
         if self.term_counts:
             out.append("-" * len(header))
             out.append(
-                f"{'layer':<12} {'norm zn':>8} {'norm cvn':>9} {'norm str':>9} "
+                f"{'layer':<{w}} {'norm zn':>8} {'norm cvn':>9} {'norm str':>9} "
                 f"{'norm fp':>8} {'norm red':>9} {'ess.all':>8} {'ess.nz':>8} "
                 f"{'zeros':>7}"
             )
@@ -225,7 +229,7 @@ class ReportDocument:
                 ess = "-" if bs is None else f"{bs.mean_essential_frac_all:.3f}"
                 zf = "-" if bs is None else f"{bs.zero_fraction:.3f}"
                 out.append(
-                    f"{layer:<12} {norm['zn']:>8.3f} {norm['cvn']:>9.3f} "
+                    f"{names[layer]:<{w}} {norm['zn']:>8.3f} {norm['cvn']:>9.3f} "
                     f"{norm['str']:>9.3f} {norm['pra_fp16']:>8.3f} "
                     f"{norm['pra_red']:>9.3f} {ess:>8} {nz:>8} {zf:>7}"
                 )

@@ -106,6 +106,11 @@ _NOUNS = {int: "an integer", bool: "true or false", float: "a number",
           str: "a string", list: "a list", dict: "an object"}
 
 
+def _shown(value) -> str:  # as JSON writes it, cut to 40 characters
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _strict(value, kind: type, what: str):
     """``value`` as JSON gave it, if it has the JSON type ``kind``: ``int``,
     ``bool``, ``float`` (any JSON number), ``str``, ``list`` or ``dict``.
@@ -117,7 +122,7 @@ def _strict(value, kind: type, what: str):
     """
     # JSON's true and false are not numbers; any other number is a float
     if type(value) is not kind and not (kind is float and type(value) is int):
-        raise ConfigError(f"{what} must be {_NOUNS[kind]}, got {value!r}")
+        raise ConfigError(f"{what} must be {_NOUNS[kind]}, got {_shown(value)}")
     return value
 
 
@@ -127,7 +132,7 @@ def _finite(value, what: str) -> float:
     except OverflowError:  # an integer past the float range
         out = math.inf
     if not math.isfinite(out):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+        raise ConfigError(f"{what} must be finite, got {_shown(value)}")
     return out
 
 

@@ -14,6 +14,7 @@ shift-accumulate product exact for any value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,17 +62,22 @@ class OneffsetStream:
 def encode(v: int) -> OneffsetStream:
     """Convert a container value to its sign-magnitude oneffset stream.
 
-    The offsets are exactly the set bits of ``|v|``; ``neg`` records the
-    sign. A magnitude of 2^16 or more raises ValueError. ``encode`` and
-    ``value()`` round-trip for every value of the 16-bit container, read
-    signed or unsigned.
+    The offsets are the set bits of ``|v|``, taken lowest first; ``neg``
+    records the sign. A value that is not an integer (``operator.index``)
+    raises TypeError, a magnitude of 2^16 or more ValueError. ``encode``
+    and ``value()`` round-trip for every value of the 16-bit container,
+    read signed or unsigned.
     """
-    v = int(v)
+    v = operator.index(v)
     mag = abs(v)
     if mag >> STREAM_BITS:
         raise ValueError(f"magnitude {mag} does not fit {STREAM_BITS} bits")
-    offsets = tuple(b for b in range(STREAM_BITS) if (mag >> b) & 1)
-    return OneffsetStream(offsets=offsets, neg=v < 0)
+    offsets = []
+    while mag:
+        low = mag & -mag
+        offsets.append(low.bit_length() - 1)
+        mag ^= low
+    return OneffsetStream(offsets=tuple(offsets), neg=v < 0)
 
 
 def essential_counts(values: np.ndarray, width: int = 16) -> np.ndarray:

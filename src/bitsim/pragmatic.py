@@ -20,6 +20,7 @@ Synchronization:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -113,7 +114,7 @@ def two_stage_step(heads, l_bits: int):
         raise AllDone("no live lanes to schedule")
     c = 0 if l_bits >= 4 else min(live)
     reach = c + (1 << l_bits)
-    return c, tuple(h is not None and h < reach for h in heads)
+    return c, tuple([h is not None and h < reach for h in heads])
 
 
 @dataclass(frozen=True)
@@ -122,61 +123,61 @@ class ScheduleStep:
     advanced: tuple[int, ...]  # lane indices that consumed their head
 
 
-def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
-    """Cycle-by-cycle schedule of one PIP column (16 lanes max).
-
-    Each cycle asks :func:`two_stage_step` for the shift and the lanes
-    that advance, then moves only those lanes' heads to their next
-    offset, and counts down the live lanes; the schedule ends when none
-    is left. All-empty lanes still take one cycle: the end-of-neuron
-    marker has to be consumed. A valid rule advances the lane at ``c``,
-    so a cycle that advances no lane would repeat forever; it raises
-    :class:`ScalarModelMismatch` instead.
-    """
-    offsets = [s.offsets for s in streams]
-    if len(offsets) > BRICK:
+def _pip_cycles(streams, signed, l_bits: int):
+    """The one PIP loop of :func:`pip_inner` and :func:`pip_schedule`: each
+    cycle asks :func:`two_stage_step` for the shift ``c`` and the lanes that
+    advance, adds ``signed[idx] << (head - c)`` from each one's current head
+    (first stage and adder tree), shifts the sum by ``c`` and moves only
+    those heads. Returns the value and the cycles' ``(c, advanced)`` pairs.
+    A valid rule advances the lane at ``c``; a cycle that advances none
+    would repeat forever, so it raises :class:`ScalarModelMismatch`."""
+    if len(streams) > BRICK:
         raise ValueError(f"a PIP column has at most {BRICK} lanes")
-    rest = [iter(o) for o in offsets]  # each lane's offsets after its head
+    rest = [iter(s.offsets) for s in streams]  # each lane's offsets after its head
     heads = [next(r, None) for r in rest]
     live = len(heads) - heads.count(None)
     lanes = range(len(heads))
-    steps: list[ScheduleStep] = []
+    acc, cycles = 0, []
     while live:
         c, advance = two_stage_step(heads, l_bits)
         advanced = tuple(compress(lanes, advance))
         if not advanced:
             raise ScalarModelMismatch(f"the schedule advances no lane at shift {c}")
+        first_stage = 0
         for idx in advanced:
+            first_stage += signed[idx] << (heads[idx] - c)
             heads[idx] = head = next(rest[idx], None)
             live -= head is None
-        steps.append(ScheduleStep(common_shift=c, advanced=advanced))
-    if not steps:
-        steps.append(ScheduleStep(common_shift=0, advanced=()))
-    return steps
+        acc += first_stage << c
+        cycles.append((c, advanced))
+    return acc, cycles
+
+
+def pip_schedule(streams, l_bits: int) -> list[ScheduleStep]:
+    """Cycle-by-cycle schedule of one PIP column (16 lanes max): the cycles
+    of the PIP loop as :class:`ScheduleStep` s. All-empty lanes still take
+    one cycle, which advances none: the end-of-neuron marker has to be
+    consumed."""
+    streams = list(streams)
+    cycles = _pip_cycles(streams, [0] * len(streams), l_bits)[1]
+    return [ScheduleStep(*cycle) for cycle in cycles] or [ScheduleStep(0, ())]
 
 
 def pip_inner(neuron_streams, synapses, l_bits: int = 4) -> tuple[int, int]:
     """Inner product of one PIP: shift-accumulate over essential bits.
 
-    Returns ``(value, cycles)``, one cycle per :func:`pip_schedule` step.
-    The value is accumulated exactly as the datapath does: per cycle,
-    first-stage shifts of ``head - c``, adder tree, then the common shift
-    by ``c``.
+    Returns ``(value, cycles)`` of the PIP loop, which accumulates as the
+    datapath does: per cycle, first-stage shifts of ``head - c``, adder
+    tree, then the common shift by ``c``. All-empty lanes take one cycle.
+    A synapse that is not an integer (``operator.index``) raises TypeError.
     """
     streams = list(neuron_streams)
-    synapses = [int(s) for s in synapses]
+    synapses = [operator.index(s) for s in synapses]
     if len(streams) != len(synapses):
         raise ValueError("need one synapse per neuron stream")
     signed = [-s if stream.neg else s for stream, s in zip(streams, synapses)]
-    steps = pip_schedule(streams, l_bits)
-    rest = [iter(stream.offsets) for stream in streams]  # consumed in step order
-    acc = 0
-    for step in steps:
-        first_stage = 0
-        for idx in step.advanced:
-            first_stage += signed[idx] << (next(rest[idx]) - step.common_shift)
-        acc += first_stage << step.common_shift
-    return acc, len(steps)
+    value, cycles = _pip_cycles(streams, signed, l_bits)
+    return value, max(1, len(cycles))
 
 
 # --- vectorized column costs (the same scheduler on magnitude bitmasks) ---

@@ -361,10 +361,11 @@ LOWERING_BAND_WINDOWS = 128
 
 class ViewLowering:
     """One input view of a layer, lowered once: its values, exact output,
-    :func:`sampled_bricks` and effectual term count, none writable, so no
-    engine variant can change what a later one reads. :meth:`cached`
-    keeps what engines derive from the view: column costs with their
-    sampled checks, and the sample's encoded lanes.
+    effectual term count and :func:`sampled_bricks` at the layer's
+    ``picks``, none writable, so no engine variant can change what a
+    later one reads. :meth:`cached` keeps what engines derive from the
+    view: column costs with their sampled checks, and the sample's
+    encoded lanes.
 
     The output ``act(x @ W.T)`` of the view's im2col matrix ``x`` is
     computed in bands of whole output rows, about
@@ -381,12 +382,11 @@ class ViewLowering:
     """
 
     def __init__(self, values: np.ndarray, filters: FilterSet, spec: LayerSpec,
-                 width: int, out_shift: int):
+                 width: int, out_shift: int, picks: list[tuple[int, int, int]]):
         self._memo: dict = {}
         self.values = read_only(values)
         input, w = Tensor3(values), filters.data.reshape(filters.n, -1)
         ox, oy, _ = output_dims(spec)
-        picks = sample_picks(oy * ox, w.shape[1] // geo.BRICK, spec.n)
         picked = np.empty((len(picks), w.shape[1]), dtype=np.int32)
         out = np.empty((oy * ox, spec.n), dtype=np.int32)
         band = max(1, LOWERING_BAND_WINDOWS // ox)
@@ -418,7 +418,8 @@ class LayerLowering:
     variant on the layer reads the same :class:`ViewLowering` of its
     view. ``nm_cycles`` is the layer's dispatcher fetch cost ``NM_C``
     (:func:`~bitsim.geometry.dispatcher_fetch_cycles`), which both
-    serial engines read.
+    serial engines read, and ``picks`` its :func:`sample_picks`, both made
+    here: two views may be lowered on different threads.
     """
 
     def __init__(self, input: Tensor3, filters: FilterSet, spec: LayerSpec,
@@ -427,6 +428,8 @@ class LayerLowering:
         self.input, self.filters, self.spec = input, filters, spec
         self.width, self.out_shift = width, out_shift
         self.nm_cycles = dispatcher_fetch_cycles(spec)
+        ox, oy, _ = output_dims(spec)
+        self.picks = sample_picks(oy * ox, geo.num_brick_steps(spec), spec.n)
         self._views: dict[Precision | None, ViewLowering] = {}
 
     def view(self, profile: Precision | None) -> ViewLowering:
@@ -434,7 +437,7 @@ class LayerLowering:
             data = self.input.data
             values = data if profile is None else trim_tensor(data, profile)
             self._views[profile] = ViewLowering(
-                values, self.filters, self.spec, self.width, self.out_shift
+                values, self.filters, self.spec, self.width, self.out_shift, self.picks
             )
         return self._views[profile]
 

@@ -14,6 +14,8 @@ schedule degenerates to the bit-parallel baseline's.
 
 from __future__ import annotations
 
+import operator
+
 from . import geometry as geo
 from .numerics import Precision
 from .reference import (
@@ -41,10 +43,11 @@ def sip_inner(neurons, synapses, p: Precision, signed: bool | None = None) -> in
 
     Streams bit planes ``p.lsb .. p.msb``; the MSB plane is negated when
     the neurons are signed two's complement. Exactly equals the direct
-    dot product for every input representable in the window.
+    dot product for every input representable in the window. A lane that
+    is not an integer (``operator.index``) raises TypeError.
     """
-    neurons = [int(v) for v in neurons]
-    synapses = [int(v) for v in synapses]
+    neurons = [operator.index(v) for v in neurons]
+    synapses = [operator.index(v) for v in synapses]
     if len(neurons) != len(synapses) or len(neurons) > 16:
         raise ValueError("need matching neuron/synapse lanes, at most 16")
     if signed is None:

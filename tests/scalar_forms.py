@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from bitsim import geometry as geo
-from bitsim.encoding import essential_counts
+from bitsim.encoding import STREAM_BITS, OneffsetStream, essential_counts
 from bitsim.geometry import BRICK, LayerSpec
 from bitsim.numerics import Precision, QuantParams, trim_tensor
 from bitsim.pragmatic import ScheduleStep, two_stage_step
@@ -80,3 +80,30 @@ def rebuilt_heads_schedule(streams, l_bits: int) -> list[ScheduleStep]:
     if not steps:
         steps.append(ScheduleStep(common_shift=0, advanced=()))
     return steps
+
+
+def first_pip_inner(streams, synapses, l_bits: int) -> tuple[int, int]:
+    """:func:`bitsim.pragmatic.pip_inner` as it was first written: the
+    :func:`rebuilt_heads_schedule`, then a second walk over each lane's
+    offsets that shift-accumulates the terms of every step."""
+    streams = list(streams)
+    signed = [-int(w) if s.neg else int(w) for s, w in zip(streams, synapses, strict=True)]
+    steps = rebuilt_heads_schedule(streams, l_bits)
+    rest = [iter(s.offsets) for s in streams]  # consumed in step order
+    acc = 0
+    for step in steps:
+        first_stage = 0
+        for idx in step.advanced:
+            first_stage += signed[idx] << (next(rest[idx]) - step.common_shift)
+        acc += first_stage << step.common_shift
+    return acc, len(steps)
+
+
+def per_bit_encode(v: int) -> OneffsetStream:
+    """:func:`bitsim.encoding.encode` as it was first written: each of the
+    16 bits of the magnitude tested in turn."""
+    v = int(v)
+    mag = abs(v)
+    if mag >> STREAM_BITS:
+        raise ValueError(f"magnitude {mag} does not fit {STREAM_BITS} bits")
+    return OneffsetStream(tuple(b for b in range(STREAM_BITS) if (mag >> b) & 1), neg=v < 0)

@@ -9,6 +9,7 @@ from bitsim.analysis import (
     ENGINE_TAGS,
     LayerRow,
     ReportDocument,
+    TermCounts,
     count_terms,
     csv_line,
     report,
@@ -156,6 +157,29 @@ class TestReport:
         doc = report([("conv1", make_result(50, "pragmatic", "2b-pallet-red"), 100)])
         text = doc.table()
         assert "conv1" in text and "2b-pallet-red" in text
+
+    def test_a_layer_name_is_written_on_one_line_in_a_column_that_fits_it(self):
+        # unescaped, "conv\n1" split each of its rows in two, and a name
+        # past 12 characters pushed its row's columns right
+        long = "a_layer_name_of_thirty_chars_x"
+        names = ["conv\n1", long, "c2"]
+        counts = TermCounts({tag: 16 for tag in ENGINE_TAGS}, pairs=1)
+        doc = report([(name, make_result(50), 100) for name in names],
+                     term_counts=dict.fromkeys(names, counts))
+        lines = doc.table().splitlines()
+        # header, rule, 3 rows, rule, 2 aggregate lines, rule, header, 3 rows
+        assert len(lines) == 13
+        written = ["conv\\n1", long, "c2"]
+        rows, term_rows = lines[2:5], lines[10:13]
+        assert [row.split()[0] for row in rows + term_rows] == 2 * written
+        for row in rows:
+            assert row.index("stripes") == lines[0].index("engine") == len(long) + 1
+        for row in term_rows:
+            assert row.index("1.000") + 5 == lines[9].index("norm zn") + 7
+
+    def test_a_short_printable_name_keeps_the_twelve_wide_column(self):
+        doc = report([("conv1", make_result(50), 100)])
+        assert doc.table().splitlines()[2].startswith("conv1" + " " * 8 + "stripes ")
 
 
 def test_csv_line_writes_each_cell_by_one_rule():

@@ -222,61 +222,66 @@ class TestSimulateCommand:
         assert "config error:" in r.output
 
     @pytest.mark.parametrize(
-        "path, value, field, noun",
+        "path, value, field, noun, got",
         [
-            (("width",), 16.9, "'width'", "an integer"),
-            (("seed",), True, "'seed'", "an integer"),
-            (("out_shift",), 0.0, "'out_shift'", "an integer"),
-            (("layers", 0, "nx"), 18.7, "'nx' in layers[0]", "an integer"),
-            (("layers", 0, "nx"), "18", "'nx' in layers[0]", "an integer"),
-            (("layers", 0, "ny"), 18.0, "'ny' in layers[0]", "an integer"),
-            (("layers", 0, "i"), "32", "'i' in layers[0]", "an integer"),
-            (("layers", 1, "n"), 32.5, "'n' in layers[1]", "an integer"),
-            (("layers", 0, "fx"), 3.0, "'fx' in layers[0]", "an integer"),
-            (("layers", 0, "fy"), [3], "'fy' in layers[0]", "an integer"),
-            (("layers", 0, "s"), True, "'s' in layers[0]", "an integer"),
-            (("layers", 1, "pad"), False, "'pad' in layers[1]", "an integer"),
+            (("width",), 16.9, "'width'", "an integer", '16.9'),
+            (("seed",), True, "'seed'", "an integer", 'true'),
+            (("out_shift",), 0.0, "'out_shift'", "an integer", '0.0'),
+            (("layers", 0, "nx"), 18.7, "'nx' in layers[0]", "an integer", '18.7'),
+            (("layers", 0, "nx"), "18", "'nx' in layers[0]", "an integer", '"18"'),
+            (("layers", 0, "ny"), 18.0, "'ny' in layers[0]", "an integer", '18.0'),
+            (("layers", 0, "i"), "32", "'i' in layers[0]", "an integer", '"32"'),
+            (("layers", 1, "n"), 32.5, "'n' in layers[1]", "an integer", '32.5'),
+            (("layers", 0, "fx"), 3.0, "'fx' in layers[0]", "an integer", '3.0'),
+            (("layers", 0, "fy"), [3], "'fy' in layers[0]", "an integer", '[3]'),
+            (("layers", 0, "s"), True, "'s' in layers[0]", "an integer", 'true'),
+            (("layers", 1, "pad"), False, "'pad' in layers[1]", "an integer", 'false'),
             (("layers", 0, "precision", "width"), 9.5, "'precision.width' in layers[0]",
-             "an integer"),
+             "an integer", '9.5'),
             (("layers", 0, "precision", "lsb"), "0", "'precision.lsb' in layers[0]",
-             "an integer"),
+             "an integer", '"0"'),
             (("layers", 1, "precision", "msb"), 6.0, "'precision.msb' in layers[1]",
-             "an integer"),
-            (("engines", 2, "l_bits"), [2.7], "'l_bits' in engines[2]", "an integer"),
-            (("engines", 3, "ssrs"), [1.5], "'ssrs' in engines[3]", "an integer"),
+             "an integer", '6.0'),
+            (("engines", 2, "l_bits"), [2.7], "'l_bits' in engines[2]", "an integer",
+             '2.7'),
+            (("engines", 3, "ssrs"), [1.5], "'ssrs' in engines[3]", "an integer", '1.5'),
             (("engines", 3, "pallet_buffer"), "2", "'pallet_buffer' in engines[3]",
-             "an integer"),
+             "an integer", '"2"'),
             (("layers", 0, "first_layer"), "no", "'first_layer' in layers[0]",
-             "true or false"),
-            (("layers", 1, "first_layer"), 0, "'first_layer' in layers[1]", "true or false"),
-            (("trace", "relu"), "false", "'trace.relu'", "true or false"),
-            (("trace", "sigma"), "900", "'trace.sigma'", "a number"),
-            (("trace", "sigma"), True, "'trace.sigma'", "a number"),
-            (("synapse_sigma",), "1e1", "'synapse_sigma'", "a number"),
-            (("synapse_sigma",), False, "'synapse_sigma'", "a number"),
+             "true or false", '"no"'),
+            (("layers", 1, "first_layer"), 0, "'first_layer' in layers[1]", "true or false",
+             '0'),
+            (("trace", "relu"), "false", "'trace.relu'", "true or false", '"false"'),
+            (("trace", "sigma"), "900", "'trace.sigma'", "a number", '"900"'),
+            (("trace", "sigma"), True, "'trace.sigma'", "a number", 'true'),
+            (("synapse_sigma",), "1e1", "'synapse_sigma'", "a number", '"1e1"'),
+            (("synapse_sigma",), False, "'synapse_sigma'", "a number", 'false'),
             (("layers", 0, "quant"), {"vmin": True, "vmax": 6.0}, "'vmin' in layers[0]",
-             "a number"),
+             "a number", 'true'),
             (("layers", 0, "quant"), {"vmin": 0, "vmax": "6"}, "'vmax' in layers[0]",
-             "a number"),
+             "a number", '"6"'),
             pytest.param(("synapse_sigma",), 10**400, "'synapse_sigma'", "finite",
-                         id="synapse_sigma-10**400"),
-            (("layers", 0, "precision"), [9], "'precision' in layers[0]", "an object"),
-            ((), [], "config root", "an object"),
-            (("layers",), {}, "'layers'", "a list"),
-            (("output",), "x", "'output'", "an object"),
-            (("output", "csv"), 5, "'output.csv'", "a string"),
-            (("engines", 3, "sync"), 5, "'sync' in engines[3]", "a string"),
-            (("engines", 2, "trim"), True, "'trim' in engines[2]", "a string"),
+                         "1" + "0" * 39 + "...", id="synapse_sigma-10**400"),
+            (("layers", 0, "precision"), [9], "'precision' in layers[0]", "an object",
+             '[9]'),
+            ((), [], "config root", "an object", '[]'),
+            (("layers",), {}, "'layers'", "a list", '{}'),
+            (("output",), "x", "'output'", "an object", '"x"'),
+            (("output", "csv"), 5, "'output.csv'", "a string", '5'),
+            (("engines", 3, "sync"), 5, "'sync' in engines[3]", "a string", '5'),
+            (("engines", 2, "trim"), True, "'trim' in engines[2]", "a string", 'true'),
         ],
     )
     def test_integer_and_boolean_fields_take_only_their_json_type(self, tmp_path, path,
-                                                                  value, field, noun):
-        # a cast would run 16.9 as 16, true as 1, "no" as true and "900" as 900
+                                                                  value, field, noun, got):
+        # a cast would run 16.9 as 16, true as 1, "no" as true and "900" as 900;
+        # the refused value reads as JSON wrote it, cut to 40 characters
         out = tmp_path / "out.csv"
         r = CliRunner().invoke(main, ["simulate", str(example_with(tmp_path, path, value)),
                                       "--out", str(out)])
         assert_clean_exit(r, 1)
-        assert f"config error: {field} must be {noun}" in r.output
+        assert f"config error: {field} must be {noun}, got {got}\n" in r.output
+        assert all(len(line) < 100 for line in r.output.splitlines())
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "analyze"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bitsim.encoding import EmptyTrace, OneffsetStream, encode, essential_counts, stats
 from bitsim.numerics import Precision
-from scalar_forms import essential_count, trim
+from scalar_forms import essential_count, per_bit_encode, trim
 
 
 class TestEncode:
@@ -38,6 +38,22 @@ class TestEncode:
         # the 16-bit container can hold, signed or unsigned view
         for v in range(-(1 << 15), 1 << 16):
             assert encode(v).value() == v
+
+    def test_equals_the_sixteen_bit_tests_on_every_container_value(self):
+        # encode walks the set bits lowest first; the first form tested
+        # each of the 16 bits in turn
+        for v in range(-(1 << 15), 1 << 16):
+            assert encode(v) == per_bit_encode(v)
+
+    @pytest.mark.parametrize("v", [1.5, np.float64(3.7), 2.0, "5"])
+    def test_a_value_that_is_not_an_integer_is_refused(self, v):
+        # a cast read 1.5 as 1 and 3.7 as 3
+        with pytest.raises(TypeError):
+            encode(v)
+
+    @pytest.mark.parametrize("v", [np.int64(-5), np.int32(300), np.uint16(0xFFFF)])
+    def test_numpy_and_python_integers_encode_as_their_value(self, v):
+        assert encode(v) == per_bit_encode(int(v))
 
     def test_at_most_width_offsets(self):
         assert len(encode(0xFFFF).offsets) == 16

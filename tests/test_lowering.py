@@ -378,6 +378,26 @@ def test_shared_lowering_is_read_only():
     assert t.data.flags.writeable  # the caller's input keeps its flags
 
 
+def test_the_sample_is_picked_once_per_layer(monkeypatch):
+    # the picks depend on the layer's shape alone, so both views of a
+    # layer share the picks drawn as its lowering is built
+    calls = []
+    real = reference.sample_picks
+
+    def sample_picks(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reference, "sample_picks", sample_picks)
+    spec, t, f, profile = small_layer()
+    lowered = LayerLowering(t, f, spec)
+    assert len(calls) == 1
+    views = [lowered.view(None), lowered.view(profile)]
+    assert len(calls) == 1
+    assert [brick[:2] for brick in views[0].sample] == [brick[:2] for brick in views[1].sample]
+    assert lowered.picks == real(*calls[0])
+
+
 @settings(max_examples=40, deadline=None)
 @given(layers())
 def test_sampled_streams_equal_the_encoding_of_each_lane(layer):
@@ -475,7 +495,7 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("sampled_bricks", "dispatcher_fetch_cycles"):
+    for name in ("sample_picks", "sampled_bricks", "dispatcher_fetch_cycles"):
         counted(reference, name)
     for name in ("column_costs", "pip_inner", "encode"):
         counted(pragmatic, name)
@@ -509,7 +529,9 @@ def test_shipped_configs_lower_each_view_once(monkeypatch):
                    for view in encoded_views)
     assert distinct < 3 * reference.SAMPLED_BRICKS * 16  # 160 of the 384 lanes
     assert calls == {
-        # the sample is drawn once per view, as it is lowered
+        # the sample is picked once per layer, and drawn once per view,
+        # as it is lowered
+        "sample_picks": 3,
         "sampled_bricks": 6,
         "column_costs": 8,
         # every sampled brick, all 16 lanes, at every (view, l_bits)

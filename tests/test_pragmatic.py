@@ -26,7 +26,7 @@ from bitsim.reference import (
 )
 from bitsim.stripes import stripes_layer
 from bricks import pallet_fetch_rows, pallet_phase_cycles, walked_fetch_cycles
-from scalar_forms import rebuilt_heads_schedule
+from scalar_forms import first_pip_inner, rebuilt_heads_schedule
 
 
 class TestTwoStageStep:
@@ -70,6 +70,18 @@ LANE_STREAMS = st.one_of(
 @given(st.lists(LANE_STREAMS, max_size=16), st.integers(0, 4))
 def test_pip_schedule_equals_the_rebuilt_heads_loop(streams, l_bits):
     assert pip_schedule(streams, l_bits) == rebuilt_heads_schedule(streams, l_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(LANE_STREAMS, st.booleans(), st.integers(-(1 << 15), 1 << 15)),
+                max_size=16),
+       st.integers(0, 4))
+def test_pip_inner_equals_the_schedule_then_accumulate_form(lanes, l_bits):
+    # one loop schedules and accumulates; the first form walked the
+    # offsets again after the whole schedule
+    streams = [OneffsetStream(s.offsets, neg) for s, neg, _ in lanes]
+    synapses = [w for _, _, w in lanes]
+    assert pip_inner(streams, synapses, l_bits) == first_pip_inner(streams, synapses, l_bits)
 
 
 @pytest.mark.parametrize("stuck_after", [0, 1, 2])
@@ -125,6 +137,17 @@ class TestPipInner:
         value, cycles = pip_inner(streams, synapses, l_bits)
         assert value == int(np.dot(neurons.astype(object), synapses.astype(object)))
         assert cycles >= max(1, max(len(s.offsets) for s in streams) if streams else 1)
+
+    @pytest.mark.parametrize("synapse", [2.5, np.float64(2.0), "2"])
+    def test_a_synapse_that_is_not_an_integer_is_refused(self, synapse):
+        # a cast read 2.5 as 2: the product of 3 and 2.5 came out 6
+        with pytest.raises(TypeError):
+            pip_inner([encode(3)], [synapse], 2)
+
+    def test_numpy_integer_synapses_give_the_same_product(self):
+        streams = [encode(v) for v in (3, -5, 0)]
+        assert pip_inner(streams, np.array([7, 2, 9], dtype=np.int64), 2) == pip_inner(
+            streams, [7, 2, 9], 2) == (11, 2)
 
     def test_single_stage_cycles_are_max_stream_length(self):
         streams = [encode(v) for v in (0xFF, 0x0F, 0, 1)]

@@ -39,6 +39,18 @@ class TestSipInner:
         with pytest.raises(ValueError):
             sip_inner([0b1000], [1], Precision(2, 0))  # bit 3 outside window
 
+    @pytest.mark.parametrize("neurons, synapses", [([1.5, 2], [3, 4]), ([1, 2], [3, 4.0]),
+                                                   ([np.float64(1), 2], [3, 4])])
+    def test_a_lane_that_is_not_an_integer_is_refused(self, neurons, synapses):
+        # a cast read 1.5 as 1: the product came out 1*3 + 2*4 = 11
+        with pytest.raises(TypeError):
+            sip_inner(neurons, synapses, Precision(3, 0))
+
+    def test_numpy_integer_lanes_give_the_same_product(self):
+        lanes = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        assert sip_inner(lanes[0], lanes[1], Precision(3, 0)) == sip_inner(
+            [1, 2], [3, 4], Precision(3, 0)) == 11
+
 
 def relu_layer(rng, p_bits=16, **overrides):
     kw = dict(nx=18, ny=4, i=16, n=16, fx=3, fy=3, s=1, pad=0, act="relu")
